@@ -291,21 +291,23 @@ class AlgebraPresentation:
 
     # -- relation checking (shared by morphisms and representations) ---------------
 
-    def check_relations(self, vals, mul, is_zero, eq):
+    def check_relations(self, vals, mul, is_zero, eq, power_vanishes=None):
         """Verify the defining relations on an assignment of generator values.
 
         ``vals`` maps generator index -> value; ``mul`` multiplies values.
-        Works for algebra elements and for representation matrices alike.
-        Raises AlgebraError on the first failure.
+        ``power_vanishes(v, b)`` decides v^b = 0; by default it multiplies
+        the power out.  Works for algebra elements and for representation
+        matrices alike.  Raises AlgebraError on the first failure.
         """
-        def power(v, n):
-            out = None
-            for _ in range(n):
-                out = v if out is None else mul(out, v)
-            return out
+        def multiplied_out(v, n):
+            out = v
+            for _ in range(n - 1):
+                out = mul(out, v)
+            return is_zero(out)
 
+        power_vanishes = power_vanishes or multiplied_out
         for g, bound in enumerate(self.bounds):
-            if not is_zero(power(vals[g], bound)):
+            if not power_vanishes(vals[g], bound):
                 raise AlgebraError(f"relation {self.gen_names[g]}^{bound} = 0 fails")
         k = len(self.gen_names)
         if self.kind == "truncated_poly":

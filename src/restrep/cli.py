@@ -159,6 +159,7 @@ def scenario_witt(args):
     p = args.p or 3
     r = args.r or 1
     if r not in (1, 2):
+        sys.stderr.write("witt: --r must be 1 or 2\n")
         raise SystemExit(2)
     F = field(p)
     A = build_truncated_polynomial(F, [p ** r], names=("x",))

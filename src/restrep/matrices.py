@@ -47,7 +47,14 @@ class NotNilpotent(MatrixError):
 
 
 class Matrix:
-    __slots__ = ("field", "a")
+    """A dense matrix over GF(p^e).
+
+    Matrix values are immutable: nothing writes into ``a`` after
+    construction.  That is what lets a matrix memoize its rank chain and
+    keep the echelon rows of its last ``rank()``.
+    """
+
+    __slots__ = ("field", "a", "_echelon", "_rank_chain")
 
     def __init__(self, field_spec, data, copy=True):
         a = np.array(data, dtype=_INT, copy=copy)
@@ -55,6 +62,8 @@ class Matrix:
             raise MatrixError("matrix data must be 2-dimensional")
         self.field = field_spec
         self.a = a
+        self._echelon = None      # echelon rows left by rank()
+        self._rank_chain = None   # memo of rank_chain()
 
     # -- constructors --------------------------------------------------------
 
@@ -66,10 +75,6 @@ class Matrix:
     @classmethod
     def identity(cls, field_spec, n):
         return cls(field_spec, np.eye(n, dtype=_INT), copy=False)
-
-    @classmethod
-    def from_rows(cls, field_spec, rows):
-        return cls(field_spec, rows)
 
     @classmethod
     def jordan_block(cls, field_spec, n):
@@ -238,7 +243,8 @@ class Matrix:
         return A.astype(_INT, copy=False), tuple(pivots)
 
     def rank(self):
-        _, pivots = self._eliminate(reduced=False)
+        A, pivots = self._eliminate(reduced=False)
+        self._echelon = A[:len(pivots)]
         return len(pivots)
 
     def rref(self):
@@ -253,10 +259,8 @@ class Matrix:
         if not free:
             return Matrix.zeros(F, self.cols, 0)
         out = np.zeros((self.cols, len(free)), dtype=_INT)
-        for k, fcol in enumerate(free):
-            out[fcol, k] = 1
-            for i, pcol in enumerate(pivots):
-                out[pcol, k] = F.neg(int(R.a[i, fcol]))
+        out[free, np.arange(len(free))] = 1
+        out[list(pivots)] = F.NEG[R.a[:len(pivots)][:, free]]
         return Matrix(F, out, copy=False)
 
     def solve(self, rhs):
@@ -295,9 +299,6 @@ class Matrix:
     def vstack(self, other):
         self._check(other)
         return Matrix(self.field, np.vstack([self.a, other.a]), copy=False)
-
-    def submatrix(self, rows, cols):
-        return Matrix(self.field, self.a[np.ix_(rows, cols)])
 
     def column(self, j):
         return Matrix(self.field, self.a[:, j:j + 1])
@@ -380,30 +381,42 @@ class JordanType:
     __repr__ = __str__
 
 
+def rank_chain(m):
+    """``(n, rank(m), rank(m^2), ..., 0)`` of a nilpotent square matrix.
+
+    rowspace(m^s) = rowspace(m^{s-1}) · m, so each step multiplies the
+    echelon basis of the previous row space (r x n) by m and ranks the
+    product; no power of m is formed.  The row spaces shrink until they
+    stop, so a nonzero rank that repeats proves m is not nilpotent
+    (NotNilpotent).  The chain is memoized on m; its length minus one is
+    the nilpotency index.
+    """
+    if not m.is_square():
+        raise MatrixError("rank chain of a non-square matrix")
+    if m._rank_chain is None:
+        chain = [m.rows]
+        step = m
+        while chain[-1]:
+            r = 0 if step.is_zero() else step.rank()
+            if r == chain[-1]:
+                raise NotNilpotent("matrix is not nilpotent")
+            chain.append(r)
+            if r:
+                step = Matrix(m.field, step._echelon, copy=False) @ m
+        m._rank_chain = tuple(chain)
+    return m._rank_chain
+
+
 def nilpotent_jordan_type(m):
     """Partition with #{parts >= s} = rank(m^{s-1}) - rank(m^s).
 
-    Raises NotNilpotent when m**dim != 0.
+    Read off :func:`rank_chain`; raises NotNilpotent when m is not nilpotent.
     """
-    if not m.is_square():
-        raise MatrixError("Jordan type of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return JordanType(())
-    ranks = [n]
-    power = m
-    while True:
-        r = power.rank()
-        ranks.append(r)
-        if r == 0:
-            break
-        if len(ranks) > n + 1:
-            raise NotNilpotent("matrix is not nilpotent")
-        power = power @ m
+    ranks = rank_chain(m) + (0,)
     parts = []
-    for s in range(1, len(ranks)):
+    for s in range(1, len(ranks) - 1):
         ge_s = ranks[s - 1] - ranks[s]
-        ge_s1 = ranks[s] - ranks[s + 1] if s + 1 < len(ranks) else 0
+        ge_s1 = ranks[s] - ranks[s + 1]
         parts.extend([s] * (ge_s - ge_s1))
     return JordanType(parts)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import AlgebraError, AlgebraMorphism, base_change
 from .fields import sampling_extension
-from .matrices import Matrix, _INT, nilpotent_jordan_type
+from .matrices import Matrix, NotNilpotent, _INT, nilpotent_jordan_type, rank_chain
 
 HOM_UNKNOWN_LIMIT = 40_000   # max unknown count for the generic intertwiner solve
 
@@ -42,6 +42,15 @@ class NoIntegral(RepresentationError):
 
 class HomTooLarge(RepresentationError):
     pass
+
+
+def _power_vanishes(m, b):
+    """m^b = 0, certified by the rank chain (whose length is the nilpotency
+    index plus one); the chain is memoized, so Jordan types reuse it."""
+    try:
+        return len(rank_chain(m)) - 1 <= b
+    except NotNilpotent:
+        return False
 
 
 class Representation:
@@ -71,7 +80,8 @@ class Representation:
             self.actions,
             mul=lambda a, b: a @ b,
             is_zero=lambda m: m.is_zero(),
-            eq=lambda a, b: a == b)
+            eq=lambda a, b: a == b,
+            power_vanishes=_power_vanishes)
 
     # -- evaluation -------------------------------------------------------------
 
@@ -94,12 +104,6 @@ class Representation:
         for i in a.support():
             out = out + self.act_monomial(i).scale(int(a.vec[i]))
         return out
-
-    def generator_action(self, name):
-        return self.actions[self.algebra.gen_names.index(name)]
-
-    def jordan_of(self, a):
-        return nilpotent_jordan_type(self.act(a))
 
     def __repr__(self):
         return f"Rep({self.label or '?'}, dim={self.dim} over {self.algebra!r})"

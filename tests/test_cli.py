@@ -90,6 +90,16 @@ def test_klein_rejects_odd_p():
     assert exc.value.code == 2
 
 
+def test_witt_rejects_r_above_2():
+    import io
+    from contextlib import redirect_stderr
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["witt", "--r", "3"])
+    assert exc.value.code == 2
+    assert err.getvalue() == "witt: --r must be 1 or 2\n"
+
+
 def test_abelian_wild_scenario():
     code, out, _ = run_cli(["abelian-wild", "--format", "json"])
     assert code == 0

@@ -4,11 +4,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from restrep.algebra import build_truncated_polynomial
 from restrep.fields import field
+from restrep.hopf import named_structure
 from restrep.matrices import (FieldMismatch, JordanType, Matrix, NotNilpotent,
                               column_space, intersect_spaces,
-                              nilpotent_jordan_type, preimage_space)
+                              nilpotent_jordan_type, preimage_space, rank_chain)
+from restrep.modules import jordan_block_module, tensor
 
 FIELDS = [field(2), field(3), field(7), field(2, 2), field(3, 2)]
 
@@ -59,9 +63,7 @@ def test_matmul_against_schoolbook():
 def test_kron_definition_and_ordering():
     F2 = field(2)
     got = Matrix.jordan_block(F2, 2).kron(Matrix.identity(F2, 2))
-    expect = Matrix.zeros(F2, 4, 4)
-    expect.a[0, 2] = 1
-    expect.a[1, 3] = 1
+    expect = Matrix(F2, [[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]])
     assert got == expect
     assert Matrix.identity(F2, 2).kron(Matrix.identity(F2, 3)) == Matrix.identity(F2, 6)
 
@@ -122,6 +124,31 @@ def test_nullspace_canonical():
     assert Matrix.jordan_block(F, 5).nullspace().cols == 1
 
 
+def test_nullspace_matches_scalar_back_substitution():
+    rng = random.Random(17)
+    for F in FIELDS:
+        for _ in range(10):
+            m = Matrix.random(F, rng.randrange(1, 7), rng.randrange(1, 9), rng)
+            R, pivots = m.rref()
+            free = [c for c in range(m.cols) if c not in pivots]
+            ref = np.zeros((m.cols, len(free)), dtype=np.int16)
+            for k, fcol in enumerate(free):
+                ref[fcol, k] = 1
+                for i, pcol in enumerate(pivots):
+                    ref[pcol, k] = F.neg(int(R.a[i, fcol]))
+            assert m.nullspace().a.tobytes() == ref.tobytes()
+
+
+def block_diagonal(F, parts):
+    n = sum(parts)
+    blocks = np.zeros((n, n), dtype=np.int16)
+    off = 0
+    for s in parts:
+        blocks[off:off + s, off:off + s] = Matrix.jordan_block(F, s).a
+        off += s
+    return Matrix(F, blocks)
+
+
 def test_jordan_type_basics():
     F = field(3)
     assert nilpotent_jordan_type(Matrix.zeros(F, 4)).parts == (1, 1, 1, 1)
@@ -136,27 +163,15 @@ def test_jordan_type_conjugation_invariant():
     for F in (field(2), field(3), field(5, 2)):
         for _ in range(8):
             parts = [rng.randrange(1, 4) for _ in range(rng.randrange(1, 4))]
-            n = sum(parts)
-            blocks = np.zeros((n, n), dtype=np.int16)
-            off = 0
-            for s in parts:
-                blocks[off:off + s, off:off + s] = Matrix.jordan_block(F, s).a
-                off += s
-            m = Matrix(F, blocks)
-            S = Matrix.random_invertible(F, n, rng)
-            conj = S @ m @ S.inverse()
+            S = Matrix.random_invertible(F, sum(parts), rng)
+            conj = S @ block_diagonal(F, parts) @ S.inverse()
             assert nilpotent_jordan_type(conj) == JordanType(parts)
 
 
 def test_jordan_from_rank_sequence_example():
     # dim 9 with ranks 5, 1, 0 must give the partition {3, 2, 2, 2}
     F = field(3)
-    blocks = np.zeros((9, 9), dtype=np.int16)
-    off = 0
-    for s in (3, 2, 2, 2):
-        blocks[off:off + s, off:off + s] = Matrix.jordan_block(F, s).a
-        off += s
-    m = Matrix(F, blocks)
+    m = block_diagonal(F, (3, 2, 2, 2))
     assert m.rank() == 5 and (m @ m).rank() == 1
     assert nilpotent_jordan_type(m).parts == (3, 2, 2, 2)
 
@@ -209,3 +224,76 @@ def test_pow():
     assert n.pow(0) == Matrix.identity(F, 4)
     assert n.pow(2) == n @ n
     assert n.pow(4).is_zero()
+
+
+# -- rank chain against the power-by-power reference ------------------------------
+
+
+def reference_jordan_type(m):
+    """Jordan type from the rank of every full power m^s (the old algorithm)."""
+    n = m.rows
+    ranks = [n]
+    power = m
+    while ranks[-1]:
+        if len(ranks) > n:
+            raise NotNilpotent("matrix is not nilpotent")
+        ranks.append(power.rank())
+        power = power @ m
+    ranks.append(0)
+    parts = []
+    for s in range(1, len(ranks) - 1):
+        parts.extend([s] * ((ranks[s - 1] - ranks[s]) - (ranks[s] - ranks[s + 1])))
+    return JordanType(parts)
+
+
+CHAIN_FIELDS = [field(2), field(5), field(2, 2), field(5, 2)]
+
+
+@st.composite
+def conjugated_nilpotents(draw):
+    F = draw(st.sampled_from(CHAIN_FIELDS))
+    parts = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    S = Matrix.random_invertible(F, sum(parts), random.Random(draw(st.integers(0, 2**32))))
+    return parts, S @ block_diagonal(F, parts) @ S.inverse()
+
+
+@settings(max_examples=60, deadline=None)
+@given(conjugated_nilpotents())
+def test_chain_jordan_type_matches_reference(case):
+    parts, m = case
+    assert reference_jordan_type(m) == JordanType(parts)
+    assert nilpotent_jordan_type(m) == JordanType(parts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(conjugated_nilpotents())
+def test_chain_length_is_nilpotency_index(case):
+    _, m = case
+    index = next(b for b in range(m.rows + 1) if m.pow(b).is_zero())
+    assert len(rank_chain(m)) - 1 == index
+
+
+WITT_3_2 = build_truncated_polynomial(field(3), [9], names=("x",))
+WITT_3_2_DELTAS = [named_structure(WITT_3_2, n)
+                   for n in ("lie_primitive", "witt_G2", "witt_Zp2")]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(0, 2))
+def test_chain_jordan_type_of_witt_tensors(i, j, k):
+    T = tensor(jordan_block_module(WITT_3_2, i), jordan_block_module(WITT_3_2, j),
+               WITT_3_2_DELTAS[k])
+    assert nilpotent_jordan_type(T.actions[0]) == reference_jordan_type(T.actions[0])
+
+
+def test_rank_chain_is_memoized_and_rejects_non_nilpotent():
+    F = field(5)
+    m = block_diagonal(F, [4, 2, 1])
+    assert rank_chain(m) == (7, 4, 2, 1, 0)
+    assert rank_chain(m) is rank_chain(m)
+    with pytest.raises(NotNilpotent):
+        nilpotent_jordan_type(Matrix.random_invertible(F, 300, random.Random(1)))
+    singular = np.pad(Matrix.jordan_block(F, 3).a, ((0, 1), (0, 1)))
+    singular[3, 3] = 1   # J3 + (1): the rank stops at 1
+    with pytest.raises(NotNilpotent):
+        rank_chain(Matrix(F, singular))

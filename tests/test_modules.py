@@ -5,7 +5,7 @@ import random
 import pytest
 
 from restrep.fields import field
-from restrep.algebra import (AlgebraMorphism, build_heisenberg,
+from restrep.algebra import (AlgebraError, AlgebraMorphism, build_heisenberg,
                              build_truncated_polynomial)
 from restrep.hopf import named_structure
 from restrep.matrices import Matrix, nilpotent_jordan_type
@@ -35,6 +35,25 @@ def test_relation_verification_rejects_bad_actions():
     with pytest.raises(Exception):
         # [x, y] = z fails when everything acts by zero except z
         Representation(H, [z, Matrix.jordan_block(F3, 2), z])
+
+
+def test_chain_verification_rejects_index_above_bound():
+    F5 = field(5)
+    A = build_truncated_polynomial(F5, [25], names=("x",))
+    Representation(A, [Matrix.jordan_block(F5, 25)])
+    with pytest.raises(AlgebraError, match=r"x\^25"):
+        Representation(A, [Matrix.jordan_block(F5, 26)])
+    unipotent = Matrix.jordan_block(F5, 3) + Matrix.identity(F5, 3)
+    with pytest.raises(AlgebraError, match=r"x\^25"):
+        Representation(A, [unipotent])
+    F4 = field(2, 2)
+    K = build_truncated_polynomial(F4, [2, 2], names=("x", "y"))
+    square_zero = Matrix(F4, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    Representation(K, [square_zero, square_zero])
+    with pytest.raises(AlgebraError, match=r"x\^2"):
+        Representation(K, [Matrix.jordan_block(F4, 3), square_zero])
+    with pytest.raises(AlgebraError, match=r"y\^2"):
+        Representation(K, [square_zero, Matrix.jordan_block(F4, 3)])
 
 
 def test_act_basics():

@@ -129,30 +129,32 @@ class AlgebraElement:
 class AlgebraPresentation:
     """Finite augmented algebra with an ordered monomial basis.
 
-    kind is "truncated_poly", "heisenberg" or "tensor_square"; products
-    between basis monomials are straightened on demand and memoized.
+    kind is "truncated_poly" or "heisenberg"; products between basis
+    monomials are straightened on demand and memoized.
+    ``induction_tables`` belongs to this algebra as the target of
+    inductions; :func:`restrep.modules.induce` fills it.
     """
 
     def __init__(self, field, kind, gen_names, bounds, basis_exps, heis_n=None,
-                 cyclic_dims=None, parent=None, verify=True):
+                 cyclic_dims=None, verify=True):
         self.field = field
         self.kind = kind
         self.gen_names = tuple(gen_names)
         self.bounds = tuple(bounds)
         self.heis_n = heis_n
         self.cyclic_dims = tuple(cyclic_dims) if cyclic_dims else None
-        self.parent = parent
         self.basis_exps = list(basis_exps)
         self.dim = len(self.basis_exps)
         self.index_of = {e: i for i, e in enumerate(self.basis_exps)}
         self.identity_index = self.index_of[tuple([0] * len(self.gen_names))]
         self._prod_cache = {}
+        self.induction_tables = {}
         self._gen_exps = []
         for g in range(len(self.gen_names)):
             e = [0] * len(self.gen_names)
             e[g] = 1
             self._gen_exps.append(tuple(e))
-        self.integral_index = self._integral_index()
+        self.integral_index = self.index_of[tuple(b - 1 for b in self.bounds)]
         if verify:
             self._verify_build()
 
@@ -199,11 +201,6 @@ class AlgebraPresentation:
                 parts.append(f"{name}^{e}")
         return "*".join(parts) if parts else "1"
 
-    def counit_vector(self):
-        v = np.zeros(self.dim, dtype=_INT)
-        v[self.identity_index] = 1
-        return v
-
     # -- multiplication ---------------------------------------------------------
 
     def _mono_times_mono(self, ei, ej):
@@ -238,21 +235,6 @@ class AlgebraPresentation:
                 out[key] = self.field.add(c0, coeff % p)
                 if not out[key]:
                     del out[key]
-            return out
-        if self.kind == "tensor_square":
-            d = self.parent.dim
-            li, ri = divmod(self.index_of[ei], d)
-            lj, rj = divmod(self.index_of[ej], d)
-            left = self.parent.product_vec(li, lj)
-            right = self.parent.product_vec(ri, rj)
-            out = {}
-            for u in np.nonzero(left)[0]:
-                for v in np.nonzero(right)[0]:
-                    c = self.field.mul(int(left[u]), int(right[v]))
-                    key = self.basis_exps[int(u) * d + int(v)]
-                    out[key] = self.field.add(out.get(key, 0), c)
-                    if not out[key]:
-                        del out[key]
             return out
         raise AlgebraError(f"unknown kind {self.kind}")
 
@@ -337,14 +319,6 @@ class AlgebraPresentation:
 
     # -- build-time verification -----------------------------------------------------
 
-    def _integral_index(self):
-        if self.kind == "tensor_square":
-            d = self.parent.dim
-            i = self.parent.integral_index
-            return i * d + i
-        top = tuple(b - 1 for b in self.bounds)
-        return self.index_of[top]
-
     def _verify_build(self):
         dim = self.dim
         one_i = self.identity_index
@@ -397,9 +371,7 @@ class AlgebraPresentation:
         if self.kind == "truncated_poly":
             rel = ", ".join(f"{n}^{b}" for n, b in zip(self.gen_names, self.bounds))
             return f"{self.field}[{','.join(self.gen_names)}]/({rel})"
-        if self.kind == "heisenberg":
-            return f"u(heis_{self.heis_n}) over {self.field}"
-        return f"({self.parent!r})⊗2"
+        return f"u(heis_{self.heis_n}) over {self.field}"
 
     def to_json(self):
         out = {"kind": self.kind, "field": self.field.to_json(),
@@ -412,14 +384,6 @@ class AlgebraPresentation:
     @property
     def p(self):
         return self.field.p
-
-    def lie_dimension(self):
-        """dim of the underlying p-nilpotent Lie algebra (p-log of dim)."""
-        d, p, out = self.dim, self.field.p, 0
-        while d > 1:
-            d //= p
-            out += 1
-        return out
 
 
 # -- builders ---------------------------------------------------------------------
@@ -439,9 +403,8 @@ def _cached_truncated(field, bounds, names):
     for total in itertools.product(*[range(b) for b in reversed(bounds)]):
         exps.append(tuple(reversed(total)))
     # mixed radix with the first generator varying fastest
-    A = AlgebraPresentation(field, "truncated_poly", names, bounds, exps)
-    A.cyclic_dims = tuple(_log_p(b, field.p) for b in bounds)
-    return A
+    return AlgebraPresentation(field, "truncated_poly", names, bounds, exps,
+                               cyclic_dims=[_log_p(b, field.p) for b in bounds])
 
 
 def build_truncated_polynomial(field, bounds, names=None):
@@ -492,42 +455,6 @@ def build_heisenberg(field, n=1):
     exps.sort(key=order_key)
     bounds = tuple([p] * k)
     return AlgebraPresentation(field, "heisenberg", names, bounds, exps, heis_n=n)
-
-
-def tensor_square(A):
-    """A ⊗ A with basis (b_i, b_j) in row-major order, componentwise product."""
-    d = A.dim
-    names = tuple(f"{n}⊗1" for n in A.gen_names) + tuple(f"1⊗{n}" for n in A.gen_names)
-    # exponent tuples are synthetic: pair index encoded in a single tuple
-    exps = [(i, j) for i in range(d) for j in range(d)]
-    ts = AlgebraPresentation.__new__(AlgebraPresentation)
-    ts.field = A.field
-    ts.kind = "tensor_square"
-    ts.gen_names = names
-    ts.bounds = A.bounds + A.bounds
-    ts.heis_n = None
-    ts.cyclic_dims = None
-    ts.parent = A
-    ts.basis_exps = exps
-    ts.dim = d * d
-    ts.index_of = {e: i for i, e in enumerate(exps)}
-    ts.identity_index = A.identity_index * d + A.identity_index
-    ts._prod_cache = {}
-    ts._gen_exps = []
-    ts.integral_index = ts._integral_index()
-    ts.monomial_name = lambda i: (f"{A.monomial_name(i // d)}⊗{A.monomial_name(i % d)}")
-    return ts
-
-
-def tensor_square_element(ts, a, b):
-    """The simple tensor a⊗b inside a tensor_square presentation."""
-    A = ts.parent
-    F = ts.field
-    out = np.zeros(ts.dim, dtype=_INT)
-    for u in np.nonzero(a.vec)[0]:
-        for w in np.nonzero(b.vec)[0]:
-            out[int(u) * A.dim + int(w)] = F.mul(int(a.vec[u]), int(b.vec[w]))
-    return AlgebraElement(ts, out, copy=False)
 
 
 # -- morphisms --------------------------------------------------------------------

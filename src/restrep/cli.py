@@ -4,7 +4,8 @@ Every scenario is decided by exact arithmetic; there are no tolerance
 knobs.  Reports are emitted as an aligned table (default), CSV, or JSON
 and are byte-identical across runs with the same seed and configuration.
 Exit status: 0 when every check passes, 1 on a check failure (the
-failing rows are echoed to stderr), 2 on usage errors.
+failing rows are echoed to stderr) or an unmet hypothesis, 2 on usage
+errors and bad input, with one line on stderr.
 """
 
 import argparse
@@ -14,18 +15,17 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
-from .algebra import build_truncated_polynomial
-from .fields import field
+from .algebra import AlgebraError, build_truncated_polynomial
+from .fields import FieldError, field
 from .heisenberg import (cgm_check, index_scaling_check, rank_table,
                          wild_abelian_isotropy_check, HypothesisNotMet)
 from .hopf import named_structure
 from .klein import WANG_STRUCTURES, KleinContext
 from .matrices import nilpotent_jordan_type
-from .modules import jordan_block_module, rep_from_json, tensor
-from .pipoints import PointFamily, nobility, support
+from .modules import RepresentationError, jordan_block_module, rep_from_json, tensor
+from .pipoints import PointFamily, SupportSet, nobility, support
 
 log = logging.getLogger("restrep")
 
@@ -68,44 +68,29 @@ def emit(rows, fmt, out, scenario, ok, extra=None):
             lines.append("  ".join(str(r.get(c, "")).ljust(widths[c]) for c in cols))
         lines.append(f"[{scenario}] ok={ok}")
         text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _report_failures(rows, keys=("match",)):
-    bad = []
-    for row in rows:
-        for k in keys:
-            if k in row and row[k] is False:
-                bad.append(row)
-                break
-    for row in bad:
-        sys.stderr.write(f"check failed: {row}\n")
-    return not bad
+    write(text, out)
 
 
 # -- scenarios ------------------------------------------------------------------------
+#
+# A scenario computes ``(rows, checks, extra)``: the report rows, the check
+# keys, and the extra payload (a dict or None) that emit writes beside the
+# rows.  ``run`` decides the verdict from them.  ``support`` returns its
+# SupportSet instead, which is written as its own JSON document.
+
+
+class UsageError(Exception):
+    """An option value the scenario cannot take; exit 2 as argparse does."""
 
 
 def scenario_klein(args):
+    if args.p is not None and args.p != 2:
+        raise UsageError("--p must be 2")
     ctx = KleinContext(ext_degree=args.field_ext, seed=args.seed, trials=args.trials)
     nmax = args.n or 4
-    jobs = []
-    for name in WANG_STRUCTURES:
-        for pt in ctx.family:
-            for n in range(1, nmax + 1):
-                for m in range(1, nmax + 1):
-                    jobs.append((name, pt.coords, n, m))
-
-    def run_one(job):
-        name, coords, n, m = job
-        return ctx.check_basev_formula(name, coords, n, m)
-
-    with ThreadPoolExecutor(max_workers=args.jobs) as ex:
-        rows = list(ex.map(run_one, jobs))
+    rows = [ctx.check_basev_formula(name, pt.coords, n, m)
+            for name in WANG_STRUCTURES for pt in ctx.family
+            for n in range(1, nmax + 1) for m in range(1, nmax + 1)]
     for name in WANG_STRUCTURES:
         for pt in ctx.family:
             if nobility(ctx.structure(name), pt.coords, ctx.family) == "ignoble":
@@ -113,75 +98,54 @@ def scenario_klein(args):
                 rows.append({"structure": name, "point": pt.label, "kind": "pb_witness",
                              "match": rep["witness_found"], **{k: v for k, v in rep.items()
                                                                if k.endswith("zero") or k.endswith("nonzero")}})
-    ok = _report_failures(rows)
-    emit(rows, args.format, args.out, "klein", ok)
-    return ok
+    return rows, ("match",), None
+
+
+TWODIM_CHECKS = ("isotropy_fixed_point", "tensor_square_untwisted_splits",
+                 "twisted_square_has_full_block", "sum_lacks_full_block",
+                 "hypothesis_met", "pa_violation_certified")
+CGM_CHECKS = ("identity_fails", "twisted_matches_expected", "untwisted_matches_mackey",
+              "isotropy_argument")
 
 
 def scenario_twodim(args):
-    p = args.p or 3
-    rep = wild_abelian_isotropy_check("twodim", p=p)
-    if not rep.get("applicable", True):
-        emit([rep], args.format, args.out, "twodim", True)
-        return True
-    checks = ("isotropy_fixed_point", "tensor_square_untwisted_splits",
-              "twisted_square_has_full_block", "sum_lacks_full_block",
-              "hypothesis_met", "pa_violation_certified")
-    ok = all(rep[k] for k in checks)
-    emit([rep], args.format, args.out, "twodim", ok)
-    return ok
+    # at p = 2 the report is a precondition note that carries no check key
+    return [wild_abelian_isotropy_check("twodim", p=args.p or 3)], TWODIM_CHECKS, None
 
 
 def scenario_heisenberg(args):
     p = args.p or 3
     rows = rank_table(p, use_scenarios=True)
-    cert = cgm_check(p)
-    ok = (all(r["rank_match"] and r["rho_derived_match"] and r["tau_derived_match"]
-              for r in rows)
-          and cert["identity_fails"] and cert["twisted_matches_expected"]
-          and cert["untwisted_matches_mackey"] and cert["isotropy_argument"])
-    _report_failures(rows, keys=("rank_match", "rho_derived_match", "tau_derived_match"))
-    emit(rows, args.format, args.out, "heisenberg", ok, extra={"cgm": cert})
-    return ok
+    checks = ("rank_match", "rho_derived_match", "tau_derived_match") + CGM_CHECKS
+    return rows, checks, {"cgm": cgm_check(p)}
 
 
 def scenario_cgm(args):
-    p = args.p or 3
-    cert = cgm_check(p)
-    ok = (cert["identity_fails"] and cert["twisted_matches_expected"]
-          and cert["untwisted_matches_mackey"] and cert["isotropy_argument"])
+    cert = cgm_check(args.p or 3)
     flat = {k: v for k, v in cert.items() if k != "V1_support_scan"}
-    emit([flat], args.format, args.out, "cgm", ok, extra={"certificate": cert})
-    return ok
+    return [flat], CGM_CHECKS, {"certificate": cert}
 
 
 def scenario_witt(args):
     p = args.p or 3
     r = args.r or 1
     if r not in (1, 2):
-        sys.stderr.write("witt: --r must be 1 or 2\n")
-        raise SystemExit(2)
+        raise UsageError("--r must be 1 or 2")
     F = field(p)
     A = build_truncated_polynomial(F, [p ** r], names=("x",))
     names = ["lie_primitive", "oorttate_Zp"] if r == 1 else \
         ["lie_primitive", "witt_G2", "witt_Zp2"]
     deltas = [named_structure(A, n) for n in names]
     blocks = {i: jordan_block_module(A, i) for i in range(1, p ** r + 1)}
-    pairs = [(i, j) for i in range(1, p ** r + 1) for j in range(1, p ** r + 1)]
-
-    def run_pair(pair):
-        i, j = pair
-        types = [str(nilpotent_jordan_type(tensor(blocks[i], blocks[j], d).actions[0]))
-                 for d in deltas]
-        return {"p": p, "r": r, "i": i, "j": j,
-                **{n: t for n, t in zip(names, types)},
-                "match": len(set(types)) == 1}
-
-    with ThreadPoolExecutor(max_workers=args.jobs) as ex:
-        rows = list(ex.map(run_pair, pairs))
-    ok = _report_failures(rows)
-    emit(rows, args.format, args.out, "witt", ok)
-    return ok
+    rows = []
+    for i in range(1, p ** r + 1):
+        for j in range(1, p ** r + 1):
+            types = [str(nilpotent_jordan_type(tensor(blocks[i], blocks[j], d).actions[0]))
+                     for d in deltas]
+            rows.append({"p": p, "r": r, "i": i, "j": j,
+                         **{n: t for n, t in zip(names, types)},
+                         "match": len(set(types)) == 1})
+    return rows, ("match",), None
 
 
 def scenario_wang_table(args):
@@ -195,30 +159,20 @@ def scenario_wang_table(args):
         for pt in fam:
             rows.append({"structure": name, "point": pt.label,
                          "nobility": nobility(d, pt.coords, fam)})
-    emit(rows, args.format, args.out, "wang-table", True)
-    return True
+    return rows, (), None
 
 
 def scenario_support(args):
     with open(args.module) as fh:
         mdata = json.load(fh)
-    algebra = None
     if args.algebra:
         with open(args.algebra) as fh:
-            adata = json.load(fh)
-        mdata = dict(mdata)
-        mdata["algebra"] = adata
-    M = rep_from_json(mdata, algebra)
-    fam = PointFamily(M.algebra, ext_degree=args.field_ext)
-    supp = support(M, fam)
-    payload = supp.to_json()
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return True
+            mdata = dict(mdata, algebra=json.load(fh))
+    try:
+        M = rep_from_json(mdata)
+    except KeyError as exc:
+        raise RepresentationError(f"{args.module}: the module JSON has no key {exc}")
+    return support(M, PointFamily(M.algebra, ext_degree=args.field_ext))
 
 
 def scenario_abelian_wild(args):
@@ -226,7 +180,6 @@ def scenario_abelian_wild(args):
              ("mixed", {"p": args.p or 3, "n": args.n or 2, "m": args.m or 2}),
              ("equal2power", {"n": args.n or 2})]
     rows = []
-    ok = True
     for case, kw in cases:
         try:
             rep = wild_abelian_isotropy_check(case, **kw)
@@ -234,16 +187,51 @@ def scenario_abelian_wild(args):
         except HypothesisNotMet as exc:
             rep = {"case": case, "match": False, "error": str(exc)}
         rows.append(rep)
-        ok = ok and rep["match"]
-    _report_failures(rows)
-    emit(rows, args.format, args.out, "abelian-wild", ok)
-    return ok
+    return rows, ("match",), None
 
 
 def scenario_scaling(args):
-    rep = index_scaling_check(args.p or 3)
-    emit([rep], args.format, args.out, "scaling", rep["match"])
-    return rep["match"]
+    return [index_scaling_check(args.p or 3)], ("match",), None
+
+
+def write(text, out):
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def run(args):
+    """Run one scenario and return its exit status.
+
+    A row, or a dict in the extra payload, fails when one of the check keys
+    it holds is false; failing records are echoed to stderr and make the
+    status 1.  A bad option value exits 2 like an argparse error; a bad
+    input file or a parameter outside the scenario's domain prints one
+    line and returns 2.
+    """
+    try:
+        result = args.func(args)
+    except UsageError as exc:
+        sys.stderr.write(f"{args.scenario}: {exc}\n")
+        raise SystemExit(2)
+    except HypothesisNotMet as exc:
+        sys.stderr.write(f"hypothesis not met: {exc}\n")
+        return 1
+    except (OSError, json.JSONDecodeError, FieldError, AlgebraError) as exc:
+        sys.stderr.write(f"{args.scenario}: {exc}\n")
+        return 2
+    if isinstance(result, SupportSet):
+        write(json.dumps(result.to_json(), indent=2, sort_keys=True) + "\n", args.out)
+        return 0
+    rows, checks, extra = result
+    records = rows + [v for v in (extra or {}).values() if isinstance(v, dict)]
+    failed = [rec for rec in records if any(k in rec and not rec[k] for k in checks)]
+    for rec in failed:
+        sys.stderr.write(f"check failed: {rec}\n")
+    emit(rows, args.format, args.out, args.scenario, not failed, extra=extra)
+    return 1 if failed else 0
 
 
 # -- entry point ------------------------------------------------------------------------
@@ -265,7 +253,6 @@ def build_parser():
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--trials", type=int, default=24)
         sp.add_argument("--format", choices=("table", "csv", "json"), default="table")
-        sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument("--out", default=None)
 
     for name, fn in SCENARIOS.items():
@@ -294,19 +281,7 @@ SCENARIOS = {
 def main(argv=None):
     level = os.environ.get("RESTREP_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    if args.p is not None and args.scenario == "klein" and args.p != 2:
-        ap.error("the klein scenario requires p = 2")
-    try:
-        ok = args.func(args)
-    except HypothesisNotMet as exc:
-        sys.stderr.write(f"hypothesis not met: {exc}\n")
-        return 1
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"{exc}\n")
-        return 2
-    return 0 if ok else 1
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -143,10 +143,8 @@ class HeisenbergScenario:
             P[new, old] = 1
         P = Matrix(self.F, P, copy=False)
         Pinv = P.transpose()   # permutation matrix
-        rep = Representation(A, [P @ m @ Pinv for m in raw.actions],
-                             label=f"V_{self.r}", verify=False)
-        rep.cyclic_data = None
-        return rep
+        return Representation(A, [P @ m @ Pinv for m in raw.actions],
+                              label=f"V_{self.r}", verify=False)
 
     def _cross_check(self):
         A = self.algebra
@@ -419,8 +417,7 @@ def wild_abelian_isotropy_check(case, p=None, n=None, m=None):
         T = tensor(M, M, lie)
         pM = direct_sum([M] * p)
         iso = iso_test(T, pM,
-                       hom_fwd=lambda: hom_space_from_sum([M] * p, T,
-                                                          lambda part, N: hom_from_cyclic(part, N)),
+                       hom_fwd=lambda: hom_space_from_sum([M] * p, T, [hom_from_cyclic] * p),
                        hom_rev=lambda: hom_from_cyclic_sum_rev(T, M, p))
         T_tw = tensor(M_tw, M_tw, lie)
         jt_ttw = nilpotent_jordan_type(T_tw.act(y))
@@ -524,12 +521,8 @@ def wild_abelian_isotropy_check(case, p=None, n=None, m=None):
 
 
 def hom_from_cyclic_sum_rev(T, M, copies):
-    """Hom(T, ⊕ copies of M) stacked from Hom(T, M) via the cyclic dual trick.
-
-    T and M are modules over the same commutative algebra; Hom(T, M) is
-    computed generically when small, else through transposed actions
-    (the dual of a cyclic module argument).
-    """
+    """Hom(T, ⊕ copies of M): each map from the generic basis of Hom(T, M)
+    placed into each copy's block of rows."""
     from .modules import hom_space
     base = hom_space(T, M)
     F = M.algebra.field

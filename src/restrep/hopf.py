@@ -2,9 +2,7 @@
 
 A comultiplication is an algebra map A -> A⊗A recorded on generators and
 extended multiplicatively to the monomial basis (memoized).  Elements of
-A⊗A and A⊗A⊗A are sparse dicts keyed by basis-index pairs/triples; the
-dense tensor-square algebra object from :mod:`restrep.algebra` is only
-a convenience for small examples.
+A⊗A and A⊗A⊗A are sparse dicts keyed by basis-index pairs/triples.
 
 Construction always runs the axiom suite (coassociativity, counit law,
 cocommutativity, multiplicativity on sampled pairs) and raises
@@ -105,13 +103,6 @@ def t2_mul(A, u, v):
     return out
 
 
-def t2_pow(A, u, n):
-    out = {(A.identity_index, A.identity_index): 1}
-    for _ in range(n):
-        out = t2_mul(A, out, u)
-    return out
-
-
 def t2_swap(u):
     return {(j, i): c for (i, j), c in u.items()}
 
@@ -130,10 +121,6 @@ def t2_eps_right(A, u):
         if j == A.identity_index:
             v[i] = A.field.add(int(v[i]), c)
     return v
-
-
-def t2_equal(u, v):
-    return u == v
 
 
 def t2_act_morphism(phi, u):

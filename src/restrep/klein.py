@@ -28,8 +28,8 @@ from .hopf import named_structure
 from .matrices import (Matrix, _INT, full_space, image_space, intersect_spaces,
                        nilpotent_jordan_type, preimage_space)
 from .modules import (Representation, RepresentationError, direct_sum,
-                      free_rank, hom_from_free, hom_space, regular_module,
-                      tensor)
+                      free_rank, hom_from_free, hom_space, hom_space_from_sum,
+                      invertible_combination, regular_module, tensor)
 from .pipoints import PointFamily, coord_label, nobility, normalize_coords
 
 WANG_STRUCTURES = ("lie_primitive", "wang_Ga2", "wang_Ga1xZp", "wang_ZpZp")
@@ -310,45 +310,23 @@ class KleinContext:
             for _ in range(m):
                 v = self.basev(coords, n)
                 parts.append(v.rep)
-                solvers.append(lambda N, v=v: self.basev_hom_basis(v, N))
+                solvers.append(lambda _, N, v=v: self.basev_hom_basis(v, N))
         for _ in range(mv.c):
             parts.append(self.P)
-            solvers.append(lambda N: hom_from_free(self.P, N))
+            solvers.append(hom_from_free)
         if not parts:
             raise VerificationFailed("empty rebuild")
         rep = direct_sum(parts, label=f"rebuild({mv!r})")
-
-        def hom_solver(N):
-            out = []
-            off = 0
-            for part, solver in zip(parts, solvers):
-                for f in solver(N):
-                    m = np.zeros((N.dim, rep.dim), dtype=_INT)
-                    m[:, off:off + part.dim] = f.a
-                    out.append(Matrix(self.K, m, copy=False))
-                off += part.dim
-            return out
-
-        return rep, hom_solver
+        return rep, lambda N: hom_space_from_sum(parts, N, solvers)
 
     def _certify(self, R, M, hom_solver, trials=24, seed=0):
         """Find an invertible intertwiner R -> M from the solver's basis."""
         basis = hom_solver(M)
         if not basis:
             return False
-        import random
-        Kbig = sampling_extension(self.K, M.dim)
-        emb = self.K.embedding(Kbig)
-        lifted = np.stack([emb[f.a] for f in basis])   # k x dim x dim
-        rng = random.Random(seed)
-        for _ in range(trials):
-            coeffs = np.array([rng.randrange(Kbig.q) for _ in range(len(basis))],
-                              dtype=np.int16)
-            terms = Kbig.MUL[coeffs[:, None, None], lifted]
-            combo = np.bitwise_xor.reduce(terms, axis=0)
-            if Matrix(Kbig, combo, copy=False).rank() == M.dim:
-                return True
-        return False
+        K = sampling_extension(self.K, M.dim)
+        witness, _ = invertible_combination(basis, K, trials, seed)
+        return witness is not None
 
     # -- the published product checks ------------------------------------------------
 

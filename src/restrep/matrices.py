@@ -346,10 +346,6 @@ class JordanType:
     def max_part(self):
         return self.parts[0] if self.parts else 0
 
-    @property
-    def n_parts(self):
-        return len(self.parts)
-
     def multiplicity(self, s):
         return self.parts.count(s)
 

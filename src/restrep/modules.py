@@ -13,6 +13,7 @@ an extension field, and the inconclusive case reports the failure bound
 (dim/q)^trials.
 """
 
+import functools
 import random
 
 import numpy as np
@@ -21,7 +22,7 @@ from .algebra import AlgebraError, AlgebraMorphism, base_change
 from .fields import sampling_extension
 from .matrices import Matrix, NotNilpotent, _INT, nilpotent_jordan_type, rank_chain
 
-HOM_UNKNOWN_LIMIT = 40_000   # max unknown count for the generic intertwiner solve
+HOM_BYTE_BUDGET = 1 << 30   # peak bytes the generic intertwiner solve may allocate
 
 
 class RepresentationError(AlgebraError):
@@ -33,10 +34,6 @@ class AlgebraMismatch(RepresentationError):
 
 
 class NotFreeBasis(RepresentationError):
-    pass
-
-
-class NoIntegral(RepresentationError):
     pass
 
 
@@ -54,9 +51,14 @@ def _power_vanishes(m, b):
 
 
 class Representation:
-    """An algebra module given by one action matrix per generator."""
+    """An algebra module given by one action matrix per generator.
 
-    def __init__(self, algebra, actions, label="", verify=True, summands=None):
+    ``cyclic_data`` is ``(image, cosets)`` for a cyclic module A·v whose
+    generator has annihilator A·image and whose basis vectors are c·v for
+    the coset elements c; ``hom_from_cyclic`` reads it.  None otherwise.
+    """
+
+    def __init__(self, algebra, actions, label="", verify=True, cyclic_data=None):
         self.algebra = algebra
         self.actions = list(actions)
         if not self.actions:
@@ -68,7 +70,7 @@ class Representation:
         if len(self.actions) != len(algebra.gen_names):
             raise RepresentationError("one action per generator required")
         self.label = label
-        self.summands = summands   # optional list of (Representation, offset)
+        self.cyclic_data = cyclic_data
         self._act_cache = {}
         if verify:
             self.verify_relations()
@@ -162,12 +164,8 @@ def direct_sum(reps, label=None):
             m[off:off + r.dim, off:off + r.dim] = r.actions[g].a
             off += r.dim
         actions.append(Matrix(F, m, copy=False))
-    offs, off = [], 0
-    for r in reps:
-        offs.append((r, off))
-        off += r.dim
     lab = label or ("+".join(r.label or "?" for r in reps))
-    return Representation(A, actions, label=lab, verify=False, summands=offs)
+    return Representation(A, actions, label=lab, verify=False)
 
 
 def conjugate(M, S):
@@ -212,32 +210,35 @@ def restrict(M, phi):
 
 
 def twist_module(M, phi):
-    """Base change along an automorphism: g acts by the action of φ⁻¹(g)."""
+    """Base change along an automorphism: g acts by the action of φ⁻¹(g).
+
+    For cyclic M the twist is cyclic on the same vector v: a acts on v as
+    φ⁻¹(a) does in M, so the annihilator becomes A·φ(image) and the basis
+    vector c·v of M is φ(c)·v in the twist.
+    """
     phi_inv = phi.invert()
     actions = [M.act(im) for im in phi_inv.images]
-    out = Representation(M.algebra, actions, label=f"{M.label}^φ", verify=True)
-    if getattr(M, "cyclic_data", None) is not None:
+    cyclic = None
+    if M.cyclic_data is not None:
         image, cosets = M.cyclic_data
-        out.cyclic_data = (phi_inv.apply(image), [phi_inv.apply(c) for c in cosets])
-    return out
-
-
-_INDUCTION_TABLES = {}
+        cyclic = (phi.apply(image), [phi.apply(c) for c in cosets])
+    return Representation(M.algebra, actions, label=f"{M.label}^φ", verify=True,
+                          cyclic_data=cyclic)
 
 
 def _induction_table(phi, cosets):
     """Re-expression data g·c_i = Σ c_j φ(b) for an induction, cached.
 
     Returns, per generator, the r x r array of B-elements (as coefficient
-    rows) describing the action on cosets.
+    rows) describing the action on cosets.  The cache is the target
+    algebra's ``induction_tables``, so it lives as long as that algebra.
     """
     B, A = phi.source, phi.target
     F = A.field
     r, dB = len(cosets), B.dim
-    key = (id(A), id(B),
-           tuple(im.vec.tobytes() for im in phi.images),
+    key = (B, tuple(im.vec.tobytes() for im in phi.images),
            tuple(c.vec.tobytes() for c in cosets))
-    hit = _INDUCTION_TABLES.get(key)
+    hit = A.induction_tables.get(key)
     if hit is not None:
         return hit
     cols = []
@@ -258,7 +259,7 @@ def _induction_table(phi, cosets):
             moved[:, ci] = A.multiply(gen, c).vec
         w = (Einv @ Matrix(F, moved, copy=False)).a   # (r*dB) x r
         per_gen.append(w.reshape(r, dB, r))           # [cj, b, ci]
-    _INDUCTION_TABLES[key] = per_gen
+    A.induction_tables[key] = per_gen
     return per_gen
 
 
@@ -343,10 +344,8 @@ def induce_trivial(A, image, r=1, label=None, prefer=None):
     """
     phi, cosets = pbw_cosets(A, image, r, prefer=prefer)
     M = induce(trivial_module(phi.source), phi, cosets)
-    if label:
-        M.label = label
-    M.cyclic_data = (image, cosets)
-    return M
+    return Representation(A, M.actions, label=label or M.label, verify=False,
+                          cyclic_data=(image, cosets))
 
 
 def hom_from_cyclic(M, N):
@@ -369,42 +368,52 @@ def hom_from_cyclic(M, N):
 # -- Hom spaces and the isomorphism oracle ---------------------------------------------
 
 
-def hom_space(M, N, limit=HOM_UNKNOWN_LIMIT):
-    """Basis of the intertwiner space {F : F ρ_M(g) = ρ_N(g) F for all g}."""
+def hom_space(M, N):
+    """Basis of the intertwiner space {F : F ρ_M(g) = ρ_N(g) F for all g}.
+
+    HomTooLarge, before anything is allocated, when the solve's peak
+    memory would exceed HOM_BYTE_BUDGET.
+    """
     if M.algebra != N.algebra:
         raise AlgebraMismatch("Hom between modules over different algebras")
     F = M.algebra.field
     n_unknown = M.dim * N.dim
     if M.dim == 0 or N.dim == 0:
         return []
-    if n_unknown > limit:
-        raise HomTooLarge(f"{n_unknown} unknowns exceed the generic solver limit")
-    blocks = []
+    n_gens = len(M.algebra.gen_names)
+    # peak: the (n_gens·n) x n int16 system, plus its elimination working
+    # copy and up to four row-update temporaries of that size, int32 over
+    # a prime field and int16 otherwise
+    need = n_gens * n_unknown * n_unknown * (2 + 5 * (4 if F.e == 1 else 2))
+    if need > HOM_BYTE_BUDGET:
+        raise HomTooLarge(f"Hom solve with {n_unknown} unknowns needs {need} bytes, "
+                          f"over the budget of {HOM_BYTE_BUDGET}")
+    big = np.empty((n_gens * n_unknown, n_unknown), dtype=_INT)
     Im = Matrix.identity(F, M.dim)
     In = Matrix.identity(F, N.dim)
-    for g in range(len(M.algebra.gen_names)):
+    for g in range(n_gens):
         A_g = N.actions[g]
         B_g = M.actions[g]
-        blocks.append((A_g.kron(Im) - In.kron(B_g.transpose())).a)
-    big = Matrix(F, np.vstack(blocks), copy=False)
-    ker = big.nullspace()
+        big[g * n_unknown:(g + 1) * n_unknown] = (A_g.kron(Im) - In.kron(B_g.transpose())).a
+    ker = Matrix(F, big, copy=False).nullspace()
     out = []
     for c in range(ker.cols):
         out.append(Matrix(F, ker.a[:, c].reshape(N.dim, M.dim)))
     return out
 
 
-def dim_hom(M, N, limit=HOM_UNKNOWN_LIMIT):
-    return len(hom_space(M, N, limit=limit))
+def dim_hom(M, N):
+    return len(hom_space(M, N))
 
 
-def hom_space_from_sum(parts, N, solver):
-    """Hom(⊕ parts, N) assembled blockwise from a per-summand solver."""
+def hom_space_from_sum(parts, N, solvers):
+    """Hom(⊕ parts, N) assembled blockwise; ``solvers[i](parts[i], N)`` is a
+    basis of Hom(parts[i], N)."""
     total = sum(r.dim for r in parts)
     F = N.algebra.field
     out = []
     off = 0
-    for r in parts:
+    for r, solver in zip(parts, solvers):
         for f in solver(r, N):
             m = np.zeros((N.dim, total), dtype=_INT)
             m[:, off:off + r.dim] = f.a
@@ -487,22 +496,33 @@ def iso_test(M, N, trials=24, ext_field=None, seed=0, hom_fwd=None, hom_rev=None
                          fingerprints={"dim Hom(M,N)": len(fwd), "dim Hom(N,M)": len(rev)})
     if not fwd:
         return IsoReport("not_isomorphic", reason="Hom(M,N) = 0", fingerprints=fpM)
-    base = M.algebra.field
-    K = ext_field or sampling_extension(base, M.dim)
-    lifted = [f.map_field(K) for f in fwd]
-    rng = random.Random(seed)
-    for t in range(trials):
-        combo = Matrix.zeros(K, M.dim, M.dim)
-        for f in lifted:
-            c = rng.randrange(K.q)
-            if c:
-                combo = combo + f.scale(c)
-        if combo.rank() == M.dim:
-            return IsoReport("isomorphic", witness=combo, fingerprints=fpM,
-                             trials=t + 1)
+    K = ext_field or sampling_extension(M.algebra.field, M.dim)
+    witness, used = invertible_combination(fwd, K, trials, seed)
+    if witness is not None:
+        return IsoReport("isomorphic", witness=witness, fingerprints=fpM, trials=used)
     bound = (M.dim / K.q) ** trials
     return IsoReport("probably_not", reason="no invertible combination found",
                      fingerprints=fpM, trials=trials, bound=bound)
+
+
+def invertible_combination(basis, K, trials, seed):
+    """``(witness, draws)``: the first invertible random combination of the
+    square matrices ``basis`` over the extension K, or ``(None, trials)``.
+
+    Each draw takes one ``randrange(K.q)`` per basis matrix from
+    ``random.Random(seed)``, so a seed replays the same combinations.
+    """
+    n = basis[0].rows
+    emb = basis[0].field.embedding(K)
+    lifted = np.stack([emb[f.a] for f in basis])   # k x n x n
+    rng = random.Random(seed)
+    for t in range(trials):
+        coeffs = np.array([rng.randrange(K.q) for _ in basis], dtype=_INT)
+        terms = K.MUL[coeffs[:, None, None], lifted]
+        combo = Matrix(K, functools.reduce(K.add_arrays, terms), copy=False)
+        if combo.rank() == n:
+            return combo, t + 1
+    return None, trials
 
 
 def free_rank(M):
@@ -511,10 +531,7 @@ def free_rank(M):
     Equals the rank of the action of the socle integral (the algebra is
     local, so free = projective = injective here).
     """
-    A = M.algebra
-    if A.integral_index is None:
-        raise NoIntegral("algebra has no recorded integral")
-    return M.act(A.integral()).rank()
+    return M.act(M.algebra.integral()).rank()
 
 
 def rep_from_json(data, algebra=None):

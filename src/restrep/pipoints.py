@@ -164,7 +164,6 @@ class PointFamily:
         self.by_label = {pt.label: pt for pt in self.points}
         self.desc = f"P^{len(A.gen_names) - 1}(GF({base.p}^{ext_degree}))"
         self._tests = {}
-        self._base_changed = {}
 
     def _enumerate(self):
         A_K, K = self.A_K, self.K
@@ -190,15 +189,7 @@ class PointFamily:
 
     def lift(self, M):
         """Base change a module over the base algebra to the family field."""
-        if M.algebra == self.A_K:
-            return M
-        hit = self._base_changed.get(id(M))
-        if hit is not None and hit[0] is M:
-            return hit[1]
-        lifted = base_change_rep(M, self.K)
-        # keep M referenced so its id cannot be recycled under the cache
-        self._base_changed[id(M)] = (M, lifted)
-        return lifted
+        return M if M.algebra == self.A_K else base_change_rep(M, self.K)
 
     def support(self, M):
         M_K = self.lift(M)

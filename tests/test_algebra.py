@@ -7,8 +7,7 @@ from restrep.algebra import (AlgebraError, AlgebraMorphism, InvalidBound,
                              NotAugmented, NotInvertible, UnsupportedTorus,
                              base_change, build_abelian_restricted,
                              build_heisenberg, build_truncated_polynomial,
-                             element_to_field, morphism_from_json,
-                             tensor_square, tensor_square_element)
+                             element_to_field, morphism_from_json)
 
 
 def test_truncated_klein_presentation():
@@ -138,18 +137,6 @@ def test_associativity_sampled_on_larger_builds():
     u, v = A.generators()
     assert A.multiply(u.pow(3), u) .is_zero()
     assert A.multiply(A.multiply(u, v), v) == A.multiply(u, v.pow(2))
-
-
-def test_tensor_square():
-    A = build_truncated_polynomial(field(2), [2, 2])
-    T = tensor_square(A)
-    assert T.dim == 16
-    x, y = A.generators()
-    a1 = tensor_square_element(T, x, A.one())
-    b1 = tensor_square_element(T, A.one(), y)
-    assert T.multiply(a1, b1) == tensor_square_element(T, x, y)
-    lam = T.integral()
-    assert lam == tensor_square_element(T, A.integral(), A.integral())
 
 
 def test_morphism_verification():

@@ -1,5 +1,6 @@
 """The command line runner: scenarios, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -117,7 +118,8 @@ def test_wang_table():
     assert len(lines) == 1 + 4 * 5
 
 
-def test_support_ingestion(tmp_path):
+def support_fixture(tmp_path):
+    """(module file, algebra file) for V = A/Ay over GF(2)[x,y]/(x^2,y^2)."""
     from restrep.fields import field
     from restrep.algebra import build_truncated_polynomial
     from restrep.modules import induce_trivial
@@ -129,6 +131,11 @@ def test_support_ingestion(tmp_path):
     alg = data.pop("algebra")
     mod_file.write_text(json.dumps(data | {"algebra": alg}))
     alg_file.write_text(json.dumps(alg))
+    return mod_file, alg_file
+
+
+def test_support_ingestion(tmp_path):
+    mod_file, alg_file = support_fixture(tmp_path)
     code, out, _ = run_cli(["support", "--module", str(mod_file),
                             "--algebra", str(alg_file), "--field-ext", "2"])
     assert code == 0
@@ -137,6 +144,36 @@ def test_support_ingestion(tmp_path):
     # missing file: usage-style failure
     code, out, err = run_cli(["support", "--module", str(tmp_path / "nope.json")])
     assert code == 2
+
+
+def bad_support_input(tmp_path, case):
+    """Arguments for a support run on a module file that cannot be read."""
+    mod_file, alg_file = support_fixture(tmp_path)
+    data = json.loads(mod_file.read_text())
+    if case == "no_algebra":
+        del data["algebra"]
+        mod_file.write_text(json.dumps(data))
+        return ["support", "--module", str(mod_file)]
+    # x acts by a 3 x 3 Jordan block, so x^2 = 0 fails
+    J3 = [[[0], [1], [0]], [[0], [0], [1]], [[0], [0], [0]]]
+    zero = [[[0]] * 3 for _ in range(3)]
+    mod_file.write_text(json.dumps(data | {"dim": 3, "actions": [J3, zero]}))
+    return ["support", "--module", str(mod_file)]
+
+
+@pytest.mark.parametrize("args", [
+    ["heisenberg", "--p", "4"], ["twodim", "--p", "4"], ["cgm", "--p", "9"],
+    ["scaling", "--p", "4"], ["heisenberg", "--p", "2"],
+    "support:no_algebra", "support:breaks_relation",
+], ids=lambda a: " ".join(a) if isinstance(a, list) else a)
+def test_bad_input_exits_2_with_one_line(args, tmp_path):
+    if isinstance(args, str):
+        args = bad_support_input(tmp_path, args.split(":")[1])
+    code, out, err = run_cli(args)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"{args[0]}: ")
+    assert "Traceback" not in err
 
 
 def test_usage_error_exit_code():
@@ -160,3 +197,45 @@ def test_installed_entry_point():
     proc = subprocess.run([sys.executable, "-m", "restrep.cli", "--version"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+# sha256 of each report: a change that moves one byte of a report fails
+# here; update a digest only for a deliberate change of that report
+GOLDEN = {
+    ("klein", "--n", "2", "--format", "json"):
+        "d03aabe6d53e5fa32a566ee5433e2b910030186bacef17d731a1e27d7a31dcd0",
+    ("twodim", "--p", "3", "--format", "json"):
+        "f9517a1636e6ad6ecbb109373b3c559ee960195f5fa9c574ac07fc3da3c350ab",
+    ("heisenberg", "--p", "3", "--format", "json"):
+        "25ab7ec05ab9e6abd1d50f00f774b1f8e3e5d869cfd17205f6b82a61d3f607ca",
+    ("cgm", "--p", "3", "--format", "json"):
+        "307008a5cb4beaa42963de9118ce146198e73a915d47104f25671034025d1734",
+    ("witt", "--p", "3", "--r", "1", "--format", "json"):
+        "c53c6b2c71b58ae9615a4fecfde371e24409363b241bb49920c4982442f8d927",
+    ("wang-table", "--format", "json"):
+        "fa075fb50f76223e17c36eca9d540ab64ddd27cc38860aedbe5a7ad923cdd4ef",
+    ("abelian-wild", "--format", "json"):
+        "4ef8003c3701ef27cb87c89493368e0e2e3b18029b3f93928e6696edf348c757",
+    ("scaling", "--p", "3", "--format", "json"):
+        "cf4b4f6b674f42b4125240977dabecec060d972144b86c39ea50864dc8e378f7",
+    ("witt", "--p", "3", "--r", "1", "--format", "table"):
+        "00c72f8183f21d916da50f02555319d215b1e1a1e6421f8c08aa154ee64313a2",
+    ("witt", "--p", "3", "--r", "1", "--format", "csv"):
+        "e1f690be78b0fad818c1382a794227607abf5a13c76541949c5ddb63ff8de998",
+}
+GOLDEN_SUPPORT = "b2dfbc84ae6b045ecd6ce70c88b5bc23a9694520592256db98aa279a05b4f6db"
+
+
+@pytest.mark.parametrize("args", list(GOLDEN), ids=" ".join)
+def test_golden_report(args):
+    code, out, _ = run_cli(list(args))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[args]
+
+
+def test_golden_support(tmp_path):
+    mod_file, alg_file = support_fixture(tmp_path)
+    code, out, _ = run_cli(["support", "--module", str(mod_file),
+                            "--algebra", str(alg_file), "--field-ext", "2"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SUPPORT

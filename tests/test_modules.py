@@ -9,7 +9,7 @@ from restrep.algebra import (AlgebraError, AlgebraMorphism, build_heisenberg,
                              build_truncated_polynomial)
 from restrep.hopf import named_structure
 from restrep.matrices import Matrix, nilpotent_jordan_type
-from restrep.modules import (NotFreeBasis, Representation,
+from restrep.modules import (HomTooLarge, NotFreeBasis, Representation,
                              base_change_rep, conjugate,
                              dim_hom, direct_sum, free_rank, hom_from_cyclic,
                              hom_space, induce, induce_trivial, iso_test,
@@ -167,19 +167,33 @@ def test_hom_space_is_intertwiner_basis():
     assert dim_hom(jordan_block_module(At, 2), jordan_block_module(At, 2)) == 2
 
 
+def test_hom_space_refuses_a_solve_over_the_byte_budget():
+    # 40 000 unknowns and 80 000 equations: refused before any allocation
+    P = regular_module(klein())
+    big = direct_sum([P] * 50)
+    assert big.dim == 200
+    with pytest.raises(HomTooLarge):
+        hom_space(big, big)
+
+
 def test_hom_from_cyclic_matches_generic():
-    rng = random.Random(7)
     A = klein()
     lie = named_structure(A, "lie_primitive")
     V = induce_trivial(A, A.generator("y"))
-    targets = [regular_module(A), V, direct_sum([V, trivial_module(A)]),
-               tensor(V, V, lie)]
-    for N in targets:
-        fast = hom_from_cyclic(V, N)
-        assert len(fast) == dim_hom(V, N)
+    pairs = [(V, N) for N in (regular_module(A), V, direct_sum([V, trivial_module(A)]),
+                              tensor(V, V, lie))]
+    # a twisted cyclic source: its generator's annihilator moves along φ
+    A3 = build_truncated_polynomial(field(3), [3, 3])
+    x, y = A3.generators()
+    phi = AlgebraMorphism.from_gen_map(A3, {"y": y + x.pow(2)})
+    Mphi = twist_module(induce_trivial(A3, y), phi)
+    pairs += [(Mphi, regular_module(A3)), (Mphi, Mphi)]
+    for M, N in pairs:
+        fast = hom_from_cyclic(M, N)
+        assert len(fast) == dim_hom(M, N)
         for f in fast:
             for g in range(2):
-                assert N.actions[g] @ f == f @ V.actions[g]
+                assert N.actions[g] @ f == f @ M.actions[g]
 
 
 def test_iso_oracle_identity_and_fingerprints():

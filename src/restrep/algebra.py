@@ -9,11 +9,23 @@ Two families are supported, enough for every scenario in this project:
   [x_t, y_t] = z, all generators with p-th power zero, in the PBW basis
   of ordered monomials y^i z^j x^l.
 
-Multiplication is by straightening to normal form; products of basis
-monomials are memoized.  Every build runs a verification pass
-(associativity on all triples for small dimensions, >= 10^4 sampled
-triples above; unit and counit laws; the socle check for the integral)
-and fails loudly rather than returning a broken algebra.
+Multiplication is by straightening to normal form.  The product of two
+basis monomials is straightened once and kept as sparse structure
+constants, ``product_terms(i, j) = (indices, coefficients)`` with only
+nonzero coefficients; ``multiply``, ``left_mult_matrix`` and the sparse
+A⊗A arithmetic of :mod:`restrep.hopf` all scatter-add those terms.
+
+Every build runs a verification pass and fails loudly, naming the
+culprit, rather than returning a broken algebra.  The unit law is
+checked on every basis monomial and the socle law on every generator,
+both read from the product table.  Up to ASSOC_EXHAUSTIVE_DIM,
+associativity on every triple and the counit law on every pair are
+checked on the structure tensor C (C[i, j, k] is the coefficient of
+basis k in b_i b_j), one contraction per i; both kinds have structure
+constants in the prime subfield (verified), so the contraction is exact
+integer arithmetic reduced mod p.  Above that size they are checked on
+ASSOC_SAMPLES triples drawn from ASSOC_SEED, by the same scatter-add of
+table terms that ``multiply`` runs.
 """
 
 import functools
@@ -30,6 +42,7 @@ GEN_NAMES = ("x", "y", "z", "u", "v", "s", "r")
 
 ASSOC_EXHAUSTIVE_DIM = 64
 ASSOC_SAMPLES = 10_000
+ASSOC_SEED = 0xA550C
 
 
 class AlgebraError(ValueError):
@@ -130,7 +143,7 @@ class AlgebraPresentation:
     """Finite augmented algebra with an ordered monomial basis.
 
     kind is "truncated_poly" or "heisenberg"; products between basis
-    monomials are straightened on demand and memoized.
+    monomials are straightened on demand and kept as sparse terms.
     ``induction_tables`` belongs to this algebra as the target of
     inductions; :func:`restrep.modules.induce` fills it.
     """
@@ -147,7 +160,7 @@ class AlgebraPresentation:
         self.dim = len(self.basis_exps)
         self.index_of = {e: i for i, e in enumerate(self.basis_exps)}
         self.identity_index = self.index_of[tuple([0] * len(self.gen_names))]
-        self._prod_cache = {}
+        self._terms = {}
         self.induction_tables = {}
         self._gen_exps = []
         for g in range(len(self.gen_names)):
@@ -212,64 +225,74 @@ class AlgebraPresentation:
                 return {}
             return {out: 1}
         if self.kind == "heisenberg":
+            # x_t^c y_t^i = Σ_k k!·C(c,k)·C(i,k) y_t^{i-k} z^k x_t^{c-k}, z central;
+            # the choices of k per t give distinct y exponents, so distinct keys
             n = self.heis_n
             ya, zb, xc = ei[:n], ei[n], ei[n + 1:]
             yi, zj, xl = ej[:n], ej[n], ej[n + 1:]
+            choices = []   # per t: (k, coefficient, y_t exponent, x_t exponent)
+            for t in range(n):
+                choices.append([
+                    (k, math.factorial(k) * math.comb(xc[t], k) * math.comb(yi[t], k) % p,
+                     ya[t] + yi[t] - k, xc[t] + xl[t] - k)
+                    for k in range(min(xc[t], yi[t]) + 1)
+                    if ya[t] + yi[t] - k < p and xc[t] + xl[t] - k < p])
             out = {}
-            ranges = [range(0, min(xc[t], yi[t]) + 1) for t in range(n)]
-            for ks in itertools.product(*ranges):
-                coeff = 1
-                for t in range(n):
-                    k = ks[t]
-                    coeff = (coeff * math.factorial(k) * math.comb(xc[t], k)
-                             * math.comb(yi[t], k)) % p
-                if not coeff:
-                    continue
-                ys = tuple(ya[t] + yi[t] - ks[t] for t in range(n))
-                zz = zb + zj + sum(ks)
-                xs = tuple(xc[t] + xl[t] - ks[t] for t in range(n))
-                if any(e >= p for e in ys) or zz >= p or any(e >= p for e in xs):
-                    continue
-                key = ys + (zz,) + xs
-                c0 = out.get(key, 0)
-                out[key] = self.field.add(c0, coeff % p)
-                if not out[key]:
-                    del out[key]
+            for combo in itertools.product(*choices):
+                zz = zb + zj + sum(c[0] for c in combo)
+                coeff = math.prod(c[1] for c in combo) % p
+                if zz < p and coeff:
+                    out[tuple(c[2] for c in combo) + (zz,) + tuple(c[3] for c in combo)] = coeff
             return out
         raise AlgebraError(f"unknown kind {self.kind}")
 
-    def product_vec(self, i, j):
-        """Vector of basis_i * basis_j (memoized)."""
+    def product_terms(self, i, j):
+        """basis_i * basis_j as ``(indices, coefficients)`` arrays holding its
+        nonzero terms; straightened once, then read from the table."""
         key = (i, j)
-        hit = self._prod_cache.get(key)
-        if hit is not None:
-            return hit
+        hit = self._terms.get(key)
+        if hit is None:
+            prod = self._mono_times_mono(self.basis_exps[i], self.basis_exps[j])
+            nonzero = [(self.index_of[exp], c) for exp, c in prod.items() if c]
+            hit = (np.array([k for k, _ in nonzero], dtype=np.intp),
+                   np.array([c for _, c in nonzero], dtype=_INT))
+            self._terms[key] = hit
+        return hit
+
+    def product_vec(self, i, j):
+        """Dense coefficient vector of basis_i * basis_j (not kept)."""
+        idx, coef = self.product_terms(i, j)
         v = np.zeros(self.dim, dtype=_INT)
-        for exp, c in self._mono_times_mono(self.basis_exps[i], self.basis_exps[j]).items():
-            v[self.index_of[exp]] = c
-        self._prod_cache[key] = v
+        v[idx] = coef
         return v
 
+    def _scaled_terms(self, pairs, scales):
+        """The terms of every basis product in ``pairs``, each scaled by its
+        entry of ``scales``: ``(indices, coefficients, pair of each term)``."""
+        terms = [self.product_terms(i, j) for i, j in pairs]
+        lengths = [len(idx) for idx, _ in terms]
+        owner = np.repeat(np.arange(len(terms)), lengths)
+        if not len(owner):
+            return owner, owner.astype(_INT), owner
+        idx = np.concatenate([idx for idx, _ in terms])
+        coef = self.field.MUL[scales[owner], np.concatenate([c for _, c in terms])]
+        return idx, coef, owner
+
     def multiply(self, a, b):
-        F = self.field
-        out = np.zeros(self.dim, dtype=_INT)
-        bi = np.nonzero(b.vec)[0]
-        for i in np.nonzero(a.vec)[0]:
-            ca = int(a.vec[i])
-            for j in bi:
-                c = F.mul(ca, int(b.vec[j]))
-                out = F.add_arrays(out, F.MUL[c, self.product_vec(int(i), int(j))])
-        return AlgebraElement(self, out, copy=False)
+        ia, ib = np.nonzero(a.vec)[0], np.nonzero(b.vec)[0]
+        pairs = [(i, j) for i in ia.tolist() for j in ib.tolist()]
+        scales = self.field.MUL[a.vec[ia][:, None], b.vec[ib][None, :]].ravel()
+        idx, coef, _ = self._scaled_terms(pairs, scales)
+        return AlgebraElement(self, self.field.sum_at(idx, coef, self.dim), copy=False)
 
     def left_mult_matrix(self, a):
         """Matrix of b -> a*b on the basis (the regular representation)."""
-        F = self.field
-        m = np.zeros((self.dim, self.dim), dtype=_INT)
-        for i in np.nonzero(a.vec)[0]:
-            c = int(a.vec[i])
-            for j in range(self.dim):
-                m[:, j] = F.add_arrays(m[:, j], F.MUL[c, self.product_vec(int(i), j)])
-        return Matrix(F, m, copy=False)
+        d = self.dim
+        ia = np.nonzero(a.vec)[0]
+        pairs = [(i, j) for i in ia.tolist() for j in range(d)]
+        idx, coef, owner = self._scaled_terms(pairs, np.repeat(a.vec[ia], d))
+        m = self.field.sum_at(idx * d + owner % d, coef, d * d)
+        return Matrix(self.field, m.reshape(d, d), copy=False)
 
     # -- relation checking (shared by morphisms and representations) ---------------
 
@@ -320,42 +343,78 @@ class AlgebraPresentation:
     # -- build-time verification -----------------------------------------------------
 
     def _verify_build(self):
-        dim = self.dim
-        one_i = self.identity_index
-        # unit law on every basis element
+        """Unit and socle laws from the table, then the counit law and
+        associativity on the structure tensor or on sampled triples."""
+        dim, one = self.dim, self.identity_index
         for j in range(dim):
-            lv = self.product_vec(one_i, j)
-            rv = self.product_vec(j, one_i)
-            expected = np.zeros(dim, dtype=_INT)
-            expected[j] = 1
-            if not (np.array_equal(lv, expected) and np.array_equal(rv, expected)):
-                raise AlgebraError("unit law fails")
-        # associativity: exhaustive for small dims, sampled above
-        if dim <= ASSOC_EXHAUSTIVE_DIM:
-            triples = itertools.product(range(dim), repeat=3)
-        else:
-            rng = random.Random(0xA550C)
-            triples = ((rng.randrange(dim), rng.randrange(dim), rng.randrange(dim))
-                       for _ in range(ASSOC_SAMPLES))
-        for i, j, k in triples:
-            ij = self.element(self.product_vec(i, j))
-            jk = self.element(self.product_vec(j, k))
-            lhs = self.multiply(ij, self.monomial(self.basis_exps[k]))
-            rhs = self.multiply(self.monomial(self.basis_exps[i]), jk)
-            if lhs != rhs:
-                raise AlgebraError(f"associativity fails at triple {(i, j, k)}")
-            # counit is an algebra map: epsilon(b_i b_j) = eps(b_i) eps(b_j)
-            eps = self.field.mul(int(i == one_i), int(j == one_i))
-            if int(ij.vec[one_i]) != eps:
-                raise AlgebraError("counit is not an algebra map")
+            for idx, coef in (self.product_terms(one, j), self.product_terms(j, one)):
+                if idx.tolist() != [j] or coef.tolist() != [1]:
+                    raise AlgebraError(f"unit law fails on basis monomial {self.monomial_name(j)}")
         # socle: the integral is killed by every generator on both sides
-        lam = self.integral()
-        for g in range(len(self.gen_names)):
-            gen = self.generator(g)
-            if not self.multiply(gen, lam).is_zero() or not self.multiply(lam, gen).is_zero():
-                raise AlgebraError("integral fails the socle check")
-        if lam.is_zero():
-            raise AlgebraError("integral is zero")
+        lam = self.integral_index
+        for g, exps in enumerate(self._gen_exps):
+            gi = self.index_of[exps]
+            if len(self.product_terms(gi, lam)[0]) or len(self.product_terms(lam, gi)[0]):
+                raise AlgebraError(f"integral fails the socle check: "
+                                   f"generator {self.gen_names[g]} does not kill it")
+        if dim <= ASSOC_EXHAUSTIVE_DIM:
+            self._verify_structure_tensor()
+        else:
+            self._verify_sampled()
+
+    def _pair_name(self, i, j):
+        return f"({self.monomial_name(i)}, {self.monomial_name(j)})"
+
+    def _verify_structure_tensor(self):
+        """The counit law on every pair and associativity on every triple,
+        on C[i, j, k] = coefficient of basis k in b_i b_j.  AlgebraError
+        unless every constant lies in the prime subfield, whose encoded
+        scalars are the integers 0..p-1."""
+        d, p, one = self.dim, self.field.p, self.identity_index
+        C = np.zeros((d, d, d), dtype=np.int64)
+        for i in range(d):
+            for j in range(d):
+                idx, coef = self.product_terms(i, j)
+                if (coef >= p).any():
+                    raise AlgebraError(f"structure constant of {self._pair_name(i, j)} "
+                                       "is outside the prime field")
+                C[i, j, idx] = coef
+        # counit is an algebra map: eps(b_i b_j) = eps(b_i) eps(b_j)
+        eps = np.zeros((d, d), dtype=np.int64)
+        eps[one, one] = 1
+        bad = np.argwhere(C[:, :, one] != eps)
+        if len(bad):
+            raise AlgebraError(f"counit is not an algebra map at pair {self._pair_name(*bad[0])}")
+        # ((b_i b_j) b_k)_n = C[i] @ C.reshape(d, d^2), indexed [j, (k, n)];
+        # (b_i (b_j b_k))_n = C.reshape(d^2, d) @ C[i], indexed [(j, k), n].
+        # Entries are < p and sums have d terms, so float64 is exact.
+        Cf = C.astype(np.float64)
+        by_first, by_pair = Cf.reshape(d, d * d), Cf.reshape(d * d, d)
+        for i in range(d):
+            diff = (Cf[i] @ by_first).reshape(d, d, d) - (by_pair @ Cf[i]).reshape(d, d, d)
+            bad = np.argwhere((diff.astype(np.int64) % p).any(axis=2))
+            if len(bad):
+                j, k = bad[0]
+                raise AlgebraError(f"associativity fails at triple {(i, int(j), int(k))}")
+
+    def _verify_sampled(self):
+        """The counit law and associativity on ASSOC_SAMPLES triples drawn
+        from ASSOC_SEED, by scatter-adding table terms."""
+        dim, one, F = self.dim, self.identity_index, self.field
+        rng = random.Random(ASSOC_SEED)
+        for _ in range(ASSOC_SAMPLES):
+            i, j, k = rng.randrange(dim), rng.randrange(dim), rng.randrange(dim)
+            ij, ij_coef = self.product_terms(i, j)
+            jk, jk_coef = self.product_terms(j, k)
+            # counit is an algebra map: eps(b_i b_j) = eps(b_i) eps(b_j)
+            if int(ij_coef[ij == one].sum()) != int(i == one and j == one):
+                raise AlgebraError(f"counit is not an algebra map at pair {self._pair_name(i, j)}")
+            # (b_i b_j) b_k - b_i (b_j b_k) as one sum of scaled table terms
+            pairs = [(m, k) for m in ij.tolist()] + [(i, m) for m in jk.tolist()]
+            scales = np.concatenate([ij_coef, F.NEG[jk_coef]])
+            idx, coef, _ = self._scaled_terms(pairs, scales)
+            if F.sum_at(idx, coef, dim).any():
+                raise AlgebraError(f"associativity fails at triple {(i, j, k)}")
 
     # -- misc ------------------------------------------------------------------------
 

@@ -288,6 +288,16 @@ class FieldSpec:
     def neg_arrays(self, x):
         return self.NEG[x]
 
+    def sum_at(self, idx, x, size):
+        """Length-``size`` array whose entry k is the field sum of the x[i]
+        with idx[i] == k (digit planes summed as integers, then reduced)."""
+        digits = self._digits[x]
+        out = np.zeros(size, dtype=np.int64)
+        for d in reversed(range(self.e)):
+            out *= self.p
+            out += np.bincount(idx, weights=digits[:, d], minlength=size).astype(np.int64) % self.p
+        return out.astype(_INT)
+
     # -- embeddings ------------------------------------------------------------
 
     def embedding(self, big):

@@ -93,13 +93,16 @@ def t2_mul(A, u, v):
     out = {}
     for (i1, j1), c1 in u.items():
         for (i2, j2), c2 in v.items():
+            left_idx, left_coef = A.product_terms(i1, i2)
+            if not len(left_idx):
+                continue
+            right_idx, right_coef = A.product_terms(j1, j2)
+            right = list(zip(right_idx.tolist(), right_coef.tolist()))
             c = F.mul(c1, c2)
-            left = A.product_vec(i1, i2)
-            right = A.product_vec(j1, j2)
-            for li in np.nonzero(left)[0]:
-                cl = F.mul(c, int(left[li]))
-                for rj in np.nonzero(right)[0]:
-                    t2_add_term(F, out, (int(li), int(rj)), F.mul(cl, int(right[rj])))
+            for li, cl in zip(left_idx.tolist(), left_coef.tolist()):
+                cl = F.mul(c, cl)
+                for rj, cr in right:
+                    t2_add_term(F, out, (li, rj), F.mul(cl, cr))
     return out
 
 

@@ -227,11 +227,16 @@ def twist_module(M, phi):
 
 
 def _induction_table(phi, cosets):
-    """Re-expression data g·c_i = Σ c_j φ(b) for an induction, cached.
+    """Re-expression data g·c_i = Σ_j c_j φ(b) for an induction, cached.
 
-    Returns, per generator, the r x r array of B-elements (as coefficient
-    rows) describing the action on cosets.  The cache is the target
-    algebra's ``induction_tables``, so it lives as long as that algebra.
+    The expansion matrix E has the products c_i·φ(b) as its columns
+    (coset-major).  It is formed once: its rank proves the c_i·φ(b) are a
+    basis of A (n pivots inside E, NotFreeBasis otherwise), and one solve
+    E W = moved, whose right-hand side holds the columns g·c_i of every
+    generator g, gives the whole table; E W == moved is then checked
+    exactly.  Returns, per generator, the r x dim B x r array W[cj, b, ci].
+    The cache is the target algebra's ``induction_tables``, so it lives
+    as long as that algebra.
     """
     B, A = phi.source, phi.target
     F = A.field
@@ -241,24 +246,22 @@ def _induction_table(phi, cosets):
     hit = A.induction_tables.get(key)
     if hit is not None:
         return hit
-    cols = []
     phi_basis = [phi.apply(B.monomial(B.basis_exps[j])) for j in range(dB)]
-    for c in cosets:
-        for j in range(dB):
-            cols.append(A.multiply(c, phi_basis[j]).vec)
-    E = Matrix(F, np.array(cols, dtype=_INT).T, copy=False)
-    try:
-        Einv = E.inverse()
-    except Exception as exc:
-        raise NotFreeBasis("coset elements do not give a free basis") from exc
+    E = Matrix(F, np.array([A.multiply(c, pb).vec for c in cosets for pb in phi_basis],
+                           dtype=_INT).T, copy=False)
+    if E.rank() != A.dim:
+        raise NotFreeBasis("coset elements do not give a free basis")
+    moved = Matrix(F, np.array([A.multiply(gen, c).vec for gen in A.generators()
+                                for c in cosets], dtype=_INT).T, copy=False)
+    W = E.solve(moved)
     per_gen = []
-    for g in range(len(A.gen_names)):
-        gen = A.generator(g)
-        moved = np.zeros((A.dim, r), dtype=_INT)
-        for ci, c in enumerate(cosets):
-            moved[:, ci] = A.multiply(gen, c).vec
-        w = (Einv @ Matrix(F, moved, copy=False)).a   # (r*dB) x r
-        per_gen.append(w.reshape(r, dB, r))           # [cj, b, ci]
+    for g, name in enumerate(A.gen_names):
+        # one generator's columns at a time, so the float product stays small
+        cols = slice(g * r, (g + 1) * r)
+        w = Matrix(F, W.a[:, cols], copy=False)
+        if E @ w != Matrix(F, moved.a[:, cols], copy=False):
+            raise RepresentationError(f"induction table fails E·W = {name}·c")
+        per_gen.append(w.a.reshape(r, dB, r))
     A.induction_tables[key] = per_gen
     return per_gen
 
@@ -267,8 +270,8 @@ def induce(M, phi, cosets):
     """A ⊗_B M for an embedding phi: B -> A, free on the given coset elements.
 
     ``cosets`` are elements of A such that the c_i · φ(b_j) form a basis
-    of A; verified by inverting that matrix (NotFreeBasis otherwise).
-    Basis of the result: coset-major pairs (c_i, m_k).
+    of A (NotFreeBasis otherwise).  Basis of the result: coset-major pairs
+    (c_i, m_k); generator g acts by Σ_b W_b ⊗ ρ_M(b), W_b = W[:, b, :].
     """
     B, A = phi.source, phi.target
     if M.algebra != B:
@@ -277,19 +280,13 @@ def induce(M, phi, cosets):
     r, dB = len(cosets), B.dim
     if r * dB != A.dim:
         raise NotFreeBasis(f"{r} cosets x dim {dB} != dim {A.dim}")
-    per_gen = _induction_table(phi, cosets)
-    dim = r * M.dim
     actions = []
-    for g in range(len(A.gen_names)):
-        w = per_gen[g]
-        T = np.zeros((dim, dim), dtype=_INT)
-        for ci in range(r):
-            for cj in range(r):
-                if not w[cj, :, ci].any():
-                    continue
-                blk = M.act(B.element(w[cj, :, ci]))
-                T[cj * M.dim:(cj + 1) * M.dim, ci * M.dim:(ci + 1) * M.dim] = blk.a
-        actions.append(Matrix(F, T, copy=False))
+    for w in _induction_table(phi, cosets):
+        acc = Matrix.zeros(F, r * M.dim)
+        for b in range(dB):
+            if w[:, b, :].any():
+                acc = acc + Matrix(F, w[:, b, :]).kron(M.act_monomial(b))
+        actions.append(acc)
     return Representation(A, actions, label=f"{M.label}↑", verify=True)
 
 
@@ -298,8 +295,9 @@ def pbw_cosets(A, image, r=1, prefer=None):
 
     Tries, in generator order (``prefer`` first if given), the monomials
     with that generator's exponent below bound/p^r; the first choice for
-    which the expansion matrix is invertible wins.  NotFreeBasis if none
-    works.
+    which the expansion matrix is invertible wins.  The test builds the
+    winner's induction table, which ``induce`` then reads from the cache.
+    NotFreeBasis if no choice works.
     """
     F = A.field
     pr = F.p ** r
@@ -319,14 +317,11 @@ def pbw_cosets(A, image, r=1, prefer=None):
         cosets = [A.monomial(e) for e in A.basis_exps if e[g] < cap]
         if len(cosets) * pr != A.dim:
             continue
-        cols = []
-        phi_basis = [phi.apply(B.monomial(B.basis_exps[j])) for j in range(B.dim)]
-        for c in cosets:
-            for pb in phi_basis:
-                cols.append(A.multiply(c, pb).vec)
-        E = Matrix(F, np.array(cols, dtype=_INT).T, copy=False)
-        if E.rank() == A.dim:
-            return phi, cosets
+        try:
+            _induction_table(phi, cosets)
+        except NotFreeBasis:
+            continue
+        return phi, cosets
     raise NotFreeBasis("no PBW complement found for this image")
 
 

@@ -1,9 +1,13 @@
 """Algebra presentations: builders, straightening, morphisms, inversion."""
 
+import random
+
+import numpy as np
 import pytest
 
 from restrep.fields import field
-from restrep.algebra import (AlgebraError, AlgebraMorphism, InvalidBound,
+from restrep.algebra import (ASSOC_EXHAUSTIVE_DIM, ASSOC_SEED, AlgebraError,
+                             AlgebraMorphism, AlgebraPresentation, InvalidBound,
                              NotAugmented, NotInvertible, UnsupportedTorus,
                              base_change, build_abelian_restricted,
                              build_heisenberg, build_truncated_polynomial,
@@ -222,3 +226,124 @@ def test_algebra_json():
     data = A.to_json()
     assert data["kind"] == "heisenberg" and data["n"] == 1
     assert [g["name"] for g in data["generators"]] == ["y", "z", "x"]
+
+
+# -- the sparse product table ----------------------------------------------------
+
+
+def dense_product(A, a, b):
+    """Reference product: straighten each pair of basis monomials in the
+    support and add the dense vectors, without the product table."""
+    F = A.field
+    out = np.zeros(A.dim, dtype=np.int16)
+    for i in a.support():
+        for j in b.support():
+            v = np.zeros(A.dim, dtype=np.int16)
+            for exp, c in A._mono_times_mono(A.basis_exps[i], A.basis_exps[j]).items():
+                v[A.index_of[exp]] = c
+            c = F.mul(int(a.vec[i]), int(b.vec[j]))
+            out = F.add_arrays(out, F.MUL[c, v])
+    return out
+
+
+def random_element(A, rng, terms):
+    vec = np.zeros(A.dim, dtype=np.int16)
+    for i in rng.sample(range(A.dim), terms):
+        vec[i] = rng.randrange(1, A.field.q)
+    return A.element(vec)
+
+
+SPARSE_CASES = [
+    lambda: build_heisenberg(field(3)),
+    lambda: base_change(build_heisenberg(field(3)), field(3, 2)),
+    lambda: build_truncated_polynomial(field(2, 2), [4, 2]),
+    lambda: build_truncated_polynomial(field(5), [5, 5]),
+]
+
+
+@pytest.mark.parametrize("make", SPARSE_CASES)
+def test_sparse_multiply_matches_dense_reference(make):
+    A = make()
+    rng = random.Random(7)
+    for _ in range(30):
+        a = random_element(A, rng, rng.randrange(1, 6))
+        b = random_element(A, rng, rng.randrange(1, 6))
+        assert np.array_equal(A.multiply(a, b).vec, dense_product(A, a, b))
+    for a in A.generators() + [random_element(A, rng, 4)]:
+        m = A.left_mult_matrix(a)
+        for j in range(A.dim):
+            col = dense_product(A, a, A.monomial(A.basis_exps[j]))
+            assert np.array_equal(m.a[:, j], col)
+
+
+def test_product_table_holds_nonzero_terms_only():
+    # a Heisenberg product of basis monomials has at most p^n terms: one
+    # per choice of how many z each pair x_t, y_t produces
+    for A, most in ((build_heisenberg(field(3), 2), 9), (build_heisenberg(field(5)), 5),
+                    (build_truncated_polynomial(field(3), [9, 3]), 1)):
+        assert len(A._terms) > A.dim
+        for idx, coef in A._terms.values():
+            assert len(idx) == len(coef) <= most
+            assert len(set(idx.tolist())) == len(idx)
+            assert (coef != 0).all()
+
+
+# -- build verification rejects a corrupted table ---------------------------------
+
+
+class Corrupted(AlgebraPresentation):
+    """A presentation whose products of the given exponent pairs are
+    replaced, so the build verification must reject it."""
+
+    def __init__(self, good, replace):
+        self.replace = replace
+        super().__init__(good.field, good.kind, good.gen_names, good.bounds,
+                         good.basis_exps, heis_n=good.heis_n)
+
+    def _mono_times_mono(self, ei, ej):
+        rule = self.replace.get((ei, ej))
+        return rule if rule is not None else super()._mono_times_mono(ei, ej)
+
+
+def test_build_rejects_nonassociative_product_exhaustively():
+    good = build_truncated_polynomial(field(3), [3, 3])
+    assert good.dim <= ASSOC_EXHAUSTIVE_DIM
+    # x·y = 2xy breaks (x·x)·y = x·(x·y); (x, x, y) is triple (1, 1, 3),
+    # the first in order that fails
+    with pytest.raises(AlgebraError, match=r"associativity fails at triple \(1, 1, 3\)"):
+        Corrupted(good, {((1, 0), (0, 1)): {(1, 1): 2}})
+
+
+def test_build_rejects_nonassociative_product_by_sampling():
+    good = build_truncated_polynomial(field(3), [9, 9])
+    assert good.dim > ASSOC_EXHAUSTIVE_DIM
+    # double b_i b_j for the first sampled triple whose three factors are
+    # not 1 and whose product is nonzero; that triple then fails
+    rng = random.Random(ASSOC_SEED)
+    while True:
+        i, j, k = (rng.randrange(good.dim) for _ in range(3))
+        ei, ej, ek = (good.basis_exps[t] for t in (i, j, k))
+        top = tuple(a + b + c for a, b, c in zip(ei, ej, ek))
+        if all(any(e) for e in (ei, ej, ek)) and all(e < 9 for e in top):
+            break
+    ij = tuple(a + b for a, b in zip(ei, ej))
+    with pytest.raises(AlgebraError, match="associativity fails at triple"):
+        Corrupted(good, {(ei, ej): {ij: 2}})
+
+
+def test_build_names_the_failing_law():
+    good = build_truncated_polynomial(field(3), [3, 3])
+    with pytest.raises(AlgebraError, match="unit law fails on basis monomial x\\*y"):
+        Corrupted(good, {((1, 1), (0, 0)): {(1, 1): 2}})
+    # x·y = xy + 1 keeps the unit law; its counit is 1 = ε(x)ε(y) + 1
+    with pytest.raises(AlgebraError, match=r"counit is not an algebra map at pair \(x, y\)"):
+        Corrupted(good, {((1, 0), (0, 1)): {(1, 1): 1, (0, 0): 1}})
+    with pytest.raises(AlgebraError, match="socle check: generator y does not kill it"):
+        Corrupted(good, {((0, 1), (2, 2)): {(2, 2): 1}})
+    big = build_heisenberg(field(3), 2)
+    assert big.dim > ASSOC_EXHAUSTIVE_DIM
+    zero, z = (0,) * 5, (0, 0, 1, 0, 0)
+    with pytest.raises(AlgebraError, match="unit law fails on basis monomial z"):
+        Corrupted(big, {(zero, z): {}})
+    with pytest.raises(AlgebraError, match="outside the prime field"):
+        Corrupted(base_change(good, field(3, 2)), {((1, 0), (0, 1)): {(1, 1): 3}})

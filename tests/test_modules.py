@@ -2,11 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from restrep.fields import field
-from restrep.algebra import (AlgebraError, AlgebraMorphism, build_heisenberg,
-                             build_truncated_polynomial)
+from restrep.algebra import (AlgebraError, AlgebraMorphism, base_change,
+                             build_heisenberg, build_truncated_polynomial)
 from restrep.hopf import named_structure
 from restrep.matrices import Matrix, nilpotent_jordan_type
 from restrep.modules import (HomTooLarge, NotFreeBasis, Representation,
@@ -127,6 +128,44 @@ def test_induce_examples():
     for i in (1, 2, 3):
         ind = induce(jordan_block_module(B, i), phi, cosets)
         assert ind.dim == len(cosets) * i
+
+
+def induce_by_blocks(M, phi, cosets):
+    """The induced actions as the per-block loop built them: the table from
+    E⁻¹ applied to each generator's moved cosets, then one block
+    ρ_M(Σ_b W[cj, b, ci] b) per coset pair."""
+    B, A = phi.source, phi.target
+    F = A.field
+    r, dB = len(cosets), B.dim
+    E = Matrix(F, np.array([A.multiply(c, phi.apply(B.monomial(e))).vec
+                            for c in cosets for e in B.basis_exps], dtype=np.int16).T)
+    Einv = E.inverse()
+    actions = []
+    for gen in A.generators():
+        moved = Matrix(F, np.array([A.multiply(gen, c).vec for c in cosets], dtype=np.int16).T)
+        w = (Einv @ moved).a.reshape(r, dB, r)
+        T = np.zeros((r * M.dim, r * M.dim), dtype=np.int16)
+        for ci in range(r):
+            for cj in range(r):
+                blk = M.act(B.element(w[cj, :, ci]))
+                T[cj * M.dim:(cj + 1) * M.dim, ci * M.dim:(ci + 1) * M.dim] = blk.a
+        actions.append(Matrix(F, T))
+    return actions
+
+
+def test_induce_matches_per_block_reference():
+    H = build_heisenberg(field(3))
+    T = build_truncated_polynomial(field(3), [9, 3])
+    K = base_change(build_truncated_polynomial(field(2), [2, 2]), field(2, 2))
+    x, y = K.generators()
+    cases = [(H, H.generator("x"), 1, "x"), (T, T.generator("y"), 1, None),
+             (T, T.generator("x") + T.generator("y"), 2, None), (K, x + y, 1, None)]
+    for A, image, r, prefer in cases:
+        phi, cosets = pbw_cosets(A, image, r, prefer=prefer)
+        B = phi.source
+        for i in range(1, B.dim + 1):
+            M = jordan_block_module(B, i)
+            assert induce(M, phi, cosets).actions == induce_by_blocks(M, phi, cosets)
 
 
 def test_induce_rejects_non_free_basis():

@@ -280,7 +280,9 @@ class FieldSpec:
         return self.ADD[x, y]
 
     def sub_arrays(self, x, y):
-        return self.add_arrays(x, self.NEG[y])
+        if self.p == 2:
+            return np.bitwise_xor(x, y)
+        return self.ADD[x, self.NEG[y]]
 
     def mul_arrays(self, x, y):
         return self.MUL[x, y]

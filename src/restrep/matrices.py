@@ -1,37 +1,34 @@
 """Dense exact matrices over GF(p^e).
 
 Entries are encoded scalars (see :mod:`restrep.fields`) held in numpy
-int16 arrays; all arithmetic is table-driven and exact.  Echelon pivoting
-is fixed (leftmost pivot column, topmost nonzero row) so ranks, reduced
-forms and nullspace bases are canonical across runs.
+int16 arrays; all arithmetic is exact.
 
-Matrix products over prime fields go through float64 BLAS (entries are
-< p and the accumulated dot products stay far below 2**53, so this is
-exact); extension fields use q x q multiplication-table gathers.
+Products go through BLAS.  Over GF(p) every partial sum of an inner-k
+product is a non-negative integer at most k·(p-1)², so the product runs
+in float32 while k·(p-1)² < 2**24 and in float64 below 2**53; it is cast
+to integers and reduced mod p in place.  Over GF(p^e), with a = Σ a_i w^i
+(w the field generator), a·b = Σ_i a_i (w^i b): the digits of the left
+factor times a table of the digits of w^i·b is one product of inner
+dimension k·e under the same rule, and its reduced digits are combined
+by place value.
+
+Elimination runs in batched-pivot rounds (see :func:`_eliminate`): each
+unowned leading column is owned by the lowest row leading there, every
+other row is reduced by the owner of its lead in one update per round,
+and rounds end when the leads are distinct.  The reduced echelon form,
+its pivot columns and the nullspace basis derived from it are canonical.
+The echelon rows that ``rank()`` keeps span the row space with distinct
+leading columns and leading 1s, but which rows they are depends on which
+row owned each pivot.
 """
+
+import functools
 
 import numpy as np
 
 from .fields import field
 
 _INT = np.int16
-
-_POWER_DIGITS = {}
-
-
-def _power_digit_table(F):
-    """Digits of w^k mod the modulus, k = 0..2e-2, for plane recombination."""
-    key = (F.p, F.e)
-    hit = _POWER_DIGITS.get(key)
-    if hit is None:
-        e = F.e
-        hit = np.zeros((2 * e - 1, e), dtype=np.int64)
-        w = 1
-        for k in range(2 * e - 1):
-            hit[k] = F.coeffs(w)
-            w = F._scalar_mul(w, F.p)  # multiply by the generator w (encoded p)
-        _POWER_DIGITS[key] = hit
-    return hit
 
 
 class MatrixError(ValueError):
@@ -46,12 +43,46 @@ class NotNilpotent(MatrixError):
     pass
 
 
+def _exact_float(p, inner):
+    """(float, int) dtypes for an exact product of entries in [0, p).
+
+    Every partial sum of an inner-``inner`` product is a non-negative
+    integer at most inner·(p-1)², so float32 is exact below 2**24 and
+    float64 below 2**53; the int dtype holds the same range.
+    """
+    bound = inner * (p - 1) ** 2
+    if bound < 1 << 24:
+        return np.float32, np.int32
+    if bound < 1 << 53:
+        return np.float64, np.int64
+    raise MatrixError(f"inner dimension {inner} is too large for an exact product over GF({p})")
+
+
+@functools.lru_cache(maxsize=None)
+def _plane_tables(F, flt):
+    """Digit tables of GF(p^e) for products, as ``flt``: the (q, e) digits
+    of each element b, the (q, e, e) digits of w^i·b for each i (w the
+    field generator), and the place values p^d."""
+    e = F.e
+    powers = np.zeros((2 * e - 1, e), dtype=np.int64)   # digits of w^0 .. w^(2e-2)
+    w = 1
+    for k in range(2 * e - 1):
+        powers[k] = F.coeffs(w)
+        w = F._scalar_mul(w, F.p)   # multiply by the generator w (encoded p)
+    pair = powers[np.add.outer(np.arange(e), np.arange(e))]          # [i, j] -> w^(i+j)
+    shifted = np.einsum("bj,ijd->bid", F._digits, pair) % F.p
+    return F._digits.astype(flt), shifted.astype(flt), F.p ** np.arange(e, dtype=np.int64)
+
+
 class Matrix:
     """A dense matrix over GF(p^e).
 
     Matrix values are immutable: nothing writes into ``a`` after
     construction.  That is what lets a matrix memoize its rank chain and
-    keep the echelon rows of its last ``rank()``.
+    keep the echelon rows of its last ``rank()``: a basis of the row space
+    in echelon form with leading 1s, whose rows depend on which row owned
+    each pivot in the elimination rounds.  ``rref``, its pivots,
+    ``nullspace`` and ``solve`` are canonical.
     """
 
     __slots__ = ("field", "a", "_echelon", "_rank_chain")
@@ -152,30 +183,19 @@ class Matrix:
         if self.cols != other.rows:
             raise MatrixError("inner dimensions differ")
         F = self.field
-        if F.e == 1:
-            prod = (self.a.astype(np.float64) @ other.a.astype(np.float64)) % F.p
-            return Matrix(F, prod.astype(_INT), copy=False)
-        # digit-plane decomposition: e^2 exact float products, then reduce
-        # the w powers through the modulus expansion table
         p, e = F.p, F.e
-        da = F._digits[self.a].astype(np.float64)      # rows x inner x e
-        db = F._digits[other.a].astype(np.float64)     # inner x cols x e
-        planes = np.zeros((self.rows, other.cols, e), dtype=np.int64)
-        red = _power_digit_table(F)                    # (2e-1) x e
-        for i in range(e):
-            for j in range(e):
-                prod = (da[:, :, i] @ db[:, :, j]).astype(np.int64) % p
-                if not prod.any():
-                    continue
-                for d in range(e):
-                    c = red[i + j, d]
-                    if c:
-                        planes[:, :, d] += c * prod
-        planes %= p
-        out = np.zeros((self.rows, other.cols), dtype=np.int64)
-        for d in reversed(range(e)):
-            out = out * p + planes[:, :, d]
-        return Matrix(F, out.astype(_INT), copy=False)
+        r, k, c = self.rows, self.cols, other.cols
+        flt, intg = _exact_float(p, e * k)
+        if e == 1:
+            prod = (self.a.astype(flt) @ other.a.astype(flt)).astype(intg)
+            return Matrix(F, _mod(prod, p).astype(_INT), copy=False)
+        # a·b = Σ_i a_i (w^i b): the digits of self, r x (k·e), times the
+        # digits of w^i·b, (k·e) x (c·e), give the digits of the product
+        digits, shifted, place = _plane_tables(F, flt)
+        da = digits[self.a].reshape(r, k * e)
+        db = shifted[other.a].transpose(0, 2, 1, 3).reshape(k * e, c * e)
+        prod = _mod((da @ db).astype(intg), p).reshape(r, c, e)
+        return Matrix(F, (prod @ place).astype(_INT), copy=False)
 
     def pow(self, n):
         if not self.is_square():
@@ -203,83 +223,49 @@ class Matrix:
 
     # -- elimination -----------------------------------------------------------------
 
-    def _eliminate(self, reduced, limit=None):
-        F = self.field
-        prime = F.e == 1
-        work = np.int32 if prime else _INT
-        A = self.a.astype(work, copy=True)
-        p = F.p
-        rows, cols = A.shape
-        limit = cols if limit is None else limit
-        pivots = []
-        r = 0
-        for c in range(limit):
-            col = A[r:, c]
-            nz = np.nonzero(col)[0]
-            if len(nz) == 0:
-                continue
-            i = r + int(nz[0])
-            if i != r:
-                A[[r, i]] = A[[i, r]]
-            inv = int(F.INV[A[r, c]])
-            if inv != 1:
-                A[r] = (A[r] * inv) % p if prime else F.MUL[inv, A[r]]
-            if reduced:
-                sel = np.nonzero(A[:, c])[0]
-                sel = sel[sel != r]
-            else:
-                below = np.nonzero(A[r + 1:, c])[0]
-                sel = below + r + 1
-            if len(sel):
-                factors = A[sel, c]
-                if prime:
-                    A[sel] = (A[sel] - factors[:, None] * A[r][None, :]) % p
-                else:
-                    A[sel] = F.sub_arrays(A[sel], F.MUL[factors[:, None], A[r][None, :]])
-            pivots.append(c)
-            r += 1
-            if r == rows:
-                break
-        return A.astype(_INT, copy=False), tuple(pivots)
-
     def rank(self):
-        A, pivots = self._eliminate(reduced=False)
-        self._echelon = A[:len(pivots)]
-        return len(pivots)
+        A = self.a.copy()
+        prow, _ = _eliminate(self.field, A, reduced=False)
+        self._echelon = A[prow]
+        return len(prow)
 
     def rref(self):
-        A, pivots = self._eliminate(reduced=True)
-        return Matrix(self.field, A, copy=False), pivots
+        A = self.a.copy()
+        prow, pcols = _eliminate(self.field, A, reduced=True)
+        R = np.zeros_like(A)
+        R[:len(prow)] = A[prow]
+        return Matrix(self.field, R, copy=False), tuple(pcols.tolist())
 
     def nullspace(self):
         """Canonical kernel basis, one column per free column of the rref."""
-        R, pivots = self.rref()
         F = self.field
-        free = [c for c in range(self.cols) if c not in pivots]
-        if not free:
-            return Matrix.zeros(F, self.cols, 0)
+        A = self.a.copy()
+        prow, pcols = _eliminate(F, A, reduced=True)
+        free = np.ones(self.cols, dtype=bool)
+        free[pcols] = False
+        free = free.nonzero()[0]
         out = np.zeros((self.cols, len(free)), dtype=_INT)
         out[free, np.arange(len(free))] = 1
-        out[list(pivots)] = F.NEG[R.a[:len(pivots)][:, free]]
+        out[pcols] = F.NEG[A[prow[:, None], free]]
         return Matrix(F, out, copy=False)
 
     def solve(self, rhs):
         """A particular solution of self @ X = rhs, or None if inconsistent.
 
-        Free variables are set to zero, so the answer is canonical.
+        Free variables are set to zero, so the answer is canonical.  The
+        augmented matrix [self | rhs] is the only full-size array: it is
+        reduced in place.
         """
         self._check(rhs)
         if rhs.rows != self.rows:
             raise MatrixError("rhs row count mismatch")
-        aug = Matrix(self.field, np.hstack([self.a, rhs.a]), copy=False)
-        R, pivots = aug._eliminate(reduced=True)
+        aug = np.hstack([self.a, rhs.a])
+        prow, pcols = _eliminate(self.field, aug, reduced=True)
         n = self.cols
-        for c in pivots:
-            if c >= n:
-                return None
+        if len(pcols) and pcols[-1] >= n:
+            return None
         out = np.zeros((n, rhs.cols), dtype=_INT)
-        for i, c in enumerate(pivots):
-            out[c] = R[i, n:]
+        out[pcols] = aug[prow, n:]
         return Matrix(self.field, out, copy=False)
 
     def inverse(self):
@@ -328,6 +314,100 @@ class Matrix:
     def __str__(self):
         return "\n".join(" ".join(self.field.fmt(int(v)).rjust(3) for v in row)
                          for row in self.a)
+
+
+def _leads(X):
+    """(mask of the nonzero rows of X, their leading columns)."""
+    nz = X != 0
+    k = nz.argmax(axis=1)
+    keep = nz[np.arange(len(k)), k]
+    return keep, k[keep]
+
+
+def _mod(x, p):
+    """x mod p, in place (numpy divides by a scalar far faster than it
+    takes a remainder)."""
+    q = x // p
+    q *= p
+    x -= q
+    return x
+
+
+def _axpy(F, X, f, Y):
+    """Rows X - f·Y over F, one factor per row of X (Y may be one row).
+
+    Over GF(p) the difference lies in (-(p-1)², p): int16 holds it while
+    p² < 2**15, int32 beyond.
+    """
+    if F.e == 1:
+        if F.p * F.p < 1 << 15:
+            out = X - f[:, None] * Y
+        else:
+            out = X.astype(np.int32)
+            out -= f.astype(np.int32)[:, None] * Y
+        return _mod(out, F.p)
+    return F.sub_arrays(X, F.MUL[f[:, None], Y])
+
+
+def _eliminate(F, A, reduced):
+    """Bring the int16 array A to row echelon form in place, by rounds.
+
+    A round gives each unowned leading column to the lowest row that leads
+    there, scaled to a leading 1; every other row is reduced by the owner
+    of its leading column, all in one update over the columns from the
+    smallest such lead on, and only those rows get their leads recomputed.
+    Rounds end when the leads are distinct.  With ``reduced`` the pivot
+    columns with entries above their pivot are then cleared, last column
+    first (a column clean after the rounds stays clean).  Returns (pivot
+    rows of A, pivot columns), by increasing column; every other row of A
+    ends zero.
+    """
+    cols = A.shape[1]
+    owner = np.full(cols, -1, dtype=np.intp)
+    if cols:
+        keep, lead = _leads(A)
+        active = keep.nonzero()[0]
+    else:
+        active = lead = owner
+    while len(active):
+        src = owner[lead]
+        fresh = src < 0
+        if fresh.any():
+            # the lowest row at each unowned lead owns it (duplicate leads
+            # are settled by a minimum, not by the order of the writes)
+            fa, fl = active[fresh], lead[fresh]
+            owner[fl] = fa
+            won = owner[fl] == fa
+            if not won.all():
+                np.minimum.at(owner, fl, fa)
+                won = owner[fl] == fa
+            fa, fl = fa[won], fl[won]
+            head = A[fa, fl]
+            scale = (head != 1).nonzero()[0]
+            if len(scale):
+                rs = fa[scale]
+                A[rs] = F.MUL[F.INV[head[scale]][:, None], A[rs]]
+            src = owner[lead]
+            move = src != active
+            active, lead, src = active[move], lead[move], src[move]
+            if not len(active):
+                break
+        c0 = lead.min()
+        f = A[active, lead]
+        block = _axpy(F, A[active, c0:], f, A[src, c0:])
+        A[active, c0:] = block
+        keep, lead = _leads(block)
+        active, lead = active[keep], lead + c0
+    pcols = (owner >= 0).nonzero()[0]
+    prow = owner[pcols]
+    if reduced and len(prow) > 1:
+        U = A[prow[:, None], pcols]
+        if np.count_nonzero(U) > len(prow):
+            for j in (np.count_nonzero(U, axis=0) > 1).nonzero()[0][::-1]:
+                above = U[:j, j].nonzero()[0]
+                rs, c = prow[above], pcols[j]
+                A[rs, c:] = _axpy(F, A[rs, c:], U[above, j], A[prow[j], c:][None, :])
+    return prow, pcols
 
 
 class JordanType:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from restrep.algebra import build_truncated_polynomial
 from restrep.fields import field
 from restrep.hopf import named_structure
-from restrep.matrices import (FieldMismatch, JordanType, Matrix, NotNilpotent,
+from restrep.matrices import (FieldMismatch, JordanType, Matrix, NotNilpotent, _exact_float,
                               column_space, intersect_spaces,
                               nilpotent_jordan_type, preimage_space, rank_chain)
 from restrep.modules import jordan_block_module, tensor
@@ -45,19 +45,25 @@ def test_rank_submultiplicative():
             assert (a @ b).rank() <= min(a.rank(), b.rank())
 
 
+def schoolbook(a, b):
+    """Σ_k a[i,k]·b[k,j] one scalar table lookup at a time."""
+    F = a.field
+    out = np.zeros((a.rows, b.cols), dtype=np.int16)
+    for i in range(a.rows):
+        for j in range(b.cols):
+            s = 0
+            for k in range(a.cols):
+                s = F.add(s, F.mul(int(a.a[i, k]), int(b.a[k, j])))
+            out[i, j] = s
+    return Matrix(F, out)
+
+
 def test_matmul_against_schoolbook():
     rng = random.Random(3)
     for F in FIELDS:
         a = Matrix.random(F, 4, 6, rng)
         b = Matrix.random(F, 6, 3, rng)
-        ref = [[0] * 3 for _ in range(4)]
-        for i in range(4):
-            for j in range(3):
-                s = 0
-                for k in range(6):
-                    s = F.add(s, F.mul(int(a.a[i, k]), int(b.a[k, j])))
-                ref[i][j] = s
-        assert (a @ b) == Matrix(F, ref)
+        assert (a @ b) == schoolbook(a, b)
 
 
 def test_kron_definition_and_ordering():
@@ -297,3 +303,175 @@ def test_rank_chain_is_memoized_and_rejects_non_nilpotent():
     singular[3, 3] = 1   # J3 + (1): the rank stops at 1
     with pytest.raises(NotNilpotent):
         rank_chain(Matrix(F, singular))
+
+
+# -- exact products --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("inner, flt", [(15, np.float32), (16, np.float64)])
+def test_prime_product_is_exact_at_the_float32_bound(inner, flt):
+    # 15·1030² < 2**24 <= 16·1030²: the product switches to float64 at 16
+    F = field(1031)
+    assert _exact_float(F.p, inner)[0] is flt
+    rng = random.Random(inner)
+    full = Matrix(F, np.full((3, inner), F.p - 1))
+    crafted_b = np.full((inner, 2), F.p - 2)
+    crafted_b[-1] = F.p - 3   # odd sum above 2**24 at inner 16: float32 would round it
+    cases = [(full, Matrix(F, np.full((inner, 4), F.p - 1))),
+             (Matrix(F, np.full((2, inner), F.p - 2)), Matrix(F, crafted_b)),
+             (Matrix.random(F, 5, inner, rng), Matrix.random(F, inner, 6, rng))]
+    for a, b in cases:
+        assert a @ b == schoolbook(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([field(2, 2), field(5, 2), field(2, 10)]),
+       st.integers(0, 9), st.integers(0, 40), st.integers(0, 9), st.integers(0, 2**32))
+def test_digit_plane_product_matches_schoolbook(F, r, k, c, seed):
+    rng = np.random.default_rng(seed)
+    a, b = (Matrix(F, rng.integers(0, F.q, size=shape)) for shape in ((r, k), (k, c)))
+    assert a @ b == schoolbook(a, b)
+
+
+# -- batched-pivot elimination against the per-column loop -------------------------------
+
+
+def reference_eliminate(m, reduced):
+    """The per-column loop the batched rounds replaced: leftmost pivot
+    column, topmost nonzero row, rows swapped into place."""
+    F = m.field
+    prime = F.e == 1
+    A = m.a.astype(np.int32 if prime else np.int16, copy=True)
+    p = F.p
+    rows, cols = A.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(A[r:, c])[0]
+        if len(nz) == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            A[[r, i]] = A[[i, r]]
+        inv = int(F.INV[A[r, c]])
+        if inv != 1:
+            A[r] = (A[r] * inv) % p if prime else F.MUL[inv, A[r]]
+        sel = np.nonzero(A[:, c])[0] if reduced else np.nonzero(A[r + 1:, c])[0] + r + 1
+        sel = sel[sel != r]
+        if len(sel):
+            factors = A[sel, c]
+            if prime:
+                A[sel] = (A[sel] - factors[:, None] * A[r][None, :]) % p
+            else:
+                A[sel] = F.sub_arrays(A[sel], F.MUL[factors[:, None], A[r][None, :]])
+        pivots.append(c)
+        r += 1
+    return A.astype(np.int16), tuple(pivots)
+
+
+ELIM_FIELDS = [field(2), field(5), field(2, 2), field(5, 2)]
+
+
+def _nonzero(F, rng, size):
+    return rng.integers(1, F.q, size=size)
+
+
+@st.composite
+def elimination_inputs(draw):
+    """Matrices of the shapes the rank chain, Hom solves and induction
+    tables eliminate: sparse, monomial, with repeated and zero rows, zero
+    columns, empty, and wide [E | rhs] systems."""
+    F = draw(st.sampled_from(ELIM_FIELDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["sparse", "dense", "monomial", "repeats", "empty", "system"]))
+    if kind == "sparse":
+        rows, cols = draw(st.integers(1, 48)), draw(st.integers(1, 48))
+        a = np.where(rng.random((rows, cols)) < 0.03, _nonzero(F, rng, (rows, cols)), 0)
+        a[np.arange(min(rows, cols)) // 2, np.arange(min(rows, cols))] = 1  # near echelon
+    elif kind == "dense":
+        a = rng.integers(0, F.q, size=(draw(st.integers(1, 9)), draw(st.integers(1, 9))))
+    elif kind == "monomial":
+        n = draw(st.integers(1, 24))
+        a = np.zeros((n, n), dtype=np.int64)
+        a[np.arange(n), rng.permutation(n)] = _nonzero(F, rng, n)
+    elif kind == "repeats":
+        base = rng.integers(0, F.q, size=(draw(st.integers(1, 5)), draw(st.integers(1, 10))))
+        scaled = F.MUL[_nonzero(F, rng, (len(base), 1)), base]
+        a = np.vstack([base, np.zeros_like(base), scaled, base])[rng.permutation(4 * len(base))]
+        a[:, rng.random(a.shape[1]) < 0.3] = 0
+    elif kind == "empty":
+        n = draw(st.integers(0, 6))
+        a = np.zeros((0, n) if draw(st.booleans()) else (n, 0), dtype=np.int64)
+    else:
+        n = draw(st.integers(1, 20))
+        E = np.zeros((n, n), dtype=np.int64)
+        E[np.arange(n), rng.permutation(n)] = _nonzero(F, rng, n)
+        if draw(st.booleans()):
+            E = np.where(rng.random((n, n)) < 0.1, rng.integers(0, F.q, size=(n, n)), E)
+        a = np.hstack([E, rng.integers(0, F.q, size=(n, draw(st.integers(1, 2 * n))))])
+    return Matrix(F, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(elimination_inputs())
+def test_rounds_match_the_per_column_loop(m):
+    R, pivots = m.rref()
+    ref, ref_pivots = reference_eliminate(m, reduced=True)
+    assert pivots == ref_pivots
+    assert R.a.tobytes() == ref.tobytes()
+    assert m.rank() == len(reference_eliminate(m, reduced=False)[1]) == len(pivots)
+
+
+def test_lowest_row_owns_each_leading_column():
+    # rows 0-2 all lead at column 0; row 0 owns it, then row 1 owns column 1
+    m = Matrix(field(2), [[1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]])
+    assert m.rank() == 3
+    assert m._echelon.tolist() == [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(elimination_inputs())
+def test_rank_rows_are_an_echelon_basis_of_the_row_space(m):
+    r = m.rank()
+    E = m._echelon
+    assert E.shape == (r, m.cols)
+    leads = [int(np.flatnonzero(row)[0]) for row in E]
+    assert leads == sorted(set(leads))
+    assert all(E[i, c] == 1 for i, c in enumerate(leads))
+    assert Matrix(m.field, np.vstack([E, m.a])).rank() == r
+
+
+@settings(max_examples=200, deadline=None)
+@given(elimination_inputs())
+def test_rank_nullity_and_solve_consistency(m):
+    F = m.field
+    ns = m.nullspace()
+    assert ns.cols + m.rank() == m.cols
+    assert (m @ ns).is_zero()
+    if m.cols < 2 or m.rows == 0:
+        return
+    k = m.cols // 2            # read the input as the system [E | rhs]
+    E, rhs = Matrix(F, m.a[:, :k]), Matrix(F, m.a[:, k:])
+    x = E.solve(rhs)
+    if x is None:
+        assert m.rank() > E.rank()
+    else:
+        assert E @ x == rhs
+
+
+@settings(max_examples=100, deadline=None)
+@given(elimination_inputs())
+def test_rank_and_rref_match_sympy(m):
+    sympy_matrices = pytest.importorskip("sympy.polys.matrices")
+    from sympy import GF
+    F = m.field
+    if F.e != 1 or 0 in m.shape:
+        return
+    K = GF(F.p)
+    dm = sympy_matrices.DomainMatrix([[K(int(v)) for v in row] for row in m.a], m.shape, K)
+    R, pivots = dm.rref()
+    assert m.rank() == dm.rank()
+    assert m.rref()[1] == tuple(pivots)
+    assert m.rref()[0].a.tolist() == [[int(v) % F.p for v in row] for row in R.to_list()]

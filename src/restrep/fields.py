@@ -280,9 +280,7 @@ class FieldSpec:
         return self.ADD[x, y]
 
     def sub_arrays(self, x, y):
-        if self.p == 2:
-            return np.bitwise_xor(x, y)
-        return self.ADD[x, self.NEG[y]]
+        return self.add_arrays(x, y if self.p == 2 else self.NEG[y])   # -y = y in characteristic 2
 
     def mul_arrays(self, x, y):
         return self.MUL[x, y]

@@ -336,15 +336,11 @@ def _mod(x, p):
 def _axpy(F, X, f, Y):
     """Rows X - f·Y over F, one factor per row of X (Y may be one row).
 
-    Over GF(p) the difference lies in (-(p-1)², p): int16 holds it while
-    p² < 2**15, int32 beyond.
+    Over GF(p) the difference lies in (-(p-1)², p), which int32 holds.
     """
     if F.e == 1:
-        if F.p * F.p < 1 << 15:
-            out = X - f[:, None] * Y
-        else:
-            out = X.astype(np.int32)
-            out -= f.astype(np.int32)[:, None] * Y
+        out = X.astype(np.int32)
+        out -= f.astype(np.int32)[:, None] * Y
         return _mod(out, F.p)
     return F.sub_arrays(X, F.MUL[f[:, None], Y])
 

@@ -371,7 +371,7 @@ def reference_eliminate(m, reduced):
     return A.astype(np.int16), tuple(pivots)
 
 
-ELIM_FIELDS = [field(2), field(5), field(2, 2), field(5, 2)]
+ELIM_FIELDS = [field(2), field(5), field(1031), field(2, 2), field(5, 2)]
 
 
 def _nonzero(F, rng, size):

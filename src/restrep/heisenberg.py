@@ -416,7 +416,7 @@ def wild_abelian_isotropy_check(case, p=None, n=None, m=None):
         lie = named_structure(A, "lie_primitive")
         T = tensor(M, M, lie)
         pM = direct_sum([M] * p)
-        iso = iso_test(T, pM,
+        iso = iso_test(pM, T,
                        hom_fwd=lambda: hom_space_from_sum([M] * p, T, [hom_from_cyclic] * p),
                        hom_rev=lambda: hom_from_cyclic_sum_rev(T, M, p))
         T_tw = tensor(M_tw, M_tw, lie)

@@ -51,6 +51,8 @@ class NotAutomorphism(HopfError):
 # -- sparse tensor-square / tensor-cube arithmetic -------------------------------
 
 def t2_add_term(F, acc, key, c):
+    """acc[key] += c in a sparse tensor, dropping zeros; keys are opaque
+    tuples (pairs in A⊗A, triples in A⊗A⊗A)."""
     if not c:
         return
     prev = acc.get(key)
@@ -220,9 +222,9 @@ class Comultiplication:
             lhs, rhs = {}, {}
             for (u, v), c in d.items():
                 for (a, b), cu in t2_scale(F, c, self.delta_basis(u)).items():
-                    _t3_add(F, lhs, (a, b, v), cu)
+                    t2_add_term(F, lhs, (a, b, v), cu)
                 for (b, w), cv in t2_scale(F, c, self.delta_basis(v)).items():
-                    _t3_add(F, rhs, (u, b, w), cv)
+                    t2_add_term(F, rhs, (u, b, w), cv)
             if lhs != rhs:
                 raise AxiomViolation(f"coassociativity fails on basis {i}")
         # multiplicativity on sampled pairs
@@ -267,20 +269,6 @@ class Comultiplication:
         return {"name": self.name, "algebra": self.algebra.to_json(),
                 "images": [[[i, j, F.coeffs(c)] for (i, j), c in sorted(im.items())]
                            for im in self.images]}
-
-
-def _t3_add(F, acc, key, c):
-    if not c:
-        return
-    prev = acc.get(key)
-    if prev is None:
-        acc[key] = c
-    else:
-        s = F.add(prev, c)
-        if s:
-            acc[key] = s
-        else:
-            del acc[key]
 
 
 # -- the ω operator ------------------------------------------------------------------------

@@ -11,11 +11,11 @@ at a single point splits as ⊕ a_n V_2n ⊕ cP, and the multiplicities are
 recovered exactly from Hom dimensions against the V_2m plus the free
 rank, an invertible integer linear system solved over the rationals.
 
-Hom spaces out of a V_2m have a direct description through the chain
-presentation (s2·u_1 = 0, s2·u_i = s1·u_{i-1}): solutions are computed
-by subspace propagation, which keeps the verification of dimension-64
-products inside the time budget while the generic intertwiner solver
-backs the H table and the property tests.
+V_2m is presented on generators u_1..u_m by the chain relations
+s2·u_1 = 0 and s2·u_i = s1·u_{i-1}, so Hom(V_2m, M) is the kernel of one
+block system in the images of the u_i (``modules.hom_from_relations``).
+One elimination of that system at the largest m gives every dimension;
+the generic intertwiner solver cross-checks the H table.
 """
 
 from fractions import Fraction
@@ -25,11 +25,11 @@ import numpy as np
 from .algebra import build_truncated_polynomial
 from .fields import field, sampling_extension
 from .hopf import named_structure
-from .matrices import (Matrix, _INT, full_space, image_space, intersect_spaces,
-                       nilpotent_jordan_type, preimage_space)
+from .matrices import Matrix, _INT
 from .modules import (Representation, RepresentationError, direct_sum,
-                      free_rank, hom_from_free, hom_space, hom_space_from_sum,
-                      invertible_combination, regular_module, tensor)
+                      free_rank, hom_from_free, hom_from_relations, hom_space,
+                      hom_space_from_sum, invertible_combination, regular_module,
+                      relation_system, tensor)
 from .pipoints import PointFamily, coord_label, nobility, normalize_coords
 
 WANG_STRUCTURES = ("lie_primitive", "wang_Ga2", "wang_Ga1xZp", "wang_ZpZp")
@@ -129,93 +129,67 @@ class KleinContext:
 
     # -- the indecomposables ---------------------------------------------------
 
-    def basev(self, coords, n, basis_choice=None):
-        A, K = self.A, self.K
-        coords = normalize_coords(K, coords)
-        a, b = coords
+    def point_elements(self, coords, basis_choice=None):
+        """``(s1, s2, C)`` at a point [a:b]: s2 = ax + by, s1 = cx + dy for
+        the basis choice (c, d), by default x unless the point is [1:0],
+        and C = [[c, a], [d, b]], whose columns are their coordinates over
+        (x, y).  DegenerateBasis when s1 and s2 are dependent."""
+        K = self.K
+        a, b = (int(v) for v in normalize_coords(K, coords))
         if basis_choice is None:
-            basis_choice = (1, 0) if b else (0, 1)   # s1 = x unless the point is [1:0]
+            basis_choice = (1, 0) if b else (0, 1)
         c, d = (int(v) for v in basis_choice)
-        det = K.sub(K.mul(c, b), K.mul(d, a))
-        if det == 0:
+        if K.sub(K.mul(c, b), K.mul(d, a)) == 0:
             raise DegenerateBasis("s1 and s2 are linearly dependent")
-        x, y = A.generators()
-        s1 = c * x + d * y
-        s2 = int(a) * x + int(b) * y
-        N = Matrix.jordan_block(K, n)
+        x, y = self.A.generators()
+        return c * x + d * y, a * x + b * y, Matrix(K, [[c, a], [d, b]])
+
+    def basev(self, coords, n, basis_choice=None):
+        K = self.K
+        coords = normalize_coords(K, coords)
+        s1, s2, coeff = self.point_elements(coords, basis_choice)
         S1 = np.zeros((2 * n, 2 * n), dtype=_INT)
         S1[:n, n:] = np.eye(n, dtype=_INT)
         S2 = np.zeros((2 * n, 2 * n), dtype=_INT)
-        S2[:n, n:] = N.a
+        S2[:n, n:] = Matrix.jordan_block(K, n).a
         S1, S2 = Matrix(K, S1, copy=False), Matrix(K, S2, copy=False)
-        # solve x = alpha s1 + beta s2, y likewise, from the 2x2 coefficient matrix
-        coeff = Matrix(K, [[c, int(a)], [d, int(b)]])
+        # x = alpha s1 + beta s2 and y likewise: the columns of C's inverse
         sol = coeff.inverse()
         act_x = S1.scale(int(sol.a[0, 0])) + S2.scale(int(sol.a[1, 0]))
         act_y = S1.scale(int(sol.a[0, 1])) + S2.scale(int(sol.a[1, 1]))
         label = coord_label(K, coords)
-        rep = Representation(A, [act_x, act_y], label=f"V{2 * n}({label})")
+        rep = Representation(self.A, [act_x, act_y], label=f"V{2 * n}({label})")
         return BasevModule(coords, label, n, rep, s1, s2)
-
-    def point_elements(self, coords):
-        """The (s1, s2) pair used by the canonical basis at this point."""
-        v = self.basev(coords, 1)
-        return v.s1, v.s2
 
     # -- Hom machinery -----------------------------------------------------------
 
-    def _chain_spaces(self, M, coords, depth):
-        """D_1 = M, D_{k+1} = X^{-1}(Y·D_k) plus ker Y, for the chain solver."""
-        s1, s2 = self.point_elements(coords)
-        X, Y = M.act(s1), M.act(s2)
-        D = [full_space(self.K, M.dim)]
-        for _ in range(depth - 1):
-            D.append(preimage_space(X, image_space(Y, D[-1])))
-        return X, Y, Y.nullspace(), D
+    @staticmethod
+    def _chain_relations(s1, s2, m):
+        """V_2m on generators u_1..u_m: s2·u_1 = 0 and s2·u_i − s1·u_{i−1} = 0."""
+        return [[(s2, 0)]] + [[(s2, i), (-s1, i - 1)] for i in range(1, m)]
 
     def basev_hom_dims(self, M, coords, up_to):
-        """dim Hom(V_2m, M) for m = 1..up_to, by subspace propagation."""
-        X, Y, ker, D = self._chain_spaces(M, coords, up_to)
-        t = [intersect_spaces(ker, Dk).cols for Dk in D]
-        out = []
-        acc = 0
-        for m in range(1, up_to + 1):
-            acc += t[m - 1]
-            out.append(acc)
-        return out
+        """dim Hom(V_2m, M) for m = 1..up_to, from one elimination.
+
+        Block row i of the chain system at m = up_to involves only the
+        first i block columns, so its first m·dim rows are the system of
+        V_2m, whose rank is the number of pivot columns below m·dim in the
+        rref of the transposed system.
+        """
+        s1, s2, _ = self.point_elements(coords)
+        system = relation_system(M, self._chain_relations(s1, s2, up_to), up_to)
+        _, pivots = system.transpose().rref()
+        ranks = np.searchsorted(pivots, M.dim * np.arange(1, up_to + 1))
+        return [m * M.dim - int(r) for m, r in zip(range(1, up_to + 1), ranks)]
 
     def basev_hom_basis(self, V, M):
-        """Explicit basis of Hom(V_2m, M) from the chain presentation.
-
-        A map is a tuple (w_1..w_m) of images of the generators u_i with
-        s2 w_1 = 0 and s2 w_i = s1 w_{i-1}; the images of the l_i are
-        then s1 w_i.
-        """
+        """Basis of Hom(V_2m, M) from the chain presentation: the images
+        (w_1..w_m) of the u_i satisfy the chain relations, and the basis
+        l_1..l_m, u_1..u_m of V_2m maps to s1·w_1..s1·w_m, w_1..w_m."""
         m = V.n
-        X, Y, ker, D = self._chain_spaces(M, V.coords, m)
-        out = []
-        for level in range(1, m + 1):
-            W = intersect_spaces(ker, D[m - level])
-            if W.cols == 0:
-                continue
-            # extend every starting vector of this level at once
-            chains = [Matrix.zeros(self.K, M.dim, W.cols) for _ in range(level - 1)]
-            chains.append(W)
-            for j in range(level + 1, m + 1):
-                Ej = D[m - j]
-                targets = X @ chains[-1]
-                cvec = (Y @ Ej).solve(targets)
-                if cvec is None:
-                    raise KleinError("chain extension failed; propagation bug")
-                chains.append(Ej @ cvec)
-            ximages = [X @ c for c in chains]
-            for col in range(W.cols):
-                f = np.zeros((M.dim, 2 * m), dtype=_INT)
-                for t in range(m):
-                    f[:, t] = ximages[t].a[:, col]          # image of l_{t+1}
-                    f[:, m + t] = chains[t].a[:, col]       # image of u_{t+1}
-                out.append(Matrix(self.K, f, copy=False))
-        return out
+        one = self.A.one()
+        spanning = [(V.s1, i) for i in range(m)] + [(one, i) for i in range(m)]
+        return hom_from_relations(M, self._chain_relations(V.s1, V.s2, m), spanning)
 
     GENERIC_H_CAP = 8
 
@@ -223,9 +197,9 @@ class KleinContext:
         """H[m][n] = dim Hom(V_2m, V_2n) and h[m] = dim Hom(V_2m, P).
 
         Values are independent of the point; they are computed at the
-        reference point [1:0].  Up to GENERIC_H_CAP both the generic
-        intertwiner solver and the chain solver are run and must agree;
-        beyond that the chain solver extends the table.
+        reference point [1:0] from the chain presentation.  Up to
+        GENERIC_H_CAP the generic intertwiner solver runs too and must
+        agree; beyond that the chain system alone extends the table.
         """
         cap = cap or self.cap
         if self._hom_table and self._hom_table[0] >= cap:
@@ -325,7 +299,7 @@ class KleinContext:
         if not basis:
             return False
         K = sampling_extension(self.K, M.dim)
-        witness, _ = invertible_combination(basis, K, trials, seed)
+        witness, _ = invertible_combination(basis, R, M, K, trials, seed)
         return witness is not None
 
     # -- the published product checks ------------------------------------------------

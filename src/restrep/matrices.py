@@ -117,9 +117,8 @@ class Matrix:
 
     @classmethod
     def random(cls, field_spec, rows, cols, rng):
-        a = np.array([[rng.randrange(field_spec.q) for _ in range(cols)]
-                      for _ in range(rows)], dtype=_INT)
-        return cls(field_spec, a, copy=False)
+        a = np.array([rng.randrange(field_spec.q) for _ in range(rows * cols)], dtype=_INT)
+        return cls(field_spec, a.reshape(rows, cols), copy=False)
 
     @classmethod
     def random_invertible(cls, field_spec, n, rng):
@@ -491,42 +490,3 @@ def nilpotent_jordan_type(m):
         ge_s1 = ranks[s] - ranks[s + 1]
         parts.extend([s] * (ge_s - ge_s1))
     return JordanType(parts)
-
-
-# -- subspace calculus (column-span subspaces as matrices) -----------------------
-
-def column_space(m):
-    """Canonical basis of the column span (columns of the result)."""
-    R, pivots = m.transpose().rref()
-    keep = R.a[:len(pivots)] if pivots else np.zeros((0, m.rows), dtype=_INT)
-    return Matrix(m.field, keep.T)
-
-
-def image_space(m, space):
-    """Basis of m @ span(space)."""
-    return column_space(m @ space)
-
-
-def preimage_space(m, space):
-    """Basis of {v : m @ v in span(space)}."""
-    F = m.field
-    if space.cols == 0:
-        return m.nullspace()
-    stacked = m.hstack(-space)
-    ker = stacked.nullspace()
-    vpart = Matrix(F, ker.a[:m.cols, :])
-    return column_space(vpart)
-
-
-def intersect_spaces(s, t):
-    """Basis of span(s) ∩ span(t)."""
-    F = s.field
-    if s.cols == 0 or t.cols == 0:
-        return Matrix.zeros(F, s.rows, 0)
-    ker = s.hstack(-t).nullspace()
-    combo = Matrix(F, ker.a[:s.cols, :])
-    return column_space(s @ combo)
-
-
-def full_space(field_spec, n):
-    return Matrix.identity(field_spec, n)

@@ -13,7 +13,6 @@ an extension field, and the inconclusive case reports the failure bound
 (dim/q)^trials.
 """
 
-import functools
 import random
 
 import numpy as np
@@ -41,6 +40,10 @@ class HomTooLarge(RepresentationError):
     pass
 
 
+class NotAnIntertwiner(RepresentationError):
+    pass
+
+
 def _power_vanishes(m, b):
     """m^b = 0, certified by the rank chain (whose length is the nilpotency
     index plus one); the chain is memoized, so Jordan types reuse it."""
@@ -55,7 +58,8 @@ class Representation:
 
     ``cyclic_data`` is ``(image, cosets)`` for a cyclic module A·v whose
     generator has annihilator A·image and whose basis vectors are c·v for
-    the coset elements c; ``hom_from_cyclic`` reads it.  None otherwise.
+    the coset elements c: the presentation, one relation image·v = 0,
+    from which ``hom_from_cyclic`` solves Hom.  None otherwise.
     """
 
     def __init__(self, algebra, actions, label="", verify=True, cyclic_data=None):
@@ -343,23 +347,6 @@ def induce_trivial(A, image, r=1, label=None, prefer=None):
                           cyclic_data=(image, cosets))
 
 
-def hom_from_cyclic(M, N):
-    """Hom(M, N) for a cyclic module M = A·v with annihilator A·image.
-
-    A map is determined by the image w of the generator, subject only to
-    image·w = 0; the basis is enumerated from the kernel of the image's
-    action on N.
-    """
-    image, cosets = M.cyclic_data
-    ker = N.act(image).nullspace()
-    out = []
-    for c in range(ker.cols):
-        w = Matrix(N.algebra.field, ker.a[:, c].reshape(-1, 1))
-        cols = [(N.act(ce) @ w).a[:, 0] for ce in cosets]
-        out.append(Matrix(N.algebra.field, np.array(cols, dtype=_INT).T))
-    return out
-
-
 # -- Hom spaces and the isomorphism oracle ---------------------------------------------
 
 
@@ -417,18 +404,72 @@ def hom_space_from_sum(parts, N, solvers):
     return out
 
 
+def _memo_act(N):
+    """N.act, memoized over the few distinct elements of one presentation."""
+    acts = {}
+
+    def act(a):
+        key = a.vec.tobytes()
+        if key not in acts:
+            acts[key] = N.act(a).a
+        return acts[key]
+
+    return act
+
+
+def relation_system(N, relations, n_gens):
+    """The block matrix [ρ_N(r_ij)] of the relations Σ_j r_ij·g_j = 0 on
+    ``n_gens`` generators: block row i, block column j.  Its kernel holds
+    the generator images (w_j) in N that satisfy every relation."""
+    act = _memo_act(N)
+    d = N.dim
+    system = np.zeros((len(relations) * d, n_gens * d), dtype=_INT)
+    for i, row in enumerate(relations):
+        for r, j in row:
+            system[i * d:(i + 1) * d, j * d:(j + 1) * d] = act(r)
+    return Matrix(N.algebra.field, system, copy=False)
+
+
+def hom_from_relations(N, relations, spanning):
+    """Hom(P, N) for a module P presented by generators g_j and relations.
+
+    ``relations`` lists the rows Σ_j r_ij·g_j = 0 as lists of (r_ij, j)
+    pairs, r_ij an algebra element; ``spanning`` lists P's basis vectors
+    c_t·g_{j_t} as (c_t, j_t) pairs, in basis order.  A map is fixed by the
+    images w_j of the generators, which run over the kernel of
+    :func:`relation_system`.  Column t of each map is ρ_N(c_t)·w_{j_t}:
+    one product per generator gives it for every kernel vector at once.
+    """
+    F = N.algebra.field
+    d = N.dim
+    n_gens = 1 + max(j for _, j in spanning)
+    act = _memo_act(N)
+    ker = relation_system(N, relations, n_gens).nullspace()
+    if not ker.cols:
+        return []
+    out = np.empty((ker.cols, d, len(spanning)), dtype=_INT)
+    for j in range(n_gens):
+        ts = [t for t, (_, jt) in enumerate(spanning) if jt == j]
+        stacked = Matrix(F, np.vstack([act(spanning[t][0]) for t in ts]), copy=False)
+        images = stacked @ Matrix(F, ker.a[j * d:(j + 1) * d], copy=False)
+        out[:, :, ts] = images.a.reshape(len(ts), d, -1).transpose(2, 1, 0)
+    return [Matrix(F, f, copy=False) for f in out]
+
+
+def hom_from_cyclic(M, N):
+    """Hom(M, N) for a cyclic module M = A·v with annihilator A·image: one
+    relation image·v = 0, spanned by the cosets c·v."""
+    image, cosets = M.cyclic_data
+    return hom_from_relations(N, [[(image, 0)]], [(c, 0) for c in cosets])
+
+
 def hom_from_free(P, N):
-    """Hom(A, N) ≅ N: the map sending 1 to w sends each basis monomial b to b·w."""
+    """Hom(A, N) ≅ N: the free module on one generator, no relations,
+    spanned by the basis monomials."""
     A = N.algebra
     if P.dim != A.dim:
         raise RepresentationError("free summand has wrong dimension")
-    out = []
-    for w in range(N.dim):
-        cols = []
-        for i in range(A.dim):
-            cols.append(N.act_monomial(i).a[:, w])
-        out.append(Matrix(N.algebra.field, np.array(cols, dtype=_INT).T))
-    return out
+    return hom_from_relations(N, [], [(A.monomial(e), 0) for e in A.basis_exps])
 
 
 class IsoReport:
@@ -492,7 +533,7 @@ def iso_test(M, N, trials=24, ext_field=None, seed=0, hom_fwd=None, hom_rev=None
     if not fwd:
         return IsoReport("not_isomorphic", reason="Hom(M,N) = 0", fingerprints=fpM)
     K = ext_field or sampling_extension(M.algebra.field, M.dim)
-    witness, used = invertible_combination(fwd, K, trials, seed)
+    witness, used = invertible_combination(fwd, M, N, K, trials, seed)
     if witness is not None:
         return IsoReport("isomorphic", witness=witness, fingerprints=fpM, trials=used)
     bound = (M.dim / K.q) ** trials
@@ -500,24 +541,38 @@ def iso_test(M, N, trials=24, ext_field=None, seed=0, hom_fwd=None, hom_rev=None
                      fingerprints=fpM, trials=trials, bound=bound)
 
 
-def invertible_combination(basis, K, trials, seed):
+def invertible_combination(basis, source, target, K, trials, seed):
     """``(witness, draws)``: the first invertible random combination of the
-    square matrices ``basis`` over the extension K, or ``(None, trials)``.
+    maps ``basis`` from ``source`` to ``target`` over the extension K, or
+    ``(None, trials)``.
 
     Each draw takes one ``randrange(K.q)`` per basis matrix from
-    ``random.Random(seed)``, so a seed replays the same combinations.
+    ``random.Random(seed)``, so a seed replays the same combinations.  The
+    terms are added one at a time, so no stack of the basis is formed.  An
+    invertible combination is returned only once W·ρ_source(g) =
+    ρ_target(g)·W holds over K for every generator g, so the basis is never
+    trusted; NotAnIntertwiner names the first generator that fails.
     """
     n = basis[0].rows
     emb = basis[0].field.embedding(K)
-    lifted = np.stack([emb[f.a] for f in basis])   # k x n x n
     rng = random.Random(seed)
     for t in range(trials):
-        coeffs = np.array([rng.randrange(K.q) for _ in basis], dtype=_INT)
-        terms = K.MUL[coeffs[:, None, None], lifted]
-        combo = Matrix(K, functools.reduce(K.add_arrays, terms), copy=False)
+        acc = np.zeros((n, n), dtype=_INT)
+        for f in basis:
+            acc = K.add_arrays(acc, K.MUL[rng.randrange(K.q), emb][f.a])
+        combo = Matrix(K, acc, copy=False)
         if combo.rank() == n:
+            _check_intertwiner(combo, source, target)
             return combo, t + 1
     return None, trials
+
+
+def _check_intertwiner(W, source, target):
+    K = W.field
+    for g, name in enumerate(source.algebra.gen_names):
+        if W @ source.actions[g].map_field(K) != target.actions[g].map_field(K) @ W:
+            raise NotAnIntertwiner(f"witness fails W·ρ({name}) = ρ({name})·W "
+                                   f"from {source.label or '?'} to {target.label or '?'}")
 
 
 def free_rank(M):

@@ -10,9 +10,9 @@ from restrep.algebra import (AlgebraError, AlgebraMorphism, base_change,
                              build_heisenberg, build_truncated_polynomial)
 from restrep.hopf import named_structure
 from restrep.matrices import Matrix, nilpotent_jordan_type
-from restrep.modules import (HomTooLarge, NotFreeBasis, Representation,
+from restrep.modules import (HomTooLarge, NotAnIntertwiner, NotFreeBasis, Representation,
                              base_change_rep, conjugate,
-                             dim_hom, direct_sum, free_rank, hom_from_cyclic,
+                             dim_hom, direct_sum, free_rank, hom_from_cyclic, hom_from_free,
                              hom_space, induce, induce_trivial, iso_test,
                              jordan_block_module, pbw_cosets, regular_module,
                              rep_from_json, restrict, tensor, trivial_module,
@@ -233,6 +233,39 @@ def test_hom_from_cyclic_matches_generic():
         for f in fast:
             for g in range(2):
                 assert N.actions[g] @ f == f @ M.actions[g]
+
+
+@pytest.mark.parametrize("F, bounds", [(field(2), [2, 2]), (field(2, 2), [2, 2]),
+                                       (field(3), [3, 3])])
+def test_hom_from_free_matches_generic(F, bounds):
+    A = build_truncated_polynomial(F, bounds)
+    P = regular_module(A)
+    lie = named_structure(A, "lie_primitive")
+    V = induce_trivial(A, A.generator("y"))
+    rng = random.Random(31)
+    W = direct_sum([V, trivial_module(A)])
+    targets = [P, V, W, tensor(V, V, lie),
+               conjugate(W, Matrix.random_invertible(F, W.dim, rng))]
+    for N in targets:
+        fast = hom_from_free(P, N)
+        assert len(fast) == dim_hom(P, N) == N.dim
+        for f in fast:
+            for g in range(2):
+                assert N.actions[g] @ f == f @ P.actions[g]
+
+
+def test_iso_oracle_checks_its_witness():
+    # a basis that is not an intertwiner: the identity between M and a
+    # random conjugate is invertible, so only the intertwining check stops it
+    A = klein()
+    M = induce_trivial(A, A.generator("x"))
+    rng = random.Random(5)
+    C = conjugate(M, Matrix.random_invertible(A.field, M.dim, rng))
+    assert M.actions != C.actions
+    ident = Matrix.identity(A.field, M.dim)
+    with pytest.raises(NotAnIntertwiner, match=r"ρ\((x|y)\)"):
+        iso_test(M, C, hom_fwd=lambda: [ident], hom_rev=lambda: [ident])
+    assert iso_test(M, C).verdict == "isomorphic"
 
 
 def test_iso_oracle_identity_and_fingerprints():

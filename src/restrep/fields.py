@@ -168,6 +168,18 @@ class FieldSpec:
             a = a * self.p + (c % self.p)
         return a
 
+    def decode_matrix(self, rows, where):
+        """Encoded entries of a JSON matrix of coefficient lists (low degree
+        first).  FieldError naming the entry as ``where[i][j]`` unless each
+        list has at most e digits, all integers in [0, p)."""
+        for i, row in enumerate(rows):
+            for j, cell in enumerate(row):
+                if not (isinstance(cell, list) and len(cell) <= self.e
+                        and all(type(c) is int and 0 <= c < self.p for c in cell)):
+                    raise FieldError(f"{where}[{i}][{j}]: {cell!r} is not a GF({self.q}) "
+                                     f"coefficient list (length <= {self.e}, digits in [0, {self.p}))")
+        return [[self.from_coeffs(cell) for cell in row] for row in rows]
+
     def _build_tables(self):
         p, e, q = self.p, self.e, self.q
         idx = np.arange(q, dtype=np.int64)

@@ -25,8 +25,8 @@ from .algebra import (AlgebraError, AlgebraMorphism, build_abelian_restricted,
 from .fields import field
 from .hopf import named_structure
 from .matrices import Matrix, _INT, JordanType, nilpotent_jordan_type
-from .modules import (Representation, RepresentationError, direct_sum,
-                      hom_from_cyclic, hom_space_from_sum, induce,
+from .modules import (HomSpace, Representation, RepresentationError, direct_sum,
+                      hom_from_cyclic, hom_space, hom_space_from_sum, induce,
                       induce_trivial, iso_test, jordan_block_module,
                       pbw_cosets, tensor, twist_module)
 from .pipoints import PointFamily, is_isotropy
@@ -521,15 +521,9 @@ def wild_abelian_isotropy_check(case, p=None, n=None, m=None):
 
 
 def hom_from_cyclic_sum_rev(T, M, copies):
-    """Hom(T, ⊕ copies of M): each map from the generic basis of Hom(T, M)
-    placed into each copy's block of rows."""
-    from .modules import hom_space
-    base = hom_space(T, M)
-    F = M.algebra.field
-    out = []
-    for i in range(copies):
-        for f in base:
-            m = np.zeros((copies * M.dim, T.dim), dtype=_INT)
-            m[i * M.dim:(i + 1) * M.dim, :] = f.a
-            out.append(Matrix(F, m, copy=False))
-    return out
+    """Hom(T, ⊕ copies of M): read row by row, a map is its row blocks, maps
+    in Hom(T, M), one after another; so its kernel is the generic kernel of
+    Hom(T, M) once per copy, block diagonally."""
+    [(ker, _, _)] = hom_space(T, M).blocks
+    blocks = Matrix(ker.field, np.kron(np.eye(copies, dtype=_INT), ker.a), copy=False)
+    return HomSpace.reshaped(blocks, (copies * M.dim, T.dim))

@@ -183,9 +183,9 @@ class KleinContext:
         return [m * M.dim - int(r) for m, r in zip(range(1, up_to + 1), ranks)]
 
     def basev_hom_basis(self, V, M):
-        """Basis of Hom(V_2m, M) from the chain presentation: the images
-        (w_1..w_m) of the u_i satisfy the chain relations, and the basis
-        l_1..l_m, u_1..u_m of V_2m maps to s1·w_1..s1·w_m, w_1..w_m."""
+        """Hom(V_2m, M) from the chain presentation, as a ``HomSpace``: the
+        images (w_1..w_m) of the u_i satisfy the chain relations, and the
+        basis l_1..l_m, u_1..u_m of V_2m maps to s1·w_1..s1·w_m, w_1..w_m."""
         m = V.n
         one = self.A.one()
         spanning = [(V.s1, i) for i in range(m)] + [(one, i) for i in range(m)]
@@ -281,25 +281,23 @@ class KleinContext:
         parts = []
         solvers = []
         for n, m in sorted(mv.a.items()):
-            for _ in range(m):
-                v = self.basev(coords, n)
-                parts.append(v.rep)
-                solvers.append(lambda _, N, v=v: self.basev_hom_basis(v, N))
-        for _ in range(mv.c):
-            parts.append(self.P)
-            solvers.append(hom_from_free)
+            v = self.basev(coords, n)
+            parts += [v.rep] * m
+            solvers += [lambda _, N, v=v: self.basev_hom_basis(v, N)] * m
+        parts += [self.P] * mv.c
+        solvers += [hom_from_free] * mv.c
         if not parts:
             raise VerificationFailed("empty rebuild")
         rep = direct_sum(parts, label=f"rebuild({mv!r})")
         return rep, lambda N: hom_space_from_sum(parts, N, solvers)
 
     def _certify(self, R, M, hom_solver, trials=24, seed=0):
-        """Find an invertible intertwiner R -> M from the solver's basis."""
-        basis = hom_solver(M)
-        if not basis:
+        """Find an invertible intertwiner R -> M in the solver's Hom space."""
+        space = hom_solver(M)
+        if not space:
             return False
         K = sampling_extension(self.K, M.dim)
-        witness, _ = invertible_combination(basis, R, M, K, trials, seed)
+        witness, _ = invertible_combination(space, R, M, K, trials, seed)
         return witness is not None
 
     # -- the published product checks ------------------------------------------------

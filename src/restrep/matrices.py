@@ -301,8 +301,7 @@ class Matrix:
     @classmethod
     def from_json(cls, data):
         F = field(int(data["field"]["p"]), int(data["field"].get("e", 1)))
-        rows = [[F.from_coeffs(cell) for cell in row] for row in data["entries"]]
-        m = cls(F, rows)
+        m = cls(F, F.decode_matrix(data["entries"], "entries"))
         if m.shape != (data["rows"], data["cols"]):
             raise MatrixError("matrix JSON shape mismatch")
         return m

@@ -350,8 +350,63 @@ def induce_trivial(A, image, r=1, label=None, prefer=None):
 # -- Hom spaces and the isomorphism oracle ---------------------------------------------
 
 
+class HomSpace:
+    """Hom(P, N) over F, held as kernels of solves from which maps are
+    assembled on demand: spun, as in the MeatAxe (Parker 1984; Lux &
+    Szőke, Exp. Math. 12, 2003).
+
+    ``blocks`` lists ``(ker, assemble, col)``: ``ker`` (D × k over F) is
+    the kernel of one solve, and ``assemble(w)`` maps a D × r matrix over
+    an extension of F to the r × dim N × width array of the maps its
+    columns give, placed from source column ``col`` on.  The basis is the
+    blocks' kernel columns in order.  Assembly is linear, so Σ c_i·f_i is
+    the assembly of ker·c: :meth:`combine` forms no basis map, and
+    :meth:`maps` is the only place that does.
+    """
+
+    def __init__(self, shape, blocks):
+        self.field = blocks[0][0].field
+        self.shape = shape              # (dim N, dim P)
+        self.blocks = blocks
+
+    @classmethod
+    def reshaped(cls, ker, shape):
+        """One block whose maps are the columns of ``ker`` read row by row."""
+        return cls(shape, [(ker, lambda w: w.a.T.reshape((w.cols,) + shape), 0)])
+
+    def __len__(self):
+        return sum(ker.cols for ker, _, _ in self.blocks)
+
+    def maps(self):
+        """The basis maps, in order."""
+        return [Matrix(self.field, f, copy=False)
+                for f in self.spin(np.eye(len(self), dtype=_INT), self.field)]
+
+    def combine(self, c, K):
+        """Σ c_i·f_i over the extension K."""
+        return Matrix(K, self.spin(np.array(c, dtype=_INT)[:, None], K)[0], copy=False)
+
+    def spin(self, C, K):
+        """The r × dim N × dim P array of the maps Σ_i C[i, t]·f_i over K,
+        one for each column t of the k × r array C.  Blocks that share a
+        kernel (copies of one summand) share its product and assembly."""
+        r = C.shape[1]
+        out = np.zeros((r,) + self.shape, dtype=_INT)
+        starts = np.cumsum([0] + [ker.cols for ker, _, _ in self.blocks])
+        for ker in {id(b[0]): b[0] for b in self.blocks}.values():
+            idx = [i for i, b in enumerate(self.blocks) if b[0] is ker]
+            coeffs = np.hstack([C[starts[i]:starts[i + 1]] for i in idx])
+            spun = self.blocks[idx[0]][1](ker.map_field(K) @ Matrix(K, coeffs, copy=False))
+            for i, maps in zip(idx, spun.reshape((len(idx), r) + spun.shape[1:])):
+                col = self.blocks[i][2]
+                out[:, :, col:col + maps.shape[2]] = maps
+        return out
+
+
 def hom_space(M, N):
-    """Basis of the intertwiner space {F : F ρ_M(g) = ρ_N(g) F for all g}.
+    """The intertwiner space {F : F ρ_M(g) = ρ_N(g) F for all g}, solved as
+    one Kronecker system in the entries of F, as a :class:`HomSpace` whose
+    maps are its kernel columns read row by row.
 
     HomTooLarge, before anything is allocated, when the solve's peak
     memory would exceed HOM_BYTE_BUDGET.
@@ -360,8 +415,6 @@ def hom_space(M, N):
         raise AlgebraMismatch("Hom between modules over different algebras")
     F = M.algebra.field
     n_unknown = M.dim * N.dim
-    if M.dim == 0 or N.dim == 0:
-        return []
     n_gens = len(M.algebra.gen_names)
     # peak: the (n_gens·n) x n int16 system, plus its elimination working
     # copy and up to four row-update temporaries of that size, int32 over
@@ -377,11 +430,7 @@ def hom_space(M, N):
         A_g = N.actions[g]
         B_g = M.actions[g]
         big[g * n_unknown:(g + 1) * n_unknown] = (A_g.kron(Im) - In.kron(B_g.transpose())).a
-    ker = Matrix(F, big, copy=False).nullspace()
-    out = []
-    for c in range(ker.cols):
-        out.append(Matrix(F, ker.a[:, c].reshape(N.dim, M.dim)))
-    return out
+    return HomSpace.reshaped(Matrix(F, big, copy=False).nullspace(), (N.dim, M.dim))
 
 
 def dim_hom(M, N):
@@ -389,19 +438,18 @@ def dim_hom(M, N):
 
 
 def hom_space_from_sum(parts, N, solvers):
-    """Hom(⊕ parts, N) assembled blockwise; ``solvers[i](parts[i], N)`` is a
-    basis of Hom(parts[i], N)."""
-    total = sum(r.dim for r in parts)
-    F = N.algebra.field
-    out = []
-    off = 0
+    """Hom(⊕ parts, N): the blocks of the spaces ``solvers[i](parts[i], N)``
+    side by side.  A summand repeated with the same solver (the same two
+    objects) is solved once, and its copies share that kernel.  No map is
+    formed here: ``maps()`` is the only place that forms basis maps, and
+    :func:`invertible_combination` checks every witness it spins."""
+    solved, blocks, col = {}, [], 0
     for r, solver in zip(parts, solvers):
-        for f in solver(r, N):
-            m = np.zeros((N.dim, total), dtype=_INT)
-            m[:, off:off + r.dim] = f.a
-            out.append(Matrix(F, m, copy=False))
-        off += r.dim
-    return out
+        if (r, solver) not in solved:
+            solved[r, solver] = solver(r, N)
+        blocks += [(ker, assemble, col + c) for ker, assemble, c in solved[r, solver].blocks]
+        col += r.dim
+    return HomSpace((N.dim, col), blocks)
 
 
 def _memo_act(N):
@@ -437,23 +485,30 @@ def hom_from_relations(N, relations, spanning):
     pairs, r_ij an algebra element; ``spanning`` lists P's basis vectors
     c_t·g_{j_t} as (c_t, j_t) pairs, in basis order.  A map is fixed by the
     images w_j of the generators, which run over the kernel of
-    :func:`relation_system`.  Column t of each map is ρ_N(c_t)·w_{j_t}:
-    one product per generator gives it for every kernel vector at once.
+    :func:`relation_system`.  Column t of a map is ρ_N(c_t)·w_{j_t}, so
+    spinning maps from kernel vectors takes one product per generator.
+    The returned :class:`HomSpace` keeps the kernel: ``maps()`` spins all
+    of it and is the only place the basis maps are formed, ``combine`` the
+    one vector ker·c.
     """
     F = N.algebra.field
     d = N.dim
-    n_gens = 1 + max(j for _, j in spanning)
     act = _memo_act(N)
-    ker = relation_system(N, relations, n_gens).nullspace()
-    if not ker.cols:
-        return []
-    out = np.empty((ker.cols, d, len(spanning)), dtype=_INT)
-    for j in range(n_gens):
+    gens = []
+    for j in range(1 + max(j for _, j in spanning)):
         ts = [t for t, (_, jt) in enumerate(spanning) if jt == j]
-        stacked = Matrix(F, np.vstack([act(spanning[t][0]) for t in ts]), copy=False)
-        images = stacked @ Matrix(F, ker.a[j * d:(j + 1) * d], copy=False)
-        out[:, :, ts] = images.a.reshape(len(ts), d, -1).transpose(2, 1, 0)
-    return [Matrix(F, f, copy=False) for f in out]
+        gens.append((Matrix(F, np.vstack([act(spanning[t][0]) for t in ts]), copy=False), ts))
+    ker = relation_system(N, relations, len(gens)).nullspace()
+
+    def assemble(w):
+        K = w.field
+        out = np.empty((w.cols, d, len(spanning)), dtype=_INT)
+        for j, (stacked, ts) in enumerate(gens):
+            images = stacked.map_field(K) @ Matrix(K, w.a[j * d:(j + 1) * d], copy=False)
+            out[:, :, ts] = images.a.reshape(len(ts), d, -1).transpose(2, 1, 0)
+        return out
+
+    return HomSpace((d, len(spanning)), [(ker, assemble, 0)])
 
 
 def hom_from_cyclic(M, N):
@@ -509,9 +564,9 @@ def _fingerprints(M):
 def iso_test(M, N, trials=24, ext_field=None, seed=0, hom_fwd=None, hom_rev=None):
     """Randomized isomorphism oracle with deterministic fingerprint pre-pass.
 
-    ``hom_fwd``/``hom_rev`` optionally supply Hom(M,N) and Hom(N,M) bases
-    (used for structured modules whose intertwiner spaces have a direct
-    description); otherwise the generic solver runs.
+    ``hom_fwd``/``hom_rev`` optionally supply Hom(M,N) and Hom(N,M) as
+    :class:`HomSpace` values (used for structured modules whose intertwiner
+    spaces have a direct description); otherwise the generic solver runs.
     """
     if M.algebra != N.algebra:
         raise AlgebraMismatch("iso test across different algebras")
@@ -541,26 +596,23 @@ def iso_test(M, N, trials=24, ext_field=None, seed=0, hom_fwd=None, hom_rev=None
                      fingerprints=fpM, trials=trials, bound=bound)
 
 
-def invertible_combination(basis, source, target, K, trials, seed):
+def invertible_combination(space, source, target, K, trials, seed):
     """``(witness, draws)``: the first invertible random combination of the
-    maps ``basis`` from ``source`` to ``target`` over the extension K, or
-    ``(None, trials)``.
+    maps of the :class:`HomSpace` ``space`` from ``source`` to ``target``
+    over the extension K, or ``(None, trials)``.
 
-    Each draw takes one ``randrange(K.q)`` per basis matrix from
-    ``random.Random(seed)``, so a seed replays the same combinations.  The
-    terms are added one at a time, so no stack of the basis is formed.  An
-    invertible combination is returned only once W·ρ_source(g) =
-    ρ_target(g)·W holds over K for every generator g, so the basis is never
-    trusted; NotAnIntertwiner names the first generator that fails.
+    Each draw takes one ``randrange(K.q)`` per basis map, in basis order,
+    from ``random.Random(seed)``, so a seed replays the same combinations.
+    A combination is spun from its coefficients (``space.combine``), so no
+    basis map is formed (only ``space.maps()`` forms them).  An invertible combination is returned only once
+    W·ρ_source(g) = ρ_target(g)·W holds over K for every generator g, so
+    the space is never trusted; NotAnIntertwiner names the first generator
+    that fails.
     """
-    n = basis[0].rows
-    emb = basis[0].field.embedding(K)
+    n = space.shape[0]
     rng = random.Random(seed)
     for t in range(trials):
-        acc = np.zeros((n, n), dtype=_INT)
-        for f in basis:
-            acc = K.add_arrays(acc, K.MUL[rng.randrange(K.q), emb][f.a])
-        combo = Matrix(K, acc, copy=False)
+        combo = space.combine([rng.randrange(K.q) for _ in range(len(space))], K)
         if combo.rank() == n:
             _check_intertwiner(combo, source, target)
             return combo, t + 1
@@ -599,8 +651,6 @@ def rep_from_json(data, algebra=None):
         else:
             raise RepresentationError("unknown algebra kind in JSON")
     F = algebra.field
-    actions = []
-    for entries in data["actions"]:
-        rows = [[F.from_coeffs(cell) for cell in row] for row in entries]
-        actions.append(Matrix(F, rows))
+    actions = [Matrix(F, F.decode_matrix(entries, f"actions[{g}]"))
+               for g, entries in enumerate(data["actions"])]
     return Representation(algebra, actions, label=data.get("label", ""))

@@ -154,6 +154,11 @@ def bad_support_input(tmp_path, case):
         del data["algebra"]
         mod_file.write_text(json.dumps(data))
         return ["support", "--module", str(mod_file)]
+    if case in ("long_entry", "digit_out_of_range"):
+        # over GF(2) an entry is one digit in [0, 2)
+        data["actions"][0][0][1] = [1, 1] if case == "long_entry" else [2]
+        mod_file.write_text(json.dumps(data))
+        return ["support", "--module", str(mod_file)]
     # x acts by a 3 x 3 Jordan block, so x^2 = 0 fails
     J3 = [[[0], [1], [0]], [[0], [0], [1]], [[0], [0], [0]]]
     zero = [[[0]] * 3 for _ in range(3)]
@@ -165,15 +170,19 @@ def bad_support_input(tmp_path, case):
     ["heisenberg", "--p", "4"], ["twodim", "--p", "4"], ["cgm", "--p", "9"],
     ["scaling", "--p", "4"], ["heisenberg", "--p", "2"],
     "support:no_algebra", "support:breaks_relation",
+    "support:long_entry", "support:digit_out_of_range",
 ], ids=lambda a: " ".join(a) if isinstance(a, list) else a)
 def test_bad_input_exits_2_with_one_line(args, tmp_path):
-    if isinstance(args, str):
-        args = bad_support_input(tmp_path, args.split(":")[1])
+    case = args.split(":")[1] if isinstance(args, str) else None
+    if case:
+        args = bad_support_input(tmp_path, case)
     code, out, err = run_cli(args)
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith(f"{args[0]}: ")
     assert "Traceback" not in err
+    if case in ("long_entry", "digit_out_of_range"):
+        assert "actions[0][0][1]" in err
 
 
 def test_usage_error_exit_code():

@@ -10,7 +10,7 @@ from restrep.klein import (BadSupport, DegenerateBasis, KleinContext,
                            MultiplicityVector, PointNotIgnoble,
                            VerificationFailed, WANG_STRUCTURES)
 from restrep.matrices import Matrix, nilpotent_jordan_type
-from restrep.modules import (conjugate, direct_sum, free_rank, hom_space,
+from restrep.modules import (HomSpace, conjugate, direct_sum, free_rank, hom_space,
                              induce_trivial, iso_test, tensor)
 
 
@@ -84,10 +84,7 @@ def test_basev_indecomposable_no_idempotent(ctx):
             combos = ([rng.randrange(K.q) for _ in range(dims)] for _ in range(4096))
         ident = Matrix.identity(K, 2 * n)
         for coeffs in combos:
-            T = Matrix.zeros(K, 2 * n, 2 * n)
-            for c, f in zip(coeffs, end):
-                if c:
-                    T = T + f.scale(c)
+            T = end.combine(coeffs, K)
             if T @ T == T:
                 assert T.is_zero() or T == ident, (n, coeffs)
 
@@ -127,9 +124,18 @@ def test_chain_solver_matches_generic_on_random_modules(ctx):
                 assert dims[m - 1] == len(hom_space(v.rep, M)), (coords, m)
                 basis = ctx.basev_hom_basis(v, M)
                 assert len(basis) == dims[m - 1]
-                for f in basis:
+                for f in basis.maps():
                     for g in range(2):
                         assert M.actions[g] @ f == f @ v.rep.actions[g]
+
+
+def test_certify_never_materializes_a_basis(ctx, monkeypatch):
+    # the witness is spun from one random kernel vector per summand
+    def refuse(space):
+        raise AssertionError("a Hom basis was materialized")
+    monkeypatch.setattr(HomSpace, "maps", refuse)
+    row = ctx.check_basev_formula("lie_primitive", (1, 0), 4, 4)
+    assert row["computed"] == "2V8 + 12P" and row["match"]
 
 
 def test_system_matrix_invertible(ctx):

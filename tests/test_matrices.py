@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from restrep.algebra import build_truncated_polynomial
-from restrep.fields import field
+from restrep.fields import FieldError, field
 from restrep.hopf import named_structure
 from restrep.matrices import (FieldMismatch, JordanType, Matrix, NotNilpotent, _exact_float,
                               nilpotent_jordan_type, rank_chain)
@@ -203,6 +203,11 @@ def test_matrix_json_roundtrip():
         data = m.to_json()
         assert data["rows"] == 3 and data["cols"] == 4
         assert len(data["entries"]) == 3 and len(data["entries"][0][0]) == F.e
+        # a digit outside [0, p), or more than e digits, names its entry
+        for bad in ([F.p] + [0] * (F.e - 1), [1] * (F.e + 1)):
+            data["entries"][2][1] = bad
+            with pytest.raises(FieldError, match=r"entries\[2\]\[1\]"):
+                Matrix.from_json(data)
 
 
 def test_pow():

@@ -1,19 +1,22 @@
 """Representations: actions, tensor/restrict/induce/twist, Hom, iso oracle."""
 
+import hashlib
 import random
 
 import numpy as np
 import pytest
 
-from restrep.fields import field
+from restrep.fields import field, sampling_extension
 from restrep.algebra import (AlgebraError, AlgebraMorphism, base_change,
                              build_heisenberg, build_truncated_polynomial)
 from restrep.hopf import named_structure
 from restrep.matrices import Matrix, nilpotent_jordan_type
-from restrep.modules import (HomTooLarge, NotAnIntertwiner, NotFreeBasis, Representation,
+from restrep.heisenberg import hom_from_cyclic_sum_rev
+from restrep.modules import (HomSpace, HomTooLarge, NotAnIntertwiner, NotFreeBasis, Representation,
                              base_change_rep, conjugate,
                              dim_hom, direct_sum, free_rank, hom_from_cyclic, hom_from_free,
-                             hom_space, induce, induce_trivial, iso_test,
+                             hom_from_relations, hom_space, hom_space_from_sum,
+                             induce, induce_trivial, iso_test,
                              jordan_block_module, pbw_cosets, regular_module,
                              rep_from_json, restrict, tensor, trivial_module,
                              twist_module)
@@ -198,7 +201,7 @@ def test_hom_space_is_intertwiner_basis():
     V = induce_trivial(A, A.generator("y"))
     P = regular_module(A)
     basis = hom_space(V, P)
-    for f in basis:
+    for f in basis.maps():
         for g in range(2):
             assert P.actions[g] @ f == f @ V.actions[g]
     assert dim_hom(V, P) == 2
@@ -230,7 +233,7 @@ def test_hom_from_cyclic_matches_generic():
     for M, N in pairs:
         fast = hom_from_cyclic(M, N)
         assert len(fast) == dim_hom(M, N)
-        for f in fast:
+        for f in fast.maps():
             for g in range(2):
                 assert N.actions[g] @ f == f @ M.actions[g]
 
@@ -249,9 +252,54 @@ def test_hom_from_free_matches_generic(F, bounds):
     for N in targets:
         fast = hom_from_free(P, N)
         assert len(fast) == dim_hom(P, N) == N.dim
-        for f in fast:
+        for f in fast.maps():
             for g in range(2):
                 assert N.actions[g] @ f == f @ P.actions[g]
+
+
+@pytest.mark.parametrize("F", [field(2), field(2, 2), field(3)], ids=str)
+def test_hom_space_combine_and_length_match_the_oracle(F):
+    # every Hom-space value: its length is the Kronecker oracle's dimension,
+    # its maps are independent intertwiners, and combine(c, K) is the sum
+    # Σ c_i·maps()[i] over K, over F itself and over a sampling extension
+    p = F.p
+    A = build_truncated_polynomial(F, [p, p])
+    x, y = A.generators()
+    Vy, Vx = induce_trivial(A, y), induce_trivial(A, x)
+    P = regular_module(A)
+    Z = Representation(A, [Matrix.zeros(F, 0, 0)] * 2)
+    rng = random.Random(17)
+    W = direct_sum([Vy, trivial_module(A)])
+    N = conjugate(W, Matrix.random_invertible(F, W.dim, rng))
+    T = tensor(Vy, Vy, named_structure(A, "lie_primitive"))
+    both = [(c, 0) for c in Vy.cyclic_data[1]] + [(c, 1) for c in Vx.cyclic_data[1]]
+    sum_parts = [Vy, Vy, Z, P]
+    cases = [
+        (direct_sum([Vy, Vx]), N, hom_from_relations(N, [[(y, 0)], [(x, 1)]], both)),
+        (Vy, T, hom_from_cyclic(Vy, T)),
+        (P, N, hom_from_free(P, N)),
+        (direct_sum(sum_parts), N, hom_space_from_sum(
+            sum_parts, N, [hom_from_cyclic, hom_from_cyclic, hom_space, hom_from_free])),
+        (N, direct_sum([Vy, Vy]), hom_from_cyclic_sum_rev(N, Vy, 2)),
+    ]
+    for src, tgt, space in cases:
+        assert space.shape == (tgt.dim, src.dim)
+        assert len(space) == len(hom_space(src, tgt))
+        maps = space.maps()
+        assert len(maps) == len(space)
+        for f in maps:
+            for g in range(2):
+                assert tgt.actions[g] @ f == f @ src.actions[g]
+        if maps:
+            vecs = Matrix(F, np.array([f.a.ravel() for f in maps]))
+            assert vecs.rank() == len(maps)
+        for K in (F, sampling_extension(F, 2 * tgt.dim)):
+            for _ in range(2):
+                c = [rng.randrange(K.q) for _ in maps]
+                ref = Matrix.zeros(K, tgt.dim, src.dim)
+                for ci, f in zip(c, maps):
+                    ref = ref + f.map_field(K).scale(ci)
+                assert space.combine(c, K) == ref
 
 
 def test_iso_oracle_checks_its_witness():
@@ -262,9 +310,12 @@ def test_iso_oracle_checks_its_witness():
     rng = random.Random(5)
     C = conjugate(M, Matrix.random_invertible(A.field, M.dim, rng))
     assert M.actions != C.actions
-    ident = Matrix.identity(A.field, M.dim)
+    n = M.dim
+    vec_ident = Matrix(A.field, np.eye(n, dtype=np.int16).reshape(-1, 1))
+    ident = HomSpace.reshaped(vec_ident, (n, n))
+    assert ident.maps() == [Matrix.identity(A.field, n)]
     with pytest.raises(NotAnIntertwiner, match=r"ρ\((x|y)\)"):
-        iso_test(M, C, hom_fwd=lambda: [ident], hom_rev=lambda: [ident])
+        iso_test(M, C, hom_fwd=lambda: ident, hom_rev=lambda: ident)
     assert iso_test(M, C).verdict == "isomorphic"
 
 
@@ -295,6 +346,58 @@ def test_iso_oracle_on_random_conjugations():
         assert r.verdict == "isomorphic"
         # the witness really intertwines and is invertible
         assert r.witness.rank() == M.dim
+
+
+def _witness_sha(W, used):
+    return hashlib.sha256(W.a.tobytes() + str(used).encode()).hexdigest()
+
+
+def test_witness_stream_is_pinned(monkeypatch):
+    # witnesses and trial counts of seeded iso tests and klein certifies,
+    # recorded before the Hom spaces were spun instead of stored: the
+    # randrange stream (one draw per basis map, in basis order) must not drift
+    from restrep import heisenberg
+    from restrep import klein as klein_case
+    got = []
+    certify = klein_case.invertible_combination
+    monkeypatch.setattr(klein_case, "invertible_combination",
+                        lambda *a: got.append(certify(*a)) or got[-1])
+    ctx = klein_case.KleinContext(ext_degree=2, seed=0, trials=24)
+    for args, sha in [
+        (("lie_primitive", (1, 0), 4, 4),
+         "237a44434d5d300f43c5772d81eeb2dec32f0e898c408e827da70b680e52f1ec"),
+        (("lie_primitive", (2, 1), 2, 3),
+         "d95dd78bcfa6e77151a6abc6aa9fa30edf1d4516cbcfe39c198d007498f359c5"),
+        (("wang_Ga2", (0, 1), 3, 1),
+         "723592fa731bb4981c9e87c6760353cc4d3cbe95130a25117d497a14f0831b83"),
+    ]:
+        got.clear()
+        assert ctx.check_basev_formula(*args)["matches_noble_formula"]
+        assert _witness_sha(*got[0]) == sha, args
+    reports = []
+    iso = heisenberg.iso_test
+    monkeypatch.setattr(heisenberg, "iso_test", lambda *a, **k: reports.append(iso(*a, **k))
+                        or reports[-1])
+    for p, sha in [(3, "7fdd11bf828f06be57bb9d6bb1ec9662e697564e28b6c90f36370ffe75e7b970"),
+                   (5, "fde801bccf5bb7ddedc3f52c152fe5c34ff129266732cf4da6b51816486e8865")]:
+        reports.clear()
+        heisenberg.wild_abelian_isotropy_check("twodim", p=p)
+        assert _witness_sha(reports[0].witness, reports[0].trials) == sha, p
+    rng = random.Random(7)
+    A = klein()
+    A4 = build_truncated_polynomial(field(2, 2), [2, 2])
+    At = build_truncated_polynomial(field(3), [3], names=("t",))
+    pool = [regular_module(A), induce_trivial(A4, A4.generator("x")),
+            direct_sum([induce_trivial(A, A.generator("y")), trivial_module(A)]),
+            direct_sum([jordan_block_module(At, 2), jordan_block_module(At, 3)])]
+    shas = ["1d50f350bd0368ee9ca484f9d60de43c5079fa65c28584b39eeb26e0bfedbc8b",
+            "ac874d0fd22a4752c0394029e0f6e0228745db57f11a0ed596011eef188238cf",
+            "30cccd83c244d509e5d6c3399c70c2bcdd4db4138ec487b35976ae3e27c6f268",
+            "4f933d21ba82996c3673e0f169b2ee9f71a680bda21f82927a7abc821947efc6"]
+    for i, (M, sha) in enumerate(zip(pool, shas)):
+        S = Matrix.random_invertible(M.algebra.field, M.dim, rng)
+        r = iso_test(M, conjugate(M, S), seed=100 + i)
+        assert _witness_sha(r.witness, r.trials) == sha, i
 
 
 def test_free_rank_agrees_with_peeling():

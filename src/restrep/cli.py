@@ -38,6 +38,7 @@ def _jsonable(v):
 
 def emit(rows, fmt, out, scenario, ok, extra=None):
     rows = [{k: _jsonable(v) for k, v in row.items()} for row in rows]
+    cols = list(dict.fromkeys(k for row in rows for k in row))
     if fmt == "json":
         payload = {"scenario": scenario, "ok": ok, "rows": rows}
         if extra:
@@ -45,22 +46,12 @@ def emit(rows, fmt, out, scenario, ok, extra=None):
                                 for k, v in extra.items()}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif fmt == "csv":
-        cols = []
-        for row in rows:
-            for k in row:
-                if k not in cols:
-                    cols.append(k)
         buf = io.StringIO()
         w = csv.DictWriter(buf, fieldnames=cols)
         w.writeheader()
         w.writerows(rows)
         text = buf.getvalue()
     else:
-        cols = []
-        for row in rows:
-            for k in row:
-                if k not in cols:
-                    cols.append(k)
         widths = {c: max(len(c), *(len(str(r.get(c, ""))) for r in rows)) if rows else len(c)
                   for c in cols}
         lines = ["  ".join(c.ljust(widths[c]) for c in cols)]

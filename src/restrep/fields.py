@@ -294,9 +294,6 @@ class FieldSpec:
     def sub_arrays(self, x, y):
         return self.add_arrays(x, y if self.p == 2 else self.NEG[y])   # -y = y in characteristic 2
 
-    def mul_arrays(self, x, y):
-        return self.MUL[x, y]
-
     def neg_arrays(self, x):
         return self.NEG[x]
 
@@ -330,7 +327,7 @@ class FieldSpec:
         elems = np.arange(big.q, dtype=_INT)
         val = np.zeros(big.q, dtype=_INT)
         for c in reversed(self.modulus):
-            val = big.add_arrays(big.mul_arrays(val, elems), _INT(c % self.p))
+            val = big.add_arrays(big.MUL[val, elems], _INT(c % self.p))
         roots = np.nonzero(val == 0)[0]
         if len(roots) == 0:
             raise FieldError("modulus has no root in extension")
@@ -345,9 +342,6 @@ class FieldSpec:
         return table
 
     # -- misc --------------------------------------------------------------------
-
-    def elements(self):
-        return range(self.q)
 
     def fmt(self, a):
         """Deterministic human form: ints for prime fields, polynomials in w above."""

@@ -71,26 +71,13 @@ def block_F(F):
 
 def block_L(F, r):
     """r x r blocks of size p^2: M on the diagonal, identities above."""
-    p = F.p
-    d = p * p
-    M = block_M(F).a
-    m = np.zeros((r * d, r * d), dtype=_INT)
-    for b in range(r):
-        m[b * d:(b + 1) * d, b * d:(b + 1) * d] = M
-        if b + 1 < r:
-            m[b * d:(b + 1) * d, (b + 1) * d:(b + 2) * d] = np.eye(d, dtype=_INT)
-    return Matrix(F, m, copy=False)
+    I_d = Matrix.identity(F, F.p * F.p)
+    return Matrix.identity(F, r).kron(block_M(F)) + Matrix.jordan_block(F, r).kron(I_d)
 
 
 def block_O(F, r):
     """Block diagonal with F blocks: the action of (yz)^{p-1}."""
-    p = F.p
-    d = p * p
-    Fb = block_F(F).a
-    m = np.zeros((r * d, r * d), dtype=_INT)
-    for b in range(r):
-        m[b * d:(b + 1) * d, b * d:(b + 1) * d] = Fb
-    return Matrix(F, m, copy=False)
+    return Matrix.identity(F, r).kron(block_F(F))
 
 
 # -- scenario construction -----------------------------------------------------------
@@ -138,13 +125,8 @@ class HeisenbergScenario:
         Jr = jordan_block_module(B, self.r)
         raw = induce(Jr, phi, cosets)
         perm = paper_order_permutation(self.p, self.r)
-        P = np.zeros((raw.dim, raw.dim), dtype=_INT)
-        for new, old in enumerate(perm):
-            P[new, old] = 1
-        P = Matrix(self.F, P, copy=False)
-        Pinv = P.transpose()   # permutation matrix
-        return Representation(A, [P @ m @ Pinv for m in raw.actions],
-                              label=f"V_{self.r}", verify=False)
+        return Representation(A, [Matrix(self.F, m.a[np.ix_(perm, perm)], copy=False)
+                                  for m in raw.actions], label=f"V_{self.r}", verify=False)
 
     def _cross_check(self):
         A = self.algebra
@@ -388,6 +370,17 @@ def _neither_trivial_nor_free(jt, bound):
     return (not jt.is_free(bound)) and any(s > 1 for s in jt.parts)
 
 
+def _twisted_induced(A, phi, coords, image, r=1, label="V"):
+    """``(fixed, M, M_tw, jt)``: whether φ fixes the point ``coords``, the
+    module M induced along t ↦ image, its twist by φ⁻¹, and the Jordan type
+    of that twist along the image."""
+    fam = PointFamily(A, ext_degree=1)
+    fixed = is_isotropy(phi, fam.point(coords), fam)
+    M = induce_trivial(A, image, r=r, label=label)
+    M_tw = twist_module(M, phi.invert())
+    return fixed, M, M_tw, nilpotent_jordan_type(M_tw.act(image))
+
+
 def wild_abelian_isotropy_check(case, p=None, n=None, m=None):
     """Build the named automorphism, verify it fixes the point, and certify
     that the twisted induced module restricts neither trivially nor freely.
@@ -402,16 +395,10 @@ def wild_abelian_isotropy_check(case, p=None, n=None, m=None):
         if p == 2:
             return {"case": case, "p": 2, "applicable": False,
                     "note": "no PA violation at p=2 (the construction needs p > 2)"}
-        F = field(p)
-        A = build_truncated_polynomial(F, [p, p])
+        A = build_truncated_polynomial(field(p), [p, p])
         x, y = A.generators()
         phi = AlgebraMorphism.from_gen_map(A, {"y": y + x.pow(2)})
-        fam = PointFamily(A, ext_degree=1)
-        pt = fam.point((0, 1))
-        fixed = is_isotropy(phi, pt, fam)
-        M = induce_trivial(A, y, label="M")
-        M_tw = twist_module(M, phi.invert())
-        jt = nilpotent_jordan_type(M_tw.act(y))
+        fixed, M, M_tw, jt = _twisted_induced(A, phi, (0, 1), y, label="M")
         # tensor-square identity holds untwisted and fails twisted
         lie = named_structure(A, "lie_primitive")
         T = tensor(M, M, lie)
@@ -437,72 +424,41 @@ def wild_abelian_isotropy_check(case, p=None, n=None, m=None):
         }
         report["pa_violation_certified"] = (
             report["twisted_square_has_full_block"] and report["sum_lacks_full_block"])
-        if not report["hypothesis_met"]:
-            raise HypothesisNotMet(str(report))
-        return report
-
-    if case == "klein3gen":
-        F = field(2)
-        A = build_abelian_restricted(F, [1, 1, 1])
+    elif case == "klein3gen":
+        A = build_abelian_restricted(field(2), [1, 1, 1])
         x, y, z = A.generators()
         phi = AlgebraMorphism.from_gen_map(A, {"x": x + A.multiply(y, z)})
-        fam = PointFamily(A, ext_degree=1)
-        pt = fam.point((1, 0, 0))
-        fixed = is_isotropy(phi, pt, fam)
-        V = induce_trivial(A, x, label="V")
-        V_tw = twist_module(V, phi.invert())
-        jt = nilpotent_jordan_type(V_tw.act(x))
+        fixed, _, _, jt = _twisted_induced(A, phi, (1, 0, 0), x)
         report = {"case": case, "p": 2, "applicable": True,
                   "isotropy_fixed_point": fixed,
                   "restriction": str(jt),
                   "has_J2": jt.multiplicity(2) > 0,
                   "hypothesis_met": fixed and _neither_trivial_nor_free(jt, 2)}
-        if not report["hypothesis_met"]:
-            raise HypothesisNotMet(str(report))
-        return report
-
-    if case == "mixed":
+    elif case == "mixed":
         p = p or 3
         n, m = n or 2, m or 2
-        F = field(p)
-        A = build_abelian_restricted(F, [n, m])
+        A = build_abelian_restricted(field(p), [n, m])
         x, y = A.generators()
         try:
             phi = AlgebraMorphism.from_gen_map(A, {"x": x + y.pow(2)})
         except AlgebraError as exc:
             raise HypothesisNotMet(
                 f"x ↦ x + y² is not an automorphism of bounds (p^{n}, p^{m}): {exc}")
-        fam = PointFamily(A, ext_degree=1)
-        pt = fam.point((1, 0))
-        fixed = is_isotropy(phi, pt, fam)
-        t_img = x.pow(p ** (n - 1))
-        V = induce_trivial(A, t_img, label="V")
-        V_tw = twist_module(V, phi.invert())
-        jt = nilpotent_jordan_type(V_tw.act(t_img))
+        fixed, _, _, jt = _twisted_induced(A, phi, (1, 0), x.pow(p ** (n - 1)))
         report = {"case": case, "p": p, "n": n, "m": m, "applicable": True,
                   "isotropy_fixed_point": fixed,
                   "restriction": str(jt),
                   "intermediate_part": jt.has_part_strictly_between(1, p),
                   "hypothesis_met": fixed and _neither_trivial_nor_free(jt, p)}
-        if not report["hypothesis_met"]:
-            raise HypothesisNotMet(str(report))
-        return report
-
-    if case == "equal2power":
+    elif case == "equal2power":
         n = n or 2
         if n < 2:
             raise HypothesisNotMet("need n >= 2 for the equal two-power case")
-        F = field(2)
-        A = build_abelian_restricted(F, [n, n])
+        A = build_abelian_restricted(field(2), [n, n])
         x, y = A.generators()
         shift = 2 ** n - 2
         phi = AlgebraMorphism.from_gen_map(A, {"x": x + y.pow(shift)})
-        fam = PointFamily(A, ext_degree=1)
-        pt = fam.point((1, 0))
-        fixed = is_isotropy(phi, pt, fam)
-        V = induce_trivial(A, x, r=n, label="V")
-        V_tw = twist_module(V, phi.invert())
-        jt = nilpotent_jordan_type(V_tw.act(x))
+        fixed, _, _, jt = _twisted_induced(A, phi, (1, 0), x, r=n)
         bound = 2 ** n
         report = {"case": case, "p": 2, "n": n, "applicable": True,
                   "isotropy_fixed_point": fixed,
@@ -513,11 +469,11 @@ def wild_abelian_isotropy_check(case, p=None, n=None, m=None):
                   "rest_are_J1": all(s in (1, 2) for s in jt.parts),
                   "intermediate_part": jt.has_part_strictly_between(1, bound),
                   "hypothesis_met": fixed and _neither_trivial_nor_free(jt, bound)}
-        if not report["hypothesis_met"]:
-            raise HypothesisNotMet(str(report))
-        return report
-
-    raise RepresentationError(f"unknown case {case!r}")
+    else:
+        raise RepresentationError(f"unknown case {case!r}")
+    if not report["hypothesis_met"]:
+        raise HypothesisNotMet(str(report))
+    return report
 
 
 def hom_from_cyclic_sum_rev(T, M, copies):

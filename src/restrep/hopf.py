@@ -73,10 +73,10 @@ def t2_add(F, u, v):
     return out
 
 
-def t2_scale(F, c, u):
-    if not c:
-        return {}
-    return {k: F.mul(c, v) for k, v in u.items()}
+def t2_axpy(F, acc, c, u, key=None):
+    """acc += c·u in place; ``key`` maps u's keys to acc's when they differ."""
+    for k, v in u.items():
+        t2_add_term(F, acc, key(k) if key else k, F.mul(c, v))
 
 
 def t2_from_pair(a, b):
@@ -112,32 +112,24 @@ def t2_swap(u):
     return {(j, i): c for (i, j), c in u.items()}
 
 
-def t2_eps_left(A, u):
-    """(ε⊗id) of a sparse tensor, as a coefficient vector over A."""
+def t2_counit(A, u, side):
+    """(ε⊗id) (side 0) or (id⊗ε) (side 1) of a sparse tensor, as a
+    coefficient vector over A."""
     v = np.zeros(A.dim, dtype=_INT)
-    for (i, j), c in u.items():
-        if i == A.identity_index:
-            v[j] = A.field.add(int(v[j]), c)
-    return v
-
-def t2_eps_right(A, u):
-    v = np.zeros(A.dim, dtype=_INT)
-    for (i, j), c in u.items():
-        if j == A.identity_index:
-            v[i] = A.field.add(int(v[i]), c)
+    for key, c in u.items():
+        if key[side] == A.identity_index:
+            k = key[1 - side]
+            v[k] = A.field.add(int(v[k]), c)
     return v
 
 
 def t2_act_morphism(phi, u):
     """(φ⊗φ) applied to a sparse tensor; phi an endomorphism of A."""
-    A = phi.target
-    F = A.field
     out = {}
     for (i, j), c in u.items():
         fi = phi._mono_image(phi.source.basis_exps[i])
         fj = phi._mono_image(phi.source.basis_exps[j])
-        for k, ck in t2_scale(F, c, t2_from_pair(fi, fj)).items():
-            t2_add_term(F, out, k, ck)
+        t2_axpy(phi.target.field, out, c, t2_from_pair(fi, fj))
     return out
 
 
@@ -176,12 +168,9 @@ class Comultiplication:
 
     def delta_of(self, a):
         """Linear extension of the basis table to an arbitrary element."""
-        A = self.algebra
-        F = A.field
         out = {}
         for i in a.support():
-            for k, c in t2_scale(F, int(a.vec[i]), self.delta_basis(i)).items():
-                t2_add_term(F, out, k, c)
+            t2_axpy(self.algebra.field, out, int(a.vec[i]), self.delta_basis(i))
         return out
 
     def generator_terms(self, g):
@@ -207,24 +196,21 @@ class Comultiplication:
     def _verify_axioms(self):
         A = self.algebra
         F = A.field
-        one = A.identity_index
         for i in self._sample_indices():
             d = self.delta_basis(i)
             expected = np.zeros(A.dim, dtype=_INT)
             expected[i] = 1
-            if not np.array_equal(t2_eps_left(A, d), expected):
+            if not np.array_equal(t2_counit(A, d, 0), expected):
                 raise AxiomViolation(f"counit law (ε⊗id) fails on basis {i}")
-            if not np.array_equal(t2_eps_right(A, d), expected):
+            if not np.array_equal(t2_counit(A, d, 1), expected):
                 raise AxiomViolation(f"counit law (id⊗ε) fails on basis {i}")
             if t2_swap(d) != d:
                 raise AxiomViolation(f"cocommutativity fails on basis {i}")
             # coassociativity as sparse tensor cubes
             lhs, rhs = {}, {}
             for (u, v), c in d.items():
-                for (a, b), cu in t2_scale(F, c, self.delta_basis(u)).items():
-                    t2_add_term(F, lhs, (a, b, v), cu)
-                for (b, w), cv in t2_scale(F, c, self.delta_basis(v)).items():
-                    t2_add_term(F, rhs, (u, b, w), cv)
+                t2_axpy(F, lhs, c, self.delta_basis(u), key=lambda k: k + (v,))
+                t2_axpy(F, rhs, c, self.delta_basis(v), key=lambda k: (u,) + k)
             if lhs != rhs:
                 raise AxiomViolation(f"coassociativity fails on basis {i}")
         # multiplicativity on sampled pairs
@@ -282,7 +268,6 @@ def omega(A, a):
     arithmetic before reduction mod p.
     """
     p = A.field.p
-    F = A.field
     powers = [A.one()]
     for _ in range(p):
         powers.append(A.multiply(powers[-1], a))
@@ -291,8 +276,7 @@ def omega(A, a):
         c = (math.comb(p, i) // p) % p
         if not c:
             continue
-        for k, v in t2_scale(F, c, t2_from_pair(powers[i], powers[p - i])).items():
-            t2_add_term(F, out, k, v)
+        t2_axpy(A.field, out, c, t2_from_pair(powers[i], powers[p - i]))
     return out
 
 

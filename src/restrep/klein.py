@@ -6,10 +6,12 @@ realized by the block matrices
 
     s1 ↦ [[0, I_n], [0, 0]],     s2 ↦ [[0, N_n], [0, 0]],
 
-with N_n the upper triangular nilpotent block.  Every module supported
-at a single point splits as ⊕ a_n V_2n ⊕ cP, and the multiplicities are
-recovered exactly from Hom dimensions against the V_2m plus the free
-rank, an invertible integer linear system solved over the rationals.
+with N_n the upper triangular nilpotent block; each V_2n is built and
+verified once per point (and basis choice) and kept on the context.
+Every module supported at a single point splits as ⊕ a_n V_2n ⊕ cP, and
+the multiplicities are recovered exactly from Hom dimensions against the
+V_2m plus the free rank: an invertible integer linear system whose exact
+inverse over the rationals is computed once per size.
 
 V_2m is presented on generators u_1..u_m by the chain relations
 s2·u_1 = 0 and s2·u_i = s1·u_{i-1}, so Hom(V_2m, M) is the kernel of one
@@ -18,6 +20,7 @@ One elimination of that system at the largest m gives every dimension;
 the generic intertwiner solver cross-checks the H table.
 """
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -106,15 +109,15 @@ class MultiplicityVector:
 class KleinContext:
     """Shared algebra, point family, structures and Hom tables over GF(2^e)."""
 
-    def __init__(self, ext_degree=2, cap=8, seed=0, trials=24):
+    def __init__(self, ext_degree=2, seed=0, trials=24):
         self.K = field(2, ext_degree)
         self.A = build_truncated_polynomial(self.K, [2, 2])
         self.family = PointFamily(self.A, ext_degree=ext_degree)
         self.P = regular_module(self.A).relabel("P")
-        self.cap = cap
         self.seed = seed
         self.trials = trials
         self._structures = {}
+        self._basev = {}          # (point, n, basis choice) -> BasevModule
         self._hom_table = None
 
     def structure(self, name):
@@ -123,9 +126,6 @@ class KleinContext:
             hit = named_structure(self.A, name)
             self._structures[name] = hit
         return hit
-
-    def structures(self):
-        return [self.structure(n) for n in WANG_STRUCTURES]
 
     # -- the indecomposables ---------------------------------------------------
 
@@ -145,8 +145,12 @@ class KleinContext:
         return c * x + d * y, a * x + b * y, Matrix(K, [[c, a], [d, b]])
 
     def basev(self, coords, n, basis_choice=None):
+        """V_2n at the point, built and verified once per (point, n, basis choice)."""
         K = self.K
         coords = normalize_coords(K, coords)
+        key = (coords, n, None if basis_choice is None else tuple(map(int, basis_choice)))
+        if key in self._basev:
+            return self._basev[key]
         s1, s2, coeff = self.point_elements(coords, basis_choice)
         S1 = np.zeros((2 * n, 2 * n), dtype=_INT)
         S1[:n, n:] = np.eye(n, dtype=_INT)
@@ -159,7 +163,8 @@ class KleinContext:
         act_y = S1.scale(int(sol.a[0, 1])) + S2.scale(int(sol.a[1, 1]))
         label = coord_label(K, coords)
         rep = Representation(self.A, [act_x, act_y], label=f"V{2 * n}({label})")
-        return BasevModule(coords, label, n, rep, s1, s2)
+        self._basev[key] = BasevModule(coords, label, n, rep, s1, s2)
+        return self._basev[key]
 
     # -- Hom machinery -----------------------------------------------------------
 
@@ -193,7 +198,7 @@ class KleinContext:
 
     GENERIC_H_CAP = 8
 
-    def hom_table(self, cap=None):
+    def hom_table(self, cap):
         """H[m][n] = dim Hom(V_2m, V_2n) and h[m] = dim Hom(V_2m, P).
 
         Values are independent of the point; they are computed at the
@@ -201,7 +206,6 @@ class KleinContext:
         GENERIC_H_CAP the generic intertwiner solver runs too and must
         agree; beyond that the chain system alone extends the table.
         """
-        cap = cap or self.cap
         if self._hom_table and self._hom_table[0] >= cap:
             return self._hom_table[1], self._hom_table[2]
         ref = (1, 0)
@@ -236,29 +240,29 @@ class KleinContext:
 
     # -- decomposition ----------------------------------------------------------------
 
-    def decompose(self, M, coords, verify_support=True, witness=True):
+    def decompose(self, M, coords):
         """Multiplicities of ⊕ a_n V_2n(point) ⊕ cP isomorphic to M.
 
-        Solves the Hom-dimension system over the rationals, demands a
-        nonnegative integral solution, and certifies the rebuild against
-        M with an explicit invertible intertwiner.
+        Checks that M is supported at the point, solves the Hom-dimension
+        system over the rationals, demands a nonnegative integral solution,
+        and certifies the rebuild against M with an explicit invertible
+        intertwiner.
         """
         coords = normalize_coords(self.K, coords)
         label = coord_label(self.K, coords)
-        if verify_support:
-            supp = self.family.support(M)
-            if not supp.labels <= {label}:
-                raise BadSupport(f"support {supp!r} is not inside {{{label}}}")
+        supp = self.family.support(M)
+        if not supp.labels <= {label}:
+            raise BadSupport(f"support {supp!r} is not inside {{{label}}}")
         cfree = free_rank(M)
         rest = M.dim - 4 * cfree
         if rest < 0 or rest % 2:
             raise VerificationFailed("dimension bookkeeping is impossible")
         cap = max(1, rest // 2)
-        rows = self.system_matrix(cap)
-        rhs = self.basev_hom_dims(M, coords, cap) + [M.dim]
-        sol = _solve_rational(rows, rhs)
-        if sol is None:
+        inv = _rational_inverse(tuple(map(tuple, self.system_matrix(cap))))
+        if inv is None:
             raise SingularSystem(f"Hom system singular at cap {cap}")
+        rhs = self.basev_hom_dims(M, coords, cap) + [M.dim]
+        sol = [sum(a * b for a, b in zip(row, rhs)) for row in inv]
         counts = []
         for v in sol:
             if v.denominator != 1 or v < 0:
@@ -267,13 +271,11 @@ class KleinContext:
         mv = MultiplicityVector({n: counts[n - 1] for n in range(1, cap + 1)}, counts[-1])
         if mv.dimension != M.dim:
             raise VerificationFailed("dimension mismatch in solution")
-        if witness:
-            rebuilt, hom_solver = self.rebuild(coords, mv)
-            if rebuilt.dim != M.dim:
-                raise VerificationFailed("rebuild dimension mismatch")
-            if M.dim and not self._certify(rebuilt, M, hom_solver,
-                                           trials=self.trials, seed=self.seed):
-                raise VerificationFailed("no invertible intertwiner found for rebuild")
+        rebuilt, hom_solver = self.rebuild(coords, mv)
+        if rebuilt.dim != M.dim:
+            raise VerificationFailed("rebuild dimension mismatch")
+        if M.dim and not self._certify(rebuilt, M, hom_solver):
+            raise VerificationFailed("no invertible intertwiner found for rebuild")
         return mv
 
     def rebuild(self, coords, mv):
@@ -291,13 +293,14 @@ class KleinContext:
         rep = direct_sum(parts, label=f"rebuild({mv!r})")
         return rep, lambda N: hom_space_from_sum(parts, N, solvers)
 
-    def _certify(self, R, M, hom_solver, trials=24, seed=0):
-        """Find an invertible intertwiner R -> M in the solver's Hom space."""
+    def _certify(self, R, M, hom_solver):
+        """Find an invertible intertwiner R -> M in the solver's Hom space,
+        with the context's trials and seed."""
         space = hom_solver(M)
         if not space:
             return False
         K = sampling_extension(self.K, M.dim)
-        witness, _ = invertible_combination(space, R, M, K, trials, seed)
+        witness, _ = invertible_combination(space, R, M, K, self.trials, self.seed)
         return witness is not None
 
     # -- the published product checks ------------------------------------------------
@@ -367,10 +370,14 @@ class KleinContext:
         }
 
 
-def _solve_rational(rows, rhs):
-    """Exact solve of a square integer system over Q; None when singular."""
+@functools.lru_cache(maxsize=None)
+def _rational_inverse(rows):
+    """The exact inverse over Q of a square integer matrix given as a tuple
+    of row tuples, by Gauss–Jordan; None when singular.  Cached, since the
+    Hom-dimension system depends on its size alone."""
     n = len(rows)
-    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    aug = [[Fraction(v) for v in row] + [Fraction(int(r == c)) for c in range(n)]
+           for r, row in enumerate(rows)]
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col]), None)
         if piv is None:
@@ -382,4 +389,4 @@ def _solve_rational(rows, rhs):
             if r != col and aug[r][col]:
                 f = aug[r][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
+    return tuple(tuple(row[n:]) for row in aug)

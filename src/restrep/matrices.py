@@ -285,9 +285,6 @@ class Matrix:
         self._check(other)
         return Matrix(self.field, np.vstack([self.a, other.a]), copy=False)
 
-    def column(self, j):
-        return Matrix(self.field, self.a[:, j:j + 1])
-
     def map_field(self, big):
         """Entrywise embedding into an extension field."""
         emb = self.field.embedding(big)

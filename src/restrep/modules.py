@@ -17,7 +17,8 @@ import random
 
 import numpy as np
 
-from .algebra import AlgebraError, AlgebraMorphism, base_change
+from .algebra import (AlgebraError, AlgebraMorphism, base_change, build_heisenberg,
+                      build_truncated_polynomial)
 from .fields import sampling_extension
 from .matrices import Matrix, NotNilpotent, _INT, nilpotent_jordan_type, rank_chain
 
@@ -75,7 +76,8 @@ class Representation:
             raise RepresentationError("one action per generator required")
         self.label = label
         self.cyclic_data = cyclic_data
-        self._act_cache = {}
+        self._act_cache = {}       # basis index -> action of that monomial
+        self._elem_cache = {}      # element coefficients -> its action
         if verify:
             self.verify_relations()
 
@@ -103,12 +105,16 @@ class Representation:
         return out
 
     def act(self, a):
-        """Action matrix of an arbitrary algebra element."""
+        """Action matrix of an arbitrary algebra element, memoized per element."""
         if a.algebra != self.algebra:
             raise AlgebraMismatch("element belongs to another algebra")
-        out = Matrix.zeros(self.algebra.field, self.dim)
-        for i in a.support():
-            out = out + self.act_monomial(i).scale(int(a.vec[i]))
+        key = a.vec.tobytes()
+        out = self._elem_cache.get(key)
+        if out is None:
+            out = Matrix.zeros(self.algebra.field, self.dim)
+            for i in a.support():
+                out = out + self.act_monomial(i).scale(int(a.vec[i]))
+            self._elem_cache[key] = out
         return out
 
     def __repr__(self):
@@ -188,7 +194,7 @@ def base_change_rep(M, big_field):
 # -- the tensor, restriction, induction, twist operations ---------------------------
 
 
-def tensor(M, N, delta, verify=True):
+def tensor(M, N, delta):
     """M ⊗ N with the action through the comultiplication ``delta``."""
     if M.algebra != N.algebra or delta.algebra != M.algebra:
         raise AlgebraMismatch("tensor factors over different algebras")
@@ -202,7 +208,7 @@ def tensor(M, N, delta, verify=True):
             acc = acc + term.scale(c)
         actions.append(acc)
     return Representation(M.algebra, actions,
-                          label=f"({M.label})⊗({N.label})", verify=verify)
+                          label=f"({M.label})⊗({N.label})")
 
 
 def restrict(M, phi):
@@ -305,7 +311,7 @@ def pbw_cosets(A, image, r=1, prefer=None):
     """
     F = A.field
     pr = F.p ** r
-    B = _cyclic_algebra(F, pr)
+    B = build_truncated_polynomial(F, [pr], names=("t",))
     phi = AlgebraMorphism(B, A, [image])
     order = list(range(len(A.bounds)))
     if prefer is not None:
@@ -327,11 +333,6 @@ def pbw_cosets(A, image, r=1, prefer=None):
             continue
         return phi, cosets
     raise NotFreeBasis("no PBW complement found for this image")
-
-
-def _cyclic_algebra(F, bound):
-    from .algebra import build_truncated_polynomial
-    return build_truncated_polynomial(F, [bound], names=("t",))
 
 
 def induce_trivial(A, image, r=1, label=None, prefer=None):
@@ -452,29 +453,15 @@ def hom_space_from_sum(parts, N, solvers):
     return HomSpace((N.dim, col), blocks)
 
 
-def _memo_act(N):
-    """N.act, memoized over the few distinct elements of one presentation."""
-    acts = {}
-
-    def act(a):
-        key = a.vec.tobytes()
-        if key not in acts:
-            acts[key] = N.act(a).a
-        return acts[key]
-
-    return act
-
-
 def relation_system(N, relations, n_gens):
     """The block matrix [ρ_N(r_ij)] of the relations Σ_j r_ij·g_j = 0 on
     ``n_gens`` generators: block row i, block column j.  Its kernel holds
     the generator images (w_j) in N that satisfy every relation."""
-    act = _memo_act(N)
     d = N.dim
     system = np.zeros((len(relations) * d, n_gens * d), dtype=_INT)
     for i, row in enumerate(relations):
         for r, j in row:
-            system[i * d:(i + 1) * d, j * d:(j + 1) * d] = act(r)
+            system[i * d:(i + 1) * d, j * d:(j + 1) * d] = N.act(r).a
     return Matrix(N.algebra.field, system, copy=False)
 
 
@@ -493,11 +480,11 @@ def hom_from_relations(N, relations, spanning):
     """
     F = N.algebra.field
     d = N.dim
-    act = _memo_act(N)
     gens = []
     for j in range(1 + max(j for _, j in spanning)):
         ts = [t for t, (_, jt) in enumerate(spanning) if jt == j]
-        gens.append((Matrix(F, np.vstack([act(spanning[t][0]) for t in ts]), copy=False), ts))
+        stacked = np.vstack([N.act(spanning[t][0]).a for t in ts])
+        gens.append((Matrix(F, stacked, copy=False), ts))
     ker = relation_system(N, relations, len(gens)).nullspace()
 
     def assemble(w):
@@ -561,7 +548,7 @@ def _fingerprints(M):
     return fp
 
 
-def iso_test(M, N, trials=24, ext_field=None, seed=0, hom_fwd=None, hom_rev=None):
+def iso_test(M, N, trials=24, seed=0, hom_fwd=None, hom_rev=None):
     """Randomized isomorphism oracle with deterministic fingerprint pre-pass.
 
     ``hom_fwd``/``hom_rev`` optionally supply Hom(M,N) and Hom(N,M) as
@@ -587,7 +574,7 @@ def iso_test(M, N, trials=24, ext_field=None, seed=0, hom_fwd=None, hom_rev=None
                          fingerprints={"dim Hom(M,N)": len(fwd), "dim Hom(N,M)": len(rev)})
     if not fwd:
         return IsoReport("not_isomorphic", reason="Hom(M,N) = 0", fingerprints=fpM)
-    K = ext_field or sampling_extension(M.algebra.field, M.dim)
+    K = sampling_extension(M.algebra.field, M.dim)
     witness, used = invertible_combination(fwd, M, N, K, trials, seed)
     if witness is not None:
         return IsoReport("isomorphic", witness=witness, fingerprints=fpM, trials=used)
@@ -637,7 +624,6 @@ def free_rank(M):
 
 
 def rep_from_json(data, algebra=None):
-    from .algebra import build_truncated_polynomial, build_heisenberg
     from .fields import field_from_json
     if algebra is None:
         adata = data["algebra"]

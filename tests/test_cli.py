@@ -231,6 +231,14 @@ GOLDEN = {
         "00c72f8183f21d916da50f02555319d215b1e1a1e6421f8c08aa154ee64313a2",
     ("witt", "--p", "3", "--r", "1", "--format", "csv"):
         "e1f690be78b0fad818c1382a794227607abf5a13c76541949c5ddb63ff8de998",
+    ("abelian-wild", "--format", "table"):
+        "f27caf683cd6bffc67c4a97df520a02e7ad537b154e6d8e91d15cd07d6710405",
+    ("abelian-wild", "--format", "csv"):
+        "02c319f4560dc6aed5a23c7767b3ec15abd74bdeec9d899f268c7cda18832496",
+    ("twodim", "--p", "3", "--format", "table"):
+        "65ffc970e159fefbe5f4627d6e3a809d3185416b14c8bbf4967c098aa20cff03",
+    ("heisenberg", "--p", "3", "--format", "csv"):
+        "c2fd361bc9d14b11135b32b4261f71ed0cd1eb5dd1765fb9ccdf58f6051c0e19",
 }
 GOLDEN_SUPPORT = "b2dfbc84ae6b045ecd6ce70c88b5bc23a9694520592256db98aa279a05b4f6db"
 

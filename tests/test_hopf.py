@@ -117,13 +117,21 @@ def test_axiom_violation_on_bad_images():
     A = build_truncated_polynomial(field(2), [2, 2])
     one = A.identity_index
     xi, yi = A.index_of[(1, 0)], A.index_of[(0, 1)]
-    # x ↦ x⊗1 alone fails the counit law
-    with pytest.raises(AxiomViolation):
+    # x ↦ x⊗1 alone fails the counit law (ε⊗id), and x ↦ 1⊗x the law (id⊗ε)
+    with pytest.raises(AxiomViolation, match="ε⊗id"):
         custom_structure(A, [{(xi, one): 1},
+                             {(yi, one): 1, (one, yi): 1}])
+    with pytest.raises(AxiomViolation, match="id⊗ε"):
+        custom_structure(A, [{(one, xi): 1},
                              {(yi, one): 1, (one, yi): 1}])
     # non-cocommutative images fail too
     with pytest.raises(AxiomViolation):
         custom_structure(A, [{(xi, one): 1, (one, xi): 1, (xi, yi): 1},
+                             {(yi, one): 1, (one, yi): 1}])
+    # x ↦ x⊗1 + 1⊗x + x⊗y + y⊗x is counital and cocommutative but not
+    # coassociative: (Δ⊗id)Δ(x) has the term x⊗y⊗y, (id⊗Δ)Δ(x) has y⊗y⊗x instead
+    with pytest.raises(AxiomViolation, match="coassociativity"):
+        custom_structure(A, [{(xi, one): 1, (one, xi): 1, (xi, yi): 1, (yi, xi): 1},
                              {(yi, one): 1, (one, yi): 1}])
 
 

@@ -68,6 +68,9 @@ def test_basev_independent_of_basis_choice(ctx):
         c = ctx.basev((2, 1), n, basis_choice=(1, 1))
         assert iso_test(a.rep, b.rep).verdict == "isomorphic"
         assert iso_test(a.rep, c.rep).verdict == "isomorphic"
+        # each V_2n is built once per (point, n, basis choice)
+        assert a.s1 != b.s1 and a.s1 != c.s1
+        assert ctx.basev((2, 1), n, basis_choice=(1, 0)) is a
 
 
 def test_basev_indecomposable_no_idempotent(ctx):
@@ -139,11 +142,10 @@ def test_certify_never_materializes_a_basis(ctx, monkeypatch):
 
 
 def test_system_matrix_invertible(ctx):
-    from restrep.klein import _solve_rational
+    from restrep.klein import _rational_inverse
     for cap in (1, 2, 4, 8):
         rows = ctx.system_matrix(cap)
-        rhs = [0] * (cap + 1)
-        assert _solve_rational(rows, rhs) is not None
+        assert _rational_inverse(tuple(map(tuple, rows))) is not None
 
 
 def test_decompose_identity_cases(ctx):

@@ -20,6 +20,12 @@ its pivot columns and the nullspace basis derived from it are canonical.
 The echelon rows that ``rank()`` keeps span the row space with distinct
 leading columns and leading 1s, but which rows they are depends on which
 row owned each pivot.
+
+Jordan types are read off the rank chain (n, rank m, rank m^2, ..., 0).
+Short chains take one product and one elimination per power; a chain
+that must have at least ⌈n/κ⌉ >= 8 steps (κ = n - rank m, n >= 40) takes
+the kernel ladder, which grows ker m ⊂ ker m^2 ⊂ ... from one
+elimination of [m | I] (see :func:`rank_chain`).
 """
 
 import functools
@@ -79,9 +85,10 @@ class Matrix:
 
     Matrix values are immutable: nothing writes into ``a`` after
     construction.  That is what lets a matrix memoize its rank chain and
-    keep the echelon rows of its last ``rank()``: a basis of the row space
-    in echelon form with leading 1s, whose rows depend on which row owned
-    each pivot in the elimination rounds.  ``rref``, its pivots,
+    the echelon rows of its first ``rank()``, which later calls read their
+    rank from: a basis of the row space in echelon form with leading 1s,
+    whose rows depend on which row owned each pivot in the elimination
+    rounds.  ``rref``, its pivots,
     ``nullspace`` and ``solve`` are canonical.
     """
 
@@ -223,10 +230,11 @@ class Matrix:
     # -- elimination -----------------------------------------------------------------
 
     def rank(self):
-        A = self.a.copy()
-        prow, _ = _eliminate(self.field, A, reduced=False)
-        self._echelon = A[prow]
-        return len(prow)
+        if self._echelon is None:
+            A = self.a.copy()
+            prow, _ = _eliminate(self.field, A, reduced=False)
+            self._echelon = A[prow]
+        return len(self._echelon)
 
     def rref(self):
         A = self.a.copy()
@@ -237,16 +245,9 @@ class Matrix:
 
     def nullspace(self):
         """Canonical kernel basis, one column per free column of the rref."""
-        F = self.field
         A = self.a.copy()
-        prow, pcols = _eliminate(F, A, reduced=True)
-        free = np.ones(self.cols, dtype=bool)
-        free[pcols] = False
-        free = free.nonzero()[0]
-        out = np.zeros((self.cols, len(free)), dtype=_INT)
-        out[free, np.arange(len(free))] = 1
-        out[pcols] = F.NEG[A[prow[:, None], free]]
-        return Matrix(F, out, copy=False)
+        prow, pcols = _eliminate(self.field, A, reduced=True)
+        return Matrix(self.field, _kernel(self.field, A[prow], pcols, self.cols), copy=False)
 
     def solve(self, rhs):
         """A particular solution of self @ X = rhs, or None if inconsistent.
@@ -338,6 +339,19 @@ def _axpy(F, X, f, Y):
         out -= f.astype(np.int32)[:, None] * Y
         return _mod(out, F.p)
     return F.sub_arrays(X, F.MUL[f[:, None], Y])
+
+
+def _kernel(F, R, pcols, cols):
+    """Kernel basis of a reduced echelon form: R holds its nonzero rows,
+    whose pivots are ``pcols``; one column per free column, with a 1 there
+    and -R at the pivots."""
+    free = np.ones(cols, dtype=bool)
+    free[pcols] = False
+    free = free.nonzero()[0]
+    out = np.zeros((cols, len(free)), dtype=_INT)
+    out[free, np.arange(len(free))] = 1
+    out[pcols] = F.NEG[R[:, free]]
+    return out
 
 
 def _eliminate(F, A, reduced):
@@ -448,30 +462,112 @@ class JordanType:
     __repr__ = __str__
 
 
+LADDER_MIN_DIM = 40
+LADDER_MIN_STEPS = 8
+
+
 def rank_chain(m):
     """``(n, rank(m), rank(m^2), ..., 0)`` of a nilpotent square matrix.
 
-    rowspace(m^s) = rowspace(m^{s-1}) · m, so each step multiplies the
-    echelon basis of the previous row space (r x n) by m and ranks the
-    product; no power of m is formed.  The row spaces shrink until they
-    stop, so a nonzero rank that repeats proves m is not nilpotent
-    (NotNilpotent).  The chain is memoized on m; its length minus one is
-    the nilpotency index.
+    Two algorithms give the same chain, and the first elimination picks
+    one.  Ranking m gives κ = n - rank(m), the number of Jordan blocks;
+    each step lowers the rank by at most κ, so the chain has at least
+    ⌈n/κ⌉ steps.  When n >= 40 and ⌈n/κ⌉ >= 8 the chain takes the kernel
+    ladder (``_ladder_chain``: one elimination of [m | I], then products
+    of about one n×n×n product in all); otherwise the step loop
+    (``_step_chain``: one r_s×n×n product and one elimination per step),
+    which reuses that first elimination.  The crossover, as the ladder's
+    time over the step loop's on the distinct chains of one seed-0 report
+    of each benchmark workload (best of 3 each; median, range):
+    at ⌈n/κ⌉ <= 7, klein's index-2 chains 4.1 (2.2–45) and heisenberg's
+    1.4 (0.5–45); at ⌈n/κ⌉ >= 8, witt's chains below n = 40 1.26
+    (1.03–1.9) and from n = 40 on 0.67 (0.03–1.5).  Witt's J25⊗J25 at
+    p = 5 (n = 625) goes 98 → 41 ms, and J49⊗J49 at p = 7 (n = 2401)
+    6.0 → 0.75 s.  κ = 0 means m is invertible: the step loop raises
+    NotNilpotent at once.  The chain is memoized on m; its length minus
+    one is the nilpotency index.
     """
     if not m.is_square():
         raise MatrixError("rank chain of a non-square matrix")
     if m._rank_chain is None:
-        chain = [m.rows]
-        step = m
-        while chain[-1]:
-            r = 0 if step.is_zero() else step.rank()
-            if r == chain[-1]:
-                raise NotNilpotent("matrix is not nilpotent")
-            chain.append(r)
-            if r:
-                step = Matrix(m.field, step._echelon, copy=False) @ m
-        m._rank_chain = tuple(chain)
+        n = m.rows
+        kappa = n - (0 if m.is_zero() else m.rank())
+        ladder = kappa and n >= LADDER_MIN_DIM and -(-n // kappa) >= LADDER_MIN_STEPS
+        m._rank_chain = _ladder_chain(m) if ladder else _step_chain(m)
     return m._rank_chain
+
+
+def _step_chain(m):
+    """The rank chain by steps: rowspace(m^s) = rowspace(m^{s-1}) · m, so
+    each step multiplies the echelon basis of the previous row space
+    (r x n) by m and ranks the product; no power of m is formed.  The row
+    spaces shrink until they stop, so a nonzero rank that repeats proves m
+    is not nilpotent (NotNilpotent)."""
+    chain = [m.rows]
+    step = m
+    while chain[-1]:
+        r = 0 if step.is_zero() else step.rank()
+        if r == chain[-1]:
+            raise NotNilpotent("matrix is not nilpotent")
+        chain.append(r)
+        if r:
+            step = Matrix(m.field, step._echelon, copy=False) @ m
+    return tuple(chain)
+
+
+def _ladder_chain(m):
+    """The rank chain by the kernel ladder: the flag ker m ⊂ ker m^2 ⊂ ...
+    from one factorization of m, as in the MeatAxe's nilpotent and Jordan
+    routines (Parker 1984; Lux & Szőke, Exp. Math. 12, 2003).
+
+    The rref of [m | I] is [[U, P], [0, L]]: U, the rref of m with pivot
+    columns ``piv``, gives the basis K of ker m; L (κ × n) is the left
+    kernel, so y lies in im m exactly when L·y = 0; and x[piv] = P·y,
+    zero elsewhere, solves m·x = y for every such y.  ker m^{s+1} is ker m
+    plus the preimages of ker m^s ∩ im m, so each step takes the rref of
+    C = L·K (κ × dim K): its free columns c give the vectors
+    Y = K[:, c] - K[:, pivots of C]·R_C[:, c] of that intersection, and
+    their preimages P·Y are appended to K (and L·P·Y to C).  A free column
+    of C stays free as columns are appended, with the same Y, so only new
+    free columns are lifted.  rank(m^s) = n - dim K; a step that lifts
+    nothing while dim K < n proves m is not nilpotent (NotNilpotent).
+    """
+    F, n = m.field, m.rows
+    if not n:
+        return (0,)
+    R, pivots = m.hstack(Matrix.identity(F, n)).rref()
+    piv = np.array([c for c in pivots if c < n], dtype=np.intp)
+    r = len(piv)
+    if r == n:
+        raise NotNilpotent("matrix is not nilpotent")
+    P = Matrix(F, R.a[:r, n:], copy=False)
+    L = Matrix(F, R.a[r:, n:], copy=False)
+    # lift = [P; L[:, piv]·P], so lift·Y holds both P·Y and L·(P·Y)
+    lift = P.vstack(Matrix(F, L.a[:, piv], copy=False) @ P)
+    K = np.zeros((n, n), dtype=_INT)
+    K[:, :n - r] = _kernel(F, R.a[:r, :n], piv, n)
+    C = np.zeros((n - r, n), dtype=_INT)
+    C[:, :n - r] = (L @ Matrix(F, K[:, :n - r], copy=False)).a
+    chain = [n, r]
+    done, k = 0, n - r   # columns of C read so far, dim K
+    while k < n:
+        RC, cpiv = Matrix(F, C[:, :k], copy=False).rref()
+        cpiv = list(cpiv)
+        free = np.ones(k, dtype=bool)
+        free[cpiv] = False
+        new = free[done:].nonzero()[0] + done
+        if not len(new):
+            raise NotNilpotent("matrix is not nilpotent")
+        Y = K[:, new]
+        if cpiv:
+            comb = Matrix(F, K[:, cpiv], copy=False) @ Matrix(F, RC.a[:len(cpiv), new])
+            Y = F.sub_arrays(Y, comb.a)
+        Z = (lift @ Matrix(F, Y, copy=False)).a
+        done, k = k, k + len(new)
+        K[piv, done:k] = Z[:r]
+        C[:, done:k] = Z[r:]
+        chain.append(n - k)
+    return tuple(chain)
 
 
 def nilpotent_jordan_type(m):

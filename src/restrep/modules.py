@@ -244,9 +244,12 @@ def _induction_table(phi, cosets):
     basis of A (n pivots inside E, NotFreeBasis otherwise), and one solve
     E W = moved, whose right-hand side holds the columns g·c_i of every
     generator g, gives the whole table; E W == moved is then checked
-    exactly.  Returns, per generator, the r x dim B x r array W[cj, b, ci].
-    The cache is the target algebra's ``induction_tables``, so it lives
-    as long as that algebra.
+    exactly.  When E has exactly one nonzero in every row and column (the
+    c_i·φ(b) are scaled basis monomials), that count is its rank, and the
+    solve and the check are gathers (``_monomial_solve``).  Returns, per
+    generator, the r x dim B x r array W[cj, b, ci].  The cache is the
+    target algebra's ``induction_tables``, so it lives as long as that
+    algebra.
     """
     B, A = phi.source, phi.target
     F = A.field
@@ -259,21 +262,49 @@ def _induction_table(phi, cosets):
     phi_basis = [phi.apply(B.monomial(B.basis_exps[j])) for j in range(dB)]
     E = Matrix(F, np.array([A.multiply(c, pb).vec for c in cosets for pb in phi_basis],
                            dtype=_INT).T, copy=False)
-    if E.rank() != A.dim:
+    monomial = (E.is_square() and (np.count_nonzero(E.a, axis=0) == 1).all()
+                and (np.count_nonzero(E.a, axis=1) == 1).all())
+    if not monomial and E.rank() != A.dim:
         raise NotFreeBasis("coset elements do not give a free basis")
-    moved = Matrix(F, np.array([A.multiply(gen, c).vec for gen in A.generators()
-                                for c in cosets], dtype=_INT).T, copy=False)
-    W = E.solve(moved)
+    # row-major, so the gathers of _monomial_solve run along rows
+    moved = np.ascontiguousarray(np.array([A.multiply(gen, c).vec for gen in A.generators()
+                                           for c in cosets], dtype=_INT).T)
+    if monomial:
+        W, col, d = _monomial_solve(E, moved)
+    else:
+        W = E.solve(Matrix(F, moved, copy=False)).a
     per_gen = []
     for g, name in enumerate(A.gen_names):
         # one generator's columns at a time, so the float product stays small
         cols = slice(g * r, (g + 1) * r)
-        w = Matrix(F, W.a[:, cols], copy=False)
-        if E @ w != Matrix(F, moved.a[:, cols], copy=False):
+        w = W[:, cols]
+        if monomial:
+            ok = np.array_equal(F.MUL[d[:, None], w[col]], moved[:, cols])
+        else:
+            ok = E @ Matrix(F, w, copy=False) == Matrix(F, moved[:, cols], copy=False)
+        if not ok:
             raise RepresentationError(f"induction table fails E·W = {name}·c")
-        per_gen.append(w.a.reshape(r, dB, r))
+        per_gen.append(w.reshape(r, dB, r))
     A.induction_tables[key] = per_gen
     return per_gen
+
+
+def _monomial_solve(E, rhs):
+    """(W, col, d) with E·W = rhs, for a square E with exactly one nonzero
+    in every row and column, d[i] = E[i, col[i]].
+
+    Row i of E·W is then d[i]·W[col[i]], so W[col] = d⁻¹·rhs; only the
+    rows with d ≠ 1 are scaled.
+    """
+    F = E.field
+    col = (E.a != 0).argmax(axis=1)
+    d = E.a[np.arange(E.rows), col]
+    W = np.empty_like(rhs)
+    W[col] = rhs
+    scale = (d != 1).nonzero()[0]
+    if len(scale):
+        W[col[scale]] = F.MUL[F.INV[d[scale]][:, None], rhs[scale]]
+    return W, col, d
 
 
 def induce(M, phi, cosets):

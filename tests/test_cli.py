@@ -221,6 +221,8 @@ GOLDEN = {
         "307008a5cb4beaa42963de9118ce146198e73a915d47104f25671034025d1734",
     ("witt", "--p", "3", "--r", "1", "--format", "json"):
         "c53c6b2c71b58ae9615a4fecfde371e24409363b241bb49920c4982442f8d927",
+    ("witt", "--p", "3", "--r", "2", "--format", "json"):
+        "dff033d66fc0cd3895dbf6ea7a93ae343147c9ee5f93ec7a8cc4483d2514437e",
     ("wang-table", "--format", "json"):
         "fa075fb50f76223e17c36eca9d540ab64ddd27cc38860aedbe5a7ad923cdd4ef",
     ("abelian-wild", "--format", "json"):

@@ -10,7 +10,7 @@ from restrep.algebra import build_truncated_polynomial
 from restrep.fields import FieldError, field
 from restrep.hopf import named_structure
 from restrep.matrices import (FieldMismatch, JordanType, Matrix, NotNilpotent, _exact_float,
-                              nilpotent_jordan_type, rank_chain)
+                              _ladder_chain, _step_chain, nilpotent_jordan_type, rank_chain)
 from restrep.modules import jordan_block_module, tensor
 
 FIELDS = [field(2), field(3), field(7), field(2, 2), field(3, 2)]
@@ -221,6 +221,14 @@ def test_pow():
 # -- rank chain against the power-by-power reference ------------------------------
 
 
+def jordan_type_of_chain(ranks):
+    ranks = tuple(ranks) + (0,)
+    parts = []
+    for s in range(1, len(ranks) - 1):
+        parts.extend([s] * ((ranks[s - 1] - ranks[s]) - (ranks[s] - ranks[s + 1])))
+    return JordanType(parts)
+
+
 def reference_jordan_type(m):
     """Jordan type from the rank of every full power m^s (the old algorithm)."""
     n = m.rows
@@ -231,20 +239,16 @@ def reference_jordan_type(m):
             raise NotNilpotent("matrix is not nilpotent")
         ranks.append(power.rank())
         power = power @ m
-    ranks.append(0)
-    parts = []
-    for s in range(1, len(ranks) - 1):
-        parts.extend([s] * ((ranks[s - 1] - ranks[s]) - (ranks[s] - ranks[s + 1])))
-    return JordanType(parts)
+    return jordan_type_of_chain(ranks)
 
 
 CHAIN_FIELDS = [field(2), field(5), field(2, 2), field(5, 2)]
 
 
 @st.composite
-def conjugated_nilpotents(draw):
-    F = draw(st.sampled_from(CHAIN_FIELDS))
-    parts = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+def conjugated_nilpotents(draw, fields=CHAIN_FIELDS, sizes=st.integers(1, 6), blocks=4):
+    F = draw(st.sampled_from(fields))
+    parts = draw(st.lists(sizes, min_size=1, max_size=blocks))
     S = Matrix.random_invertible(F, sum(parts), random.Random(draw(st.integers(0, 2**32))))
     return parts, S @ block_diagonal(F, parts) @ S.inverse()
 
@@ -289,6 +293,46 @@ def test_rank_chain_is_memoized_and_rejects_non_nilpotent():
     singular[3, 3] = 1   # J3 + (1): the rank stops at 1
     with pytest.raises(NotNilpotent):
         rank_chain(Matrix(F, singular))
+
+
+LADDER_FIELDS = CHAIN_FIELDS + [field(1031)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(conjugated_nilpotents(LADDER_FIELDS),
+                 # few long blocks: n/κ >= 8, the chains the ladder is for
+                 conjugated_nilpotents(LADDER_FIELDS, st.integers(8, 26), blocks=3)))
+def test_step_loop_and_kernel_ladder_match_the_reference(case):
+    parts, m = case
+    expect = reference_jordan_type(m)
+    assert expect == JordanType(parts)
+    for chain in (_step_chain, _ladder_chain):
+        assert jordan_type_of_chain(chain(Matrix(m.field, m.a))) == expect, chain.__name__
+
+
+@pytest.mark.parametrize("chain", [_step_chain, _ladder_chain])
+def test_both_chain_algorithms_reject_non_nilpotent(chain):
+    F = field(5)
+    assert chain(Matrix.zeros(F, 0)) == (0,)
+    assert chain(Matrix.zeros(F, 3)) == (3, 0)
+    with pytest.raises(NotNilpotent):
+        chain(Matrix.random_invertible(F, 40, random.Random(2)))
+    for n in (3, 45):   # J_n + (1): the kernels stop growing at dimension n
+        singular = np.pad(Matrix.jordan_block(F, n).a, ((0, 1), (0, 1)))
+        singular[n, n] = 1
+        with pytest.raises(NotNilpotent):
+            chain(Matrix(F, singular))
+
+
+def test_long_chains_take_the_ladder(monkeypatch):
+    from restrep import matrices
+    taken = []
+    monkeypatch.setattr(matrices, "_ladder_chain", lambda m: taken.append(m.rows) or (0,))
+    F = field(5)
+    rank_chain(Matrix.jordan_block(F, 40))             # n = 40, κ = 1
+    rank_chain(block_diagonal(F, [7] * 6))             # ⌈n/κ⌉ = 7: step loop
+    rank_chain(Matrix.jordan_block(F, 39))             # n < 40: step loop
+    assert taken == [40]
 
 
 # -- exact products --------------------------------------------------------------------

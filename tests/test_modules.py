@@ -13,6 +13,7 @@ from restrep.hopf import named_structure
 from restrep.matrices import Matrix, nilpotent_jordan_type
 from restrep.heisenberg import hom_from_cyclic_sum_rev
 from restrep.modules import (HomSpace, HomTooLarge, NotAnIntertwiner, NotFreeBasis, Representation,
+                             RepresentationError,
                              base_change_rep, conjugate,
                              dim_hom, direct_sum, free_rank, hom_from_cyclic, hom_from_free,
                              hom_from_relations, hom_space, hom_space_from_sum,
@@ -161,6 +162,7 @@ def test_induce_matches_per_block_reference():
     T = build_truncated_polynomial(field(3), [9, 3])
     K = base_change(build_truncated_polynomial(field(2), [2, 2]), field(2, 2))
     x, y = K.generators()
+    # the first two tables take the monomial path, the last two the solve
     cases = [(H, H.generator("x"), 1, "x"), (T, T.generator("y"), 1, None),
              (T, T.generator("x") + T.generator("y"), 2, None), (K, x + y, 1, None)]
     for A, image, r, prefer in cases:
@@ -180,6 +182,38 @@ def test_induce_rejects_non_free_basis():
         induce(trivial_module(B), phi, bad)
     with pytest.raises(NotFreeBasis):
         induce(trivial_module(B), phi, [A.one()])
+
+
+def test_monomial_induction_table_checks_its_gather(monkeypatch):
+    # z is central, so every coset x^i y^j times z^b is a monomial and E
+    # has one nonzero per row and column
+    from restrep import modules
+    H = build_heisenberg(field(3))
+    monkeypatch.setattr(H, "induction_tables", {})
+    solve = modules._monomial_solve
+    corrupted = []
+
+    def corrupt(E, rhs):
+        out = solve(E, rhs)
+        out[0][0, 0] = (out[0][0, 0] + 1) % 3
+        corrupted.append(E.rows)
+        return out
+
+    monkeypatch.setattr(modules, "_monomial_solve", corrupt)
+    with pytest.raises(RepresentationError, match="induction table fails"):
+        induce_trivial(H, H.generator("z"))
+    assert corrupted == [27]
+
+
+def test_free_rank_reuses_the_stored_echelon(monkeypatch):
+    from restrep import matrices
+    A = klein()
+    M = direct_sum([regular_module(A), induce_trivial(A, A.generator("y"))])
+    calls = []
+    eliminate = matrices._eliminate
+    monkeypatch.setattr(matrices, "_eliminate", lambda *a, **k: calls.append(1) or eliminate(*a, **k))
+    assert free_rank(M) == free_rank(M) == 1
+    assert len(calls) == 1
 
 
 def test_twist_module():

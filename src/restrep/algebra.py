@@ -9,23 +9,28 @@ Two families are supported, enough for every scenario in this project:
   [x_t, y_t] = z, all generators with p-th power zero, in the PBW basis
   of ordered monomials y^i z^j x^l.
 
-Multiplication is by straightening to normal form.  The product of two
-basis monomials is straightened once and kept as sparse structure
-constants, ``product_terms(i, j) = (indices, coefficients)`` with only
-nonzero coefficients; ``multiply``, ``left_mult_matrix`` and the sparse
-A⊗A arithmetic of :mod:`restrep.hopf` all scatter-add those terms.
+Multiplication is by straightening to normal form, in one numpy kernel,
+``_straighten(I, J)``: it takes index arrays of pairs and returns the
+nonzero terms of every product b_I[s]·b_J[s] at once.  It is the only
+straightening code.  ``product_terms(i, j) = (indices, coefficients)`` is
+its memoized single-pair view; ``products`` (so ``multiply`` and
+``left_mult_matrix`` too) straightens all memo misses of one call in one
+kernel call, and the sparse A⊗A arithmetic of :mod:`restrep.hopf` reads
+``product_terms``.
 
 Every build runs a verification pass and fails loudly, naming the
-culprit, rather than returning a broken algebra.  The unit law is
+culprit, rather than returning a broken algebra.  Its products go
+through the kernel in batches and are not memoized.  The unit law is
 checked on every basis monomial and the socle law on every generator,
-both read from the product table.  Up to ASSOC_EXHAUSTIVE_DIM,
-associativity on every triple and the counit law on every pair are
-checked on the structure tensor C (C[i, j, k] is the coefficient of
-basis k in b_i b_j), one contraction per i; both kinds have structure
-constants in the prime subfield (verified), so the contraction is exact
-integer arithmetic reduced mod p.  Above that size they are checked on
-ASSOC_SAMPLES triples drawn from ASSOC_SEED, by the same scatter-add of
-table terms that ``multiply`` runs.
+one kernel call each.  Up to ASSOC_EXHAUSTIVE_DIM, associativity on
+every triple and the counit law on every pair are checked on the
+structure tensor C (C[i, j, k] is the coefficient of basis k in b_i b_j,
+one kernel call over all pairs), one contraction per i; both kinds have
+structure constants in the prime subfield (verified), so the contraction
+is exact integer arithmetic reduced mod p.  Above that size they are
+checked on ASSOC_SAMPLES triples drawn from ASSOC_SEED, all in one
+batched pass of four kernel calls, and the first failing triple in draw
+order is named.
 """
 
 import functools
@@ -43,6 +48,7 @@ GEN_NAMES = ("x", "y", "z", "u", "v", "s", "r")
 ASSOC_EXHAUSTIVE_DIM = 64
 ASSOC_SAMPLES = 10_000
 ASSOC_SEED = 0xA550C
+DENSE_SUM = 1 << 16     # largest output summed by a dense bincount (1 MB of transients)
 
 
 class AlgebraError(ValueError):
@@ -168,6 +174,17 @@ class AlgebraPresentation:
             e[g] = 1
             self._gen_exps.append(tuple(e))
         self.integral_index = self.index_of[tuple(b - 1 for b in self.bounds)]
+        # the kernel's tables: exponent rows, and index by mixed-radix code
+        self._exps = np.array(self.basis_exps, dtype=np.intp).reshape(self.dim, -1)
+        self._bounds = np.array(self.bounds)
+        self._radix = np.cumprod((1,) + self.bounds[:-1])
+        self._index = np.empty(math.prod(self.bounds), dtype=np.intp)
+        self._index[self._exps @ self._radix] = np.arange(self.dim)
+        if kind == "heisenberg":
+            # _rule[k, c, i] = k!·C(c,k)·C(i,k) mod p
+            p = field.p
+            self._rule = np.array([[[math.factorial(k) * math.comb(c, k) * math.comb(i, k) % p
+                                     for i in range(p)] for c in range(p)] for k in range(p)])
         if verify:
             self._verify_build()
 
@@ -216,48 +233,57 @@ class AlgebraPresentation:
 
     # -- multiplication ---------------------------------------------------------
 
-    def _mono_times_mono(self, ei, ej):
-        """Normal form of basis monomial product as {exp tuple: coeff}."""
-        p = self.field.p
+    def _straighten(self, I, J):
+        """The nonzero terms of b_I[s]·b_J[s] for every s, as arrays
+        ``(owner, idx, coef)`` sorted by owner s.  The only straightening
+        code: every product, check and table reads from it.
+
+        truncated_poly: the exponent rows add, and a row that reaches a
+        bound is zero.  heisenberg: x_t^c y_t^i = Σ_k k!·C(c,k)·C(i,k)
+        y_t^{i-k} z^k x_t^{c-k}, z central.  Every pair lists its vectors k
+        with k_t ≤ min(c_t, i_t), where the coefficient is a unit mod p, in
+        order with k_1 slowest; each is then a few whole-array operations
+        on the table ``_rule``.  The choices of k give distinct y exponents,
+        so a product's indices are distinct.
+        """
+        I, J = np.asarray(I, dtype=np.intp), np.asarray(J, dtype=np.intp)
+        exps = self._exps[I] + self._exps[J]
         if self.kind == "truncated_poly":
-            out = tuple(a + b for a, b in zip(ei, ej))
-            if any(e >= b for e, b in zip(out, self.bounds)):
-                return {}
-            return {out: 1}
-        if self.kind == "heisenberg":
-            # x_t^c y_t^i = Σ_k k!·C(c,k)·C(i,k) y_t^{i-k} z^k x_t^{c-k}, z central;
-            # the choices of k per t give distinct y exponents, so distinct keys
-            n = self.heis_n
-            ya, zb, xc = ei[:n], ei[n], ei[n + 1:]
-            yi, zj, xl = ej[:n], ej[n], ej[n + 1:]
-            choices = []   # per t: (k, coefficient, y_t exponent, x_t exponent)
-            for t in range(n):
-                choices.append([
-                    (k, math.factorial(k) * math.comb(xc[t], k) * math.comb(yi[t], k) % p,
-                     ya[t] + yi[t] - k, xc[t] + xl[t] - k)
-                    for k in range(min(xc[t], yi[t]) + 1)
-                    if ya[t] + yi[t] - k < p and xc[t] + xl[t] - k < p])
-            out = {}
-            for combo in itertools.product(*choices):
-                zz = zb + zj + sum(c[0] for c in combo)
-                coeff = math.prod(c[1] for c in combo) % p
-                if zz < p and coeff:
-                    out[tuple(c[2] for c in combo) + (zz,) + tuple(c[3] for c in combo)] = coeff
-            return out
-        raise AlgebraError(f"unknown kind {self.kind}")
+            owner = np.nonzero((exps < self._bounds).all(axis=1))[0]
+            return owner, self._index[exps[owner] @ self._radix], np.ones(len(owner), dtype=_INT)
+        n, p = self.heis_n, self.field.p
+        c, i = self._exps[I, n + 1:], self._exps[J, :n]    # x_t of the left, y_t of the right
+        # every k with k_t <= min(c_t, i_t), k_1 slowest, numbered within its pair
+        choices = np.minimum(c, i) + 1
+        count = choices.prod(axis=1)
+        owner = np.repeat(np.arange(len(I)), count)
+        rank = np.arange(len(owner)) - np.repeat(np.cumsum(count) - count, count)
+        k = np.empty((len(owner), n), dtype=np.intp)
+        for t in reversed(range(n)):
+            rank, k[:, t] = np.divmod(rank, choices[owner, t])
+        coef = np.ones(len(owner), dtype=np.int64)
+        for t in range(n):
+            coef = coef * self._rule[k[:, t], c[owner, t], i[owner, t]] % p
+        exps = exps[owner] + np.concatenate([-k, k.sum(axis=1, keepdims=True), -k], axis=1)
+        keep = (exps < p).all(axis=1)
+        return owner[keep], self._index[exps[keep] @ self._radix], coef[keep].astype(_INT)
 
     def product_terms(self, i, j):
         """basis_i * basis_j as ``(indices, coefficients)`` arrays holding its
-        nonzero terms; straightened once, then read from the table."""
-        key = (i, j)
-        hit = self._terms.get(key)
-        if hit is None:
-            prod = self._mono_times_mono(self.basis_exps[i], self.basis_exps[j])
-            nonzero = [(self.index_of[exp], c) for exp, c in prod.items() if c]
-            hit = (np.array([k for k, _ in nonzero], dtype=np.intp),
-                   np.array([c for _, c in nonzero], dtype=_INT))
-            self._terms[key] = hit
-        return hit
+        nonzero terms; straightened once, then read from the memo."""
+        hit = self._terms.get(i * self.dim + j)
+        return hit if hit is not None else self._memo_terms([i * self.dim + j])[0]
+
+    def _memo_terms(self, keys):
+        """The terms of the basis products keyed i·dim + j, from the memo;
+        the misses are straightened in one kernel call and kept."""
+        memo = self._terms
+        miss = sorted({key for key in keys if key not in memo})
+        if miss:
+            owner, idx, coef = self._straighten(*np.divmod(np.array(miss), self.dim))
+            cuts = np.searchsorted(owner, np.arange(1, len(miss)))
+            memo.update(zip(miss, zip(np.split(idx, cuts), np.split(coef, cuts))))
+        return [memo[key] for key in keys]
 
     def product_vec(self, i, j):
         """Dense coefficient vector of basis_i * basis_j (not kept)."""
@@ -266,33 +292,46 @@ class AlgebraPresentation:
         v[idx] = coef
         return v
 
-    def _scaled_terms(self, pairs, scales):
-        """The terms of every basis product in ``pairs``, each scaled by its
-        entry of ``scales``: ``(indices, coefficients, pair of each term)``."""
-        terms = [self.product_terms(i, j) for i, j in pairs]
-        lengths = [len(idx) for idx, _ in terms]
-        owner = np.repeat(np.arange(len(terms)), lengths)
-        if not len(owner):
-            return owner, owner.astype(_INT), owner
-        idx = np.concatenate([idx for idx, _ in terms])
-        coef = self.field.MUL[scales[owner], np.concatenate([c for _, c in terms])]
-        return idx, coef, owner
+    def _sum_terms(self, keys, coef):
+        """(distinct keys, field sum of the coefficients at each key), with
+        no array as long as the largest key."""
+        keys, at = np.unique(keys, return_inverse=True)
+        return keys, self.field.sum_at(at, coef, len(keys))
+
+    def products(self, left, right):
+        """Every product a_i·b_j of a row a_i of ``left`` with a row b_j of
+        ``right`` (coefficient arrays over the basis), as column i·n + j of
+        a dim × m·n array (m, n the numbers of rows).  Each pair of terms
+        scales the memoized product of its basis monomials.  The terms are
+        summed by one dense bincount when the output has at most DENSE_SUM
+        entries, else per distinct key, so no transient outgrows that or
+        the terms."""
+        F, d = self.field, self.dim
+        m, n = len(left), len(right)
+        la, ia = np.nonzero(left)
+        rb, jb = np.nonzero(right)
+        ta, tb = np.divmod(np.arange(len(la) * len(rb)), max(len(rb), 1))
+        terms = self._memo_terms((ia[ta] * d + jb[tb]).tolist())
+        if not terms:
+            return np.zeros((d, m * n), dtype=_INT)
+        term = np.repeat(np.arange(len(terms)), [len(idx) for idx, _ in terms])
+        scales = F.MUL[left[la, ia][ta], right[rb, jb][tb]]
+        coef = F.MUL[scales[term], np.concatenate([c for _, c in terms])]
+        flat = np.concatenate([idx for idx, _ in terms]) * (m * n) + (la[ta] * n + rb[tb])[term]
+        if d * m * n <= DENSE_SUM:
+            return F.sum_at(flat, coef, d * m * n).reshape(d, m * n)
+        out = np.zeros((d, m * n), dtype=_INT)
+        keys, sums = self._sum_terms(flat, coef)
+        out.flat[keys] = sums
+        return out
 
     def multiply(self, a, b):
-        ia, ib = np.nonzero(a.vec)[0], np.nonzero(b.vec)[0]
-        pairs = [(i, j) for i in ia.tolist() for j in ib.tolist()]
-        scales = self.field.MUL[a.vec[ia][:, None], b.vec[ib][None, :]].ravel()
-        idx, coef, _ = self._scaled_terms(pairs, scales)
-        return AlgebraElement(self, self.field.sum_at(idx, coef, self.dim), copy=False)
+        return AlgebraElement(self, self.products(a.vec[None], b.vec[None])[:, 0], copy=False)
 
     def left_mult_matrix(self, a):
         """Matrix of b -> a*b on the basis (the regular representation)."""
-        d = self.dim
-        ia = np.nonzero(a.vec)[0]
-        pairs = [(i, j) for i in ia.tolist() for j in range(d)]
-        idx, coef, owner = self._scaled_terms(pairs, np.repeat(a.vec[ia], d))
-        m = self.field.sum_at(idx * d + owner % d, coef, d * d)
-        return Matrix(self.field, m.reshape(d, d), copy=False)
+        return Matrix(self.field, self.products(a.vec[None], np.eye(self.dim, dtype=_INT)),
+                      copy=False)
 
     # -- relation checking (shared by morphisms and representations) ---------------
 
@@ -343,20 +382,27 @@ class AlgebraPresentation:
     # -- build-time verification -----------------------------------------------------
 
     def _verify_build(self):
-        """Unit and socle laws from the table, then the counit law and
-        associativity on the structure tensor or on sampled triples."""
-        dim, one = self.dim, self.identity_index
-        for j in range(dim):
-            for idx, coef in (self.product_terms(one, j), self.product_terms(j, one)):
-                if idx.tolist() != [j] or coef.tolist() != [1]:
-                    raise AlgebraError(f"unit law fails on basis monomial {self.monomial_name(j)}")
+        """Unit and socle laws, then the counit law and associativity on the
+        structure tensor or on sampled triples; each batch of products is
+        one kernel call, and none of them is kept in the memo."""
+        dim = self.dim
+        basis, ones = np.arange(dim), np.full(dim, self.identity_index)
+        owner, idx, coef = self._straighten(np.concatenate([ones, basis]),
+                                            np.concatenate([basis, ones]))
+        # b_1·b_j and b_j·b_1 must each be the single term b_j
+        single = np.bincount(owner, minlength=2 * dim)[owner] == 1
+        ok = np.zeros(2 * dim, dtype=bool)
+        ok[owner[single]] = (idx[single] == owner[single] % dim) & (coef[single] == 1)
+        bad = np.nonzero(~(ok[:dim] & ok[dim:]))[0]
+        if len(bad):
+            raise AlgebraError(f"unit law fails on basis monomial {self.monomial_name(bad[0])}")
         # socle: the integral is killed by every generator on both sides
-        lam = self.integral_index
-        for g, exps in enumerate(self._gen_exps):
-            gi = self.index_of[exps]
-            if len(self.product_terms(gi, lam)[0]) or len(self.product_terms(lam, gi)[0]):
-                raise AlgebraError(f"integral fails the socle check: "
-                                   f"generator {self.gen_names[g]} does not kill it")
+        gens = np.array([self.index_of[exps] for exps in self._gen_exps])
+        lam = np.full(len(gens), self.integral_index)
+        owner, _, _ = self._straighten(np.concatenate([gens, lam]), np.concatenate([lam, gens]))
+        if len(owner):
+            raise AlgebraError(f"integral fails the socle check: generator "
+                               f"{self.gen_names[(owner % len(gens)).min()]} does not kill it")
         if dim <= ASSOC_EXHAUSTIVE_DIM:
             self._verify_structure_tensor()
         else:
@@ -371,14 +417,14 @@ class AlgebraPresentation:
         unless every constant lies in the prime subfield, whose encoded
         scalars are the integers 0..p-1."""
         d, p, one = self.dim, self.field.p, self.identity_index
-        C = np.zeros((d, d, d), dtype=np.int64)
-        for i in range(d):
-            for j in range(d):
-                idx, coef = self.product_terms(i, j)
-                if (coef >= p).any():
-                    raise AlgebraError(f"structure constant of {self._pair_name(i, j)} "
-                                       "is outside the prime field")
-                C[i, j, idx] = coef
+        owner, idx, coef = self._straighten(np.repeat(np.arange(d), d), np.tile(np.arange(d), d))
+        bad = owner[coef >= p]
+        if len(bad):
+            raise AlgebraError(f"structure constant of {self._pair_name(*divmod(bad[0], d))} "
+                               "is outside the prime field")
+        C = np.zeros((d * d, d), dtype=np.int64)
+        C[owner, idx] = coef
+        C = C.reshape(d, d, d)
         # counit is an algebra map: eps(b_i b_j) = eps(b_i) eps(b_j)
         eps = np.zeros((d, d), dtype=np.int64)
         eps[one, one] = 1
@@ -399,22 +445,37 @@ class AlgebraPresentation:
 
     def _verify_sampled(self):
         """The counit law and associativity on ASSOC_SAMPLES triples drawn
-        from ASSOC_SEED, by scatter-adding table terms."""
+        from ASSOC_SEED, all at once (Rajagopalan & Schulman, SIAM J.
+        Comput. 29, 2000): b_i b_j and b_j b_k, then (b_i b_j) b_k and
+        b_i (b_j b_k), in four kernel calls, their difference summed per
+        (sample, basis index).  The first failing sample is named, with the
+        counit law first at a sample where both fail."""
         dim, one, F = self.dim, self.identity_index, self.field
         rng = random.Random(ASSOC_SEED)
-        for _ in range(ASSOC_SAMPLES):
-            i, j, k = rng.randrange(dim), rng.randrange(dim), rng.randrange(dim)
-            ij, ij_coef = self.product_terms(i, j)
-            jk, jk_coef = self.product_terms(j, k)
-            # counit is an algebra map: eps(b_i b_j) = eps(b_i) eps(b_j)
-            if int(ij_coef[ij == one].sum()) != int(i == one and j == one):
-                raise AlgebraError(f"counit is not an algebra map at pair {self._pair_name(i, j)}")
-            # (b_i b_j) b_k - b_i (b_j b_k) as one sum of scaled table terms
-            pairs = [(m, k) for m in ij.tolist()] + [(i, m) for m in jk.tolist()]
-            scales = np.concatenate([ij_coef, F.NEG[jk_coef]])
-            idx, coef, _ = self._scaled_terms(pairs, scales)
-            if F.sum_at(idx, coef, dim).any():
-                raise AlgebraError(f"associativity fails at triple {(i, j, k)}")
+        I, J, K = np.array([rng.randrange(dim) for _ in range(3 * ASSOC_SAMPLES)]).reshape(-1, 3).T
+        ij_at, ij, ij_coef = self._straighten(I, J)
+        jk_at, jk, jk_coef = self._straighten(J, K)
+        # counit is an algebra map: eps(b_i b_j) = eps(b_i) eps(b_j)
+        unit = ij == one
+        eps = np.bincount(ij_at[unit], weights=ij_coef[unit], minlength=ASSOC_SAMPLES)
+        counit_bad = np.nonzero(eps != ((I == one) & (J == one)))[0]
+        # (b_i b_j) b_k - b_i (b_j b_k) as one sum of scaled terms
+        left_at, left, left_coef = self._straighten(ij, K[ij_at])
+        right_at, right, right_coef = self._straighten(I[jk_at], jk)
+        sample = np.concatenate([ij_at[left_at], jk_at[right_at]])
+        coef = np.concatenate([F.MUL[ij_coef[left_at], left_coef],
+                               F.NEG[F.MUL[jk_coef[right_at], right_coef]]])
+        keys, sums = self._sum_terms(sample * dim + np.concatenate([left, right]), coef)
+        assoc_bad = keys[sums != 0] // dim
+        s_counit = counit_bad[0] if len(counit_bad) else ASSOC_SAMPLES
+        s_assoc = assoc_bad[0] if len(assoc_bad) else ASSOC_SAMPLES
+        first = min(s_counit, s_assoc)
+        if first == ASSOC_SAMPLES:
+            return
+        i, j, k = (int(v[first]) for v in (I, J, K))
+        if s_counit == first:
+            raise AlgebraError(f"counit is not an algebra map at pair {self._pair_name(i, j)}")
+        raise AlgebraError(f"associativity fails at triple {(i, j, k)}")
 
     # -- misc ------------------------------------------------------------------------
 

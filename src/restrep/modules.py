@@ -240,8 +240,10 @@ def _induction_table(phi, cosets):
     """Re-expression data g·c_i = Σ_j c_j φ(b) for an induction, cached.
 
     The expansion matrix E has the products c_i·φ(b) as its columns
-    (coset-major).  It is formed once: its rank proves the c_i·φ(b) are a
-    basis of A (n pivots inside E, NotFreeBasis otherwise), and one solve
+    (coset-major), and ``moved`` has the products g·c_i (generator-major);
+    each is one ``A.products`` call, which straightens all their basis
+    products in one batch.  E is formed once: its rank proves the c_i·φ(b)
+    are a basis of A (n pivots inside E, NotFreeBasis otherwise), and one solve
     E W = moved, whose right-hand side holds the columns g·c_i of every
     generator g, gives the whole table; E W == moved is then checked
     exactly.  When E has exactly one nonzero in every row and column (the
@@ -259,16 +261,15 @@ def _induction_table(phi, cosets):
     hit = A.induction_tables.get(key)
     if hit is not None:
         return hit
-    phi_basis = [phi.apply(B.monomial(B.basis_exps[j])) for j in range(dB)]
-    E = Matrix(F, np.array([A.multiply(c, pb).vec for c in cosets for pb in phi_basis],
-                           dtype=_INT).T, copy=False)
+    phi_basis = np.array([phi.apply(B.monomial(e)).vec for e in B.basis_exps])
+    coset_vecs = np.array([c.vec for c in cosets])
+    E = Matrix(F, A.products(coset_vecs, phi_basis), copy=False)
     monomial = (E.is_square() and (np.count_nonzero(E.a, axis=0) == 1).all()
                 and (np.count_nonzero(E.a, axis=1) == 1).all())
     if not monomial and E.rank() != A.dim:
         raise NotFreeBasis("coset elements do not give a free basis")
     # row-major, so the gathers of _monomial_solve run along rows
-    moved = np.ascontiguousarray(np.array([A.multiply(gen, c).vec for gen in A.generators()
-                                           for c in cosets], dtype=_INT).T)
+    moved = A.products(np.array([g.vec for g in A.generators()]), coset_vecs)
     if monomial:
         W, col, d = _monomial_solve(E, moved)
     else:

@@ -1,17 +1,51 @@
 """Algebra presentations: builders, straightening, morphisms, inversion."""
 
+import itertools
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from restrep.fields import field
-from restrep.algebra import (ASSOC_EXHAUSTIVE_DIM, ASSOC_SEED, AlgebraError,
+from restrep.algebra import (ASSOC_EXHAUSTIVE_DIM, ASSOC_SAMPLES, ASSOC_SEED, AlgebraError,
                              AlgebraMorphism, AlgebraPresentation, InvalidBound,
                              NotAugmented, NotInvertible, UnsupportedTorus,
                              base_change, build_abelian_restricted,
                              build_heisenberg, build_truncated_polynomial,
                              element_to_field, morphism_from_json)
+
+
+def reference_straighten(A, ei, ej):
+    """The product of two basis monomials of A by exponent tuples, as
+    {exp tuple: coefficient}: the per-pair straightening the kernel
+    replaced, kept as its reference."""
+    p = A.field.p
+    if A.kind == "truncated_poly":
+        out = tuple(a + b for a, b in zip(ei, ej))
+        if any(e >= b for e, b in zip(out, A.bounds)):
+            return {}
+        return {out: 1}
+    # x_t^c y_t^i = Σ_k k!·C(c,k)·C(i,k) y_t^{i-k} z^k x_t^{c-k}, z central;
+    # the choices of k per t give distinct y exponents, so distinct keys
+    n = A.heis_n
+    ya, zb, xc = ei[:n], ei[n], ei[n + 1:]
+    yi, zj, xl = ej[:n], ej[n], ej[n + 1:]
+    choices = []   # per t: (k, coefficient, y_t exponent, x_t exponent)
+    for t in range(n):
+        choices.append([
+            (k, math.factorial(k) * math.comb(xc[t], k) * math.comb(yi[t], k) % p,
+             ya[t] + yi[t] - k, xc[t] + xl[t] - k)
+            for k in range(min(xc[t], yi[t]) + 1)
+            if ya[t] + yi[t] - k < p and xc[t] + xl[t] - k < p])
+    out = {}
+    for combo in itertools.product(*choices):
+        zz = zb + zj + sum(c[0] for c in combo)
+        coeff = math.prod(c[1] for c in combo) % p
+        if zz < p and coeff:
+            out[tuple(c[2] for c in combo) + (zz,) + tuple(c[3] for c in combo)] = coeff
+    return out
 
 
 def test_truncated_klein_presentation():
@@ -121,17 +155,54 @@ def brute_force_straighten(p, word):
     return out
 
 
+def kernel_rows(A, I, J):
+    """The kernel's terms of each pair (b_I[s], b_J[s]), in its order, as
+    lists of (exp tuple, coefficient)."""
+    owner, idx, coef = A._straighten(np.array(I, dtype=np.intp), np.array(J, dtype=np.intp))
+    assert (np.diff(owner) >= 0).all()
+    rows = [[] for _ in I]
+    for s, i, c in zip(owner.tolist(), idx.tolist(), coef.tolist()):
+        rows[s].append((A.basis_exps[i], c))
+    return rows
+
+
 def test_heisenberg_products_match_brute_force_rewriter():
     p = 3
     H = build_heisenberg(field(p))
-    for ei in H.basis_exps:
-        for ej in H.basis_exps:
-            word = (("y",) * ei[0] + ("z",) * ei[1] + ("x",) * ei[2]
-                    + ("y",) * ej[0] + ("z",) * ej[1] + ("x",) * ej[2])
-            expect = brute_force_straighten(p, word)
-            got = H._mono_times_mono(ei, ej)
-            got_flat = {(e[0], e[1], e[2]): c for e, c in got.items()}
-            assert got_flat == expect, (ei, ej)
+    pairs = [(i, j) for i in range(H.dim) for j in range(H.dim)]
+    rows = kernel_rows(H, *zip(*pairs))
+    for (i, j), got in zip(pairs, rows):
+        ei, ej = H.basis_exps[i], H.basis_exps[j]
+        word = (("y",) * ei[0] + ("z",) * ei[1] + ("x",) * ei[2]
+                + ("y",) * ej[0] + ("z",) * ej[1] + ("x",) * ej[2])
+        assert dict(got) == brute_force_straighten(p, word), (ei, ej)
+
+
+KERNEL_ALGEBRAS = {
+    "H(3,1)": lambda: build_heisenberg(field(3)),
+    "H(3,2)": lambda: build_heisenberg(field(3), 2),
+    "H(5,1)": lambda: build_heisenberg(field(5)),
+    "H(3,1) over GF(9)": lambda: base_change(build_heisenberg(field(3)), field(3, 2)),
+    "GF(4)[x,y]/(x^4,y^2)": lambda: build_truncated_polynomial(field(2, 2), [4, 2]),
+    "GF(5)[x,y]/(x^5,y^5)": lambda: build_truncated_polynomial(field(5), [5, 5]),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(KERNEL_ALGEBRAS)),
+       st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6)), max_size=60),
+       st.integers(0, 3))
+@example("H(3,2)", [], 0)
+@example("GF(4)[x,y]/(x^4,y^2)", [], 0)
+@example("H(5,1)", [(3, 7), (3, 7), (124, 124)], 2)
+def test_kernel_matches_reference(name, raw, repeats):
+    # random pairs, then some of them again and the integral squared, a zero product
+    A = KERNEL_ALGEBRAS[name]()
+    pairs = [(i % A.dim, j % A.dim) for i, j in raw]
+    pairs += pairs[:repeats] + [(A.integral_index, A.integral_index)] * min(repeats, 1)
+    expect = [list(reference_straighten(A, A.basis_exps[i], A.basis_exps[j]).items())
+              for i, j in pairs]
+    assert kernel_rows(A, [i for i, _ in pairs], [j for _, j in pairs]) == expect
 
 
 def test_associativity_sampled_on_larger_builds():
@@ -233,13 +304,13 @@ def test_algebra_json():
 
 def dense_product(A, a, b):
     """Reference product: straighten each pair of basis monomials in the
-    support and add the dense vectors, without the product table."""
+    support by the reference and add the dense vectors."""
     F = A.field
     out = np.zeros(A.dim, dtype=np.int16)
     for i in a.support():
         for j in b.support():
             v = np.zeros(A.dim, dtype=np.int16)
-            for exp, c in A._mono_times_mono(A.basis_exps[i], A.basis_exps[j]).items():
+            for exp, c in reference_straighten(A, A.basis_exps[i], A.basis_exps[j]).items():
                 v[A.index_of[exp]] = c
             c = F.mul(int(a.vec[i]), int(b.vec[j]))
             out = F.add_arrays(out, F.MUL[c, v])
@@ -278,14 +349,20 @@ def test_sparse_multiply_matches_dense_reference(make):
 
 def test_product_table_holds_nonzero_terms_only():
     # a Heisenberg product of basis monomials has at most p^n terms: one
-    # per choice of how many z each pair x_t, y_t produces
+    # per choice of how many z each pair x_t, y_t produces; read from the
+    # kernel on every pair, or on 2,000 sampled pairs of H(3,2)
+    rng = random.Random(11)
     for A, most in ((build_heisenberg(field(3), 2), 9), (build_heisenberg(field(5)), 5),
                     (build_truncated_polynomial(field(3), [9, 3]), 1)):
-        assert len(A._terms) > A.dim
-        for idx, coef in A._terms.values():
-            assert len(idx) == len(coef) <= most
-            assert len(set(idx.tolist())) == len(idx)
-            assert (coef != 0).all()
+        if A.dim ** 2 <= 20_000:
+            I, J = np.divmod(np.arange(A.dim ** 2), A.dim)
+        else:
+            I, J = (np.array([rng.randrange(A.dim) for _ in range(2000)]) for _ in range(2))
+        owner, idx, coef = A._straighten(I, J)
+        assert len(owner) > A.dim
+        assert np.bincount(owner).max() <= most
+        assert len(np.unique(owner * A.dim + idx)) == len(idx)
+        assert (coef != 0).all()
 
 
 # -- build verification rejects a corrupted table ---------------------------------
@@ -293,16 +370,75 @@ def test_product_table_holds_nonzero_terms_only():
 
 class Corrupted(AlgebraPresentation):
     """A presentation whose products of the given exponent pairs are
-    replaced, so the build verification must reject it."""
+    replaced, so the build verification must reject it: the kernel's rows
+    of those pairs are swapped for the given terms."""
 
     def __init__(self, good, replace):
         self.replace = replace
         super().__init__(good.field, good.kind, good.gen_names, good.bounds,
                          good.basis_exps, heis_n=good.heis_n)
 
-    def _mono_times_mono(self, ei, ej):
-        rule = self.replace.get((ei, ej))
-        return rule if rule is not None else super()._mono_times_mono(ei, ej)
+    def _straighten(self, I, J):
+        owner, idx, coef = super()._straighten(I, J)
+        hit = [s for s, (i, j) in enumerate(zip(I.tolist(), J.tolist()))
+               if (self.basis_exps[i], self.basis_exps[j]) in self.replace]
+        new = [(s, self.index_of[e], c) for s in hit
+               for e, c in self.replace[self.basis_exps[I[s]], self.basis_exps[J[s]]].items()]
+        keep = ~np.isin(owner, hit)
+        owner = np.concatenate([owner[keep], np.array([s for s, _, _ in new], dtype=np.intp)])
+        idx = np.concatenate([idx[keep], np.array([i for _, i, _ in new], dtype=np.intp)])
+        coef = np.concatenate([coef[keep], np.array([c for _, _, c in new], dtype=coef.dtype)])
+        order = np.argsort(owner, kind="stable")
+        return owner[order], idx[order], coef[order]
+
+
+def reference_product(A, replace=None):
+    """b_i b_j as {index: coefficient} from the reference straightening,
+    with the products of the exponent pairs in ``replace`` swapped."""
+    replace = replace or {}
+
+    def product(i, j):
+        ei, ej = A.basis_exps[i], A.basis_exps[j]
+        terms = replace.get((ei, ej))
+        terms = reference_straighten(A, ei, ej) if terms is None else terms
+        return {A.index_of[e]: c for e, c in terms.items()}
+    return product
+
+
+def first_sampled_failure(A, product):
+    """The per-sample loop over the ASSOC_SAMPLES triples drawn from
+    ASSOC_SEED: the build's message for the first triple where the counit
+    law or associativity fails (the counit law first), or None."""
+    F, one = A.field, A.identity_index
+    rng = random.Random(ASSOC_SEED)
+
+    def times(u, v):
+        out = {}
+        for m, c in u.items():
+            for n, d in v.items():
+                for t, e in product(m, n).items():
+                    out[t] = F.add(out.get(t, 0), F.mul(F.mul(c, d), e))
+        return {t: c for t, c in out.items() if c}
+
+    for _ in range(ASSOC_SAMPLES):
+        i, j, k = rng.randrange(A.dim), rng.randrange(A.dim), rng.randrange(A.dim)
+        if product(i, j).get(one, 0) != int(i == one and j == one):
+            return f"counit is not an algebra map at pair {A._pair_name(i, j)}"
+        if times(product(i, j), {k: 1}) != times({i: 1}, product(j, k)):
+            return f"associativity fails at triple {(i, j, k)}"
+    return None
+
+
+def sampled_triples(A, count):
+    """The first ``count`` triples of the sampled check."""
+    rng = random.Random(ASSOC_SEED)
+    return [tuple(rng.randrange(A.dim) for _ in range(3)) for _ in range(count)]
+
+
+def build_error(good, replace):
+    with pytest.raises(AlgebraError) as err:
+        Corrupted(good, replace)
+    return str(err.value)
 
 
 def test_build_rejects_nonassociative_product_exhaustively():
@@ -347,3 +483,67 @@ def test_build_names_the_failing_law():
         Corrupted(big, {(zero, z): {}})
     with pytest.raises(AlgebraError, match="outside the prime field"):
         Corrupted(base_change(good, field(3, 2)), {((1, 0), (0, 1)): {(1, 1): 3}})
+
+
+def doubled(A, i, j):
+    """The replacement rule that doubles b_i b_j."""
+    ei, ej = A.basis_exps[i], A.basis_exps[j]
+    return {(ei, ej): {e: 2 * c % A.field.p for e, c in reference_straighten(A, ei, ej).items()}}
+
+
+def with_unit_term(A, i, j):
+    """The replacement rule that adds the identity to b_i b_j, so the
+    counit fails on the pair."""
+    ei, ej = A.basis_exps[i], A.basis_exps[j]
+    return {(ei, ej): {**reference_straighten(A, ei, ej), A.basis_exps[A.identity_index]: 1}}
+
+
+def corruptible(A, triples):
+    """Positions of the triples with (b_i b_j) b_k nonzero whose b_i, b_j
+    are neither the unit nor the integral, so that corrupting b_i b_j
+    breaks no law checked before the sampled ones."""
+    spare = (A.identity_index, A.integral_index)
+    product = reference_product(A)
+    return [s for s, (i, j, k) in enumerate(triples)
+            if i not in spare and j not in spare
+            and any(product(m, k) for m in product(i, j))]
+
+
+def test_sampled_check_names_the_first_failing_triple():
+    good = build_truncated_polynomial(field(3), [9, 9])
+    assert good.dim > ASSOC_EXHAUSTIVE_DIM
+    triples = sampled_triples(good, 200)
+    late, early = corruptible(good, triples)[5], corruptible(good, triples)[2]
+    replace = {**doubled(good, *triples[late][:2]), **doubled(good, *triples[early][:2])}
+    expect = first_sampled_failure(good, reference_product(good, replace))
+    assert expect is not None and expect.startswith("associativity")
+    assert build_error(good, replace) == expect
+
+
+def test_sampled_check_reports_the_earlier_law():
+    good = build_heisenberg(field(3), 2)
+    triples = sampled_triples(good, 500)
+    first, second = corruptible(good, triples)[:2]
+    for assoc_at, counit_at in ((first, second), (second, first)):
+        replace = {**doubled(good, *triples[assoc_at][:2]),
+                   **with_unit_term(good, *triples[counit_at][:2])}
+        if assoc_at < counit_at:
+            expect = f"associativity fails at triple {triples[assoc_at]}"
+        else:
+            expect = f"counit is not an algebra map at pair {good._pair_name(*triples[counit_at][:2])}"
+        assert first_sampled_failure(good, reference_product(good, replace)) == expect
+        assert build_error(good, replace) == expect
+
+
+def test_sampled_corruption_on_heisenberg_is_rejected():
+    # H(3,2) is not commutative: double the first sampled b_i b_j whose
+    # straightening makes a z term, in a triple with nonzero product
+    good = build_heisenberg(field(3), 2)
+    assert good.dim > ASSOC_EXHAUSTIVE_DIM
+    triples = sampled_triples(good, 2000)
+    product = reference_product(good)
+    s = next(s for s in corruptible(good, triples) if len(product(*triples[s][:2])) > 1)
+    replace = doubled(good, *triples[s][:2])
+    expect = first_sampled_failure(good, reference_product(good, replace))
+    assert expect is not None and expect.startswith("associativity")
+    assert build_error(good, replace) == expect

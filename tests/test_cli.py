@@ -217,6 +217,8 @@ GOLDEN = {
         "f9517a1636e6ad6ecbb109373b3c559ee960195f5fa9c574ac07fc3da3c350ab",
     ("heisenberg", "--p", "3", "--format", "json"):
         "25ab7ec05ab9e6abd1d50f00f774b1f8e3e5d869cfd17205f6b82a61d3f607ca",
+    ("heisenberg", "--p", "5", "--format", "json"):
+        "1f70461ac5f1ab6c1c5f2967451497ace0c51e8e498518bdba04903da15a5714",
     ("cgm", "--p", "3", "--format", "json"):
         "307008a5cb4beaa42963de9118ce146198e73a915d47104f25671034025d1734",
     ("witt", "--p", "3", "--r", "1", "--format", "json"):

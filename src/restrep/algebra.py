@@ -13,10 +13,10 @@ Multiplication is by straightening to normal form, in one numpy kernel,
 ``_straighten(I, J)``: it takes index arrays of pairs and returns the
 nonzero terms of every product b_I[s]·b_J[s] at once.  It is the only
 straightening code.  ``product_terms(i, j) = (indices, coefficients)`` is
-its memoized single-pair view; ``products`` (so ``multiply`` and
-``left_mult_matrix`` too) straightens all memo misses of one call in one
-kernel call, and the sparse A⊗A arithmetic of :mod:`restrep.hopf` reads
-``product_terms``.
+its memoized single-pair view.  ``multiply`` and ``products`` (so
+``left_mult_matrix`` too) straighten all memo misses of one call in one
+kernel call, and so does each product in the sparse A⊗A arithmetic of
+:mod:`restrep.hopf`.
 
 Every build runs a verification pass and fails loudly, naming the
 culprit, rather than returning a broken algebra.  Its products go
@@ -48,7 +48,6 @@ GEN_NAMES = ("x", "y", "z", "u", "v", "s", "r")
 ASSOC_EXHAUSTIVE_DIM = 64
 ASSOC_SAMPLES = 10_000
 ASSOC_SEED = 0xA550C
-DENSE_SUM = 1 << 16     # largest output summed by a dense bincount (1 MB of transients)
 
 
 class AlgebraError(ValueError):
@@ -298,35 +297,39 @@ class AlgebraPresentation:
         keys, at = np.unique(keys, return_inverse=True)
         return keys, self.field.sum_at(at, coef, len(keys))
 
+    def _scaled_terms(self, keys, scales):
+        """The terms of the basis products keyed i·dim + j, each scaled by
+        its entry of ``scales``: ``(indices, coefficients, key of each
+        term)``."""
+        terms = self._memo_terms(keys)
+        owner = np.repeat(np.arange(len(terms)), [len(idx) for idx, _ in terms])
+        if not len(owner):
+            return owner, owner.astype(_INT), owner
+        coef = self.field.MUL[scales[owner], np.concatenate([c for _, c in terms])]
+        return np.concatenate([idx for idx, _ in terms]), coef, owner
+
     def products(self, left, right):
         """Every product a_i·b_j of a row a_i of ``left`` with a row b_j of
         ``right`` (coefficient arrays over the basis), as column i·n + j of
         a dim × m·n array (m, n the numbers of rows).  Each pair of terms
-        scales the memoized product of its basis monomials.  The terms are
-        summed by one dense bincount when the output has at most DENSE_SUM
-        entries, else per distinct key, so no transient outgrows that or
-        the terms."""
-        F, d = self.field, self.dim
-        m, n = len(left), len(right)
+        scales the memoized product of its basis monomials, and the terms
+        are summed per distinct (index, column) key."""
+        d, n = self.dim, len(right)
         la, ia = np.nonzero(left)
         rb, jb = np.nonzero(right)
         ta, tb = np.divmod(np.arange(len(la) * len(rb)), max(len(rb), 1))
-        terms = self._memo_terms((ia[ta] * d + jb[tb]).tolist())
-        if not terms:
-            return np.zeros((d, m * n), dtype=_INT)
-        term = np.repeat(np.arange(len(terms)), [len(idx) for idx, _ in terms])
-        scales = F.MUL[left[la, ia][ta], right[rb, jb][tb]]
-        coef = F.MUL[scales[term], np.concatenate([c for _, c in terms])]
-        flat = np.concatenate([idx for idx, _ in terms]) * (m * n) + (la[ta] * n + rb[tb])[term]
-        if d * m * n <= DENSE_SUM:
-            return F.sum_at(flat, coef, d * m * n).reshape(d, m * n)
-        out = np.zeros((d, m * n), dtype=_INT)
-        keys, sums = self._sum_terms(flat, coef)
+        idx, coef, owner = self._scaled_terms((ia[ta] * d + jb[tb]).tolist(),
+                                              self.field.MUL[left[la, ia][ta], right[rb, jb][tb]])
+        out = np.zeros((d, len(left) * n), dtype=_INT)
+        keys, sums = self._sum_terms(idx * out.shape[1] + (la[ta] * n + rb[tb])[owner], coef)
         out.flat[keys] = sums
         return out
 
     def multiply(self, a, b):
-        return AlgebraElement(self, self.products(a.vec[None], b.vec[None])[:, 0], copy=False)
+        ia, ib = np.nonzero(a.vec)[0], np.nonzero(b.vec)[0]
+        scales = self.field.MUL[a.vec[ia][:, None], b.vec[ib][None, :]].ravel()
+        idx, coef, _ = self._scaled_terms((ia[:, None] * self.dim + ib).ravel().tolist(), scales)
+        return AlgebraElement(self, self.field.sum_at(idx, coef, self.dim), copy=False)
 
     def left_mult_matrix(self, a):
         """Matrix of b -> a*b on the basis (the regular representation)."""

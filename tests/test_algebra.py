@@ -347,6 +347,24 @@ def test_sparse_multiply_matches_dense_reference(make):
             assert np.array_equal(m.a[:, j], col)
 
 
+@pytest.mark.parametrize("make", SPARSE_CASES)
+def test_products_stack_every_pair_of_rows(make):
+    """Column i·n + j of products(left, right) is the i-th left row times
+    the j-th right row, zero rows and empty stacks included."""
+    A = make()
+    rng = random.Random(11)
+    left = [random_element(A, rng, rng.randrange(1, 6)) for _ in range(3)] + [A.zero()]
+    right = [A.zero()] + [random_element(A, rng, rng.randrange(1, 6)) for _ in range(4)]
+    stacked = A.products(np.array([a.vec for a in left]), np.array([b.vec for b in right]))
+    assert stacked.shape == (A.dim, len(left) * len(right))
+    for i, a in enumerate(left):
+        for j, b in enumerate(right):
+            assert np.array_equal(stacked[:, i * len(right) + j], dense_product(A, a, b))
+    empty = np.zeros((0, A.dim), dtype=np.int16)
+    assert A.products(empty, stacked.T[:2]).shape == (A.dim, 0)
+    assert A.products(stacked.T[:2], empty).shape == (A.dim, 0)
+
+
 def test_product_table_holds_nonzero_terms_only():
     # a Heisenberg product of basis monomials has at most p^n terms: one
     # per choice of how many z each pair x_t, y_t produces; read from the

@@ -90,22 +90,27 @@ def t2_from_pair(a, b):
 
 
 def t2_mul(A, u, v):
-    """Componentwise product in A⊗A of sparse dicts.  The basis products
-    of the left factors are straightened in one batch, then those of the
-    right factors of the pairs whose left product is nonzero in another."""
+    """Componentwise product in A⊗A of sparse dicts.  The distinct basis
+    products of the left factors are straightened in one batch, then those
+    of the right factors of the pairs whose left product is nonzero in
+    another; the loop then reads them from the memo."""
     F, d = A.field, A.dim
-    pairs = [(i1 * d + i2, j1 * d + j2, F.mul(c1, c2))
-             for (i1, j1), c1 in u.items() for (i2, j2), c2 in v.items()]
-    lefts = A._memo_terms([key for key, _, _ in pairs])
-    kept = [(left, key, c) for left, (_, key, c) in zip(lefts, pairs) if len(left[0])]
-    rights = A._memo_terms([key for _, key, _ in kept])
+    A._memo_terms({i1 * d + i2 for i1, _ in u for i2, _ in v})
+    A._memo_terms({j1 * d + j2 for i1, j1 in u for i2, j2 in v
+                   if len(A.product_terms(i1, i2)[0])})
     out = {}
-    for ((left_idx, left_coef), _, c), (right_idx, right_coef) in zip(kept, rights):
-        right = list(zip(right_idx.tolist(), right_coef.tolist()))
-        for li, cl in zip(left_idx.tolist(), left_coef.tolist()):
-            cl = F.mul(c, cl)
-            for rj, cr in right:
-                t2_add_term(F, out, (li, rj), F.mul(cl, cr))
+    for (i1, j1), c1 in u.items():
+        for (i2, j2), c2 in v.items():
+            left_idx, left_coef = A.product_terms(i1, i2)
+            if not len(left_idx):
+                continue
+            right_idx, right_coef = A.product_terms(j1, j2)
+            right = list(zip(right_idx.tolist(), right_coef.tolist()))
+            c = F.mul(c1, c2)
+            for li, cl in zip(left_idx.tolist(), left_coef.tolist()):
+                cl = F.mul(c, cl)
+                for rj, cr in right:
+                    t2_add_term(F, out, (li, rj), F.mul(cl, cr))
     return out
 
 

@@ -90,14 +90,16 @@ def t2_from_pair(a, b):
 
 
 def t2_mul(A, u, v):
-    """Componentwise product in A⊗A of sparse dicts.  The distinct basis
-    products of the left factors are straightened in one batch, then those
-    of the right factors of the pairs whose left product is nonzero in
-    another; the loop then reads them from the memo."""
+    """Componentwise product in A⊗A of sparse dicts.  The pairs (i1, i2) of
+    left factors are the product of the sets of left indices of u and of v,
+    and likewise on the right; their basis products are straightened in one
+    batch, and the loop reads them from the memo."""
+    if not u or not v:
+        return {}
     F, d = A.field, A.dim
-    A._memo_terms({i1 * d + i2 for i1, _ in u for i2, _ in v})
-    A._memo_terms({j1 * d + j2 for i1, j1 in u for i2, j2 in v
-                   if len(A.product_terms(i1, i2)[0])})
+    (left_u, right_u), (left_v, right_v) = map(set, zip(*u)), map(set, zip(*v))
+    A._memo_terms([i1 * d + i2 for i1 in left_u for i2 in left_v]
+                  + [j1 * d + j2 for j1 in right_u for j2 in right_v])
     out = {}
     for (i1, j1), c1 in u.items():
         for (i2, j2), c2 in v.items():

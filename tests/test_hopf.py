@@ -269,3 +269,5 @@ def test_multiplicativity_spot_checks():
         i, j = rng.randrange(A.dim), rng.randrange(A.dim)
         prod = A.element(A.product_vec(i, j))
         assert d.delta_of(prod) == t2_mul(A, d.delta_basis(i), d.delta_basis(j))
+    # the zero tensor times anything is zero, on either side
+    assert t2_mul(A, {}, d.delta_basis(1)) == t2_mul(A, d.delta_basis(1), {}) == {}

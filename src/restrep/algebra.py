@@ -299,8 +299,8 @@ class AlgebraPresentation:
 
     def _scaled_terms(self, keys, scales):
         """The terms of the basis products keyed i·dim + j, each scaled by
-        its entry of ``scales``: ``(indices, coefficients, key of each
-        term)``."""
+        its entry of ``scales``: ``(indices, coefficients, position in
+        keys of each term)``."""
         terms = self._memo_terms(keys)
         owner = np.repeat(np.arange(len(terms)), [len(idx) for idx, _ in terms])
         if not len(owner):

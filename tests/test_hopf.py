@@ -117,22 +117,50 @@ def test_axiom_violation_on_bad_images():
     A = build_truncated_polynomial(field(2), [2, 2])
     one = A.identity_index
     xi, yi = A.index_of[(1, 0)], A.index_of[(0, 1)]
+    y_prim = {(yi, one): 1, (one, yi): 1}
     # x ↦ x⊗1 alone fails the counit law (ε⊗id), and x ↦ 1⊗x the law (id⊗ε)
-    with pytest.raises(AxiomViolation, match="ε⊗id"):
-        custom_structure(A, [{(xi, one): 1},
-                             {(yi, one): 1, (one, yi): 1}])
-    with pytest.raises(AxiomViolation, match="id⊗ε"):
-        custom_structure(A, [{(one, xi): 1},
-                             {(yi, one): 1, (one, yi): 1}])
+    with pytest.raises(AxiomViolation, match=r"^counit law \(ε⊗id\) fails on basis 1$"):
+        custom_structure(A, [{(xi, one): 1}, y_prim])
+    with pytest.raises(AxiomViolation, match=r"^counit law \(id⊗ε\) fails on basis 1$"):
+        custom_structure(A, [{(one, xi): 1}, y_prim])
     # non-cocommutative images fail too
-    with pytest.raises(AxiomViolation):
-        custom_structure(A, [{(xi, one): 1, (one, xi): 1, (xi, yi): 1},
-                             {(yi, one): 1, (one, yi): 1}])
+    with pytest.raises(AxiomViolation, match=r"^cocommutativity fails on basis 1$"):
+        custom_structure(A, [{(xi, one): 1, (one, xi): 1, (xi, yi): 1}, y_prim])
     # x ↦ x⊗1 + 1⊗x + x⊗y + y⊗x is counital and cocommutative but not
     # coassociative: (Δ⊗id)Δ(x) has the term x⊗y⊗y, (id⊗Δ)Δ(x) has y⊗y⊗x instead
-    with pytest.raises(AxiomViolation, match="coassociativity"):
+    with pytest.raises(AxiomViolation, match=r"^coassociativity fails on basis 1$"):
+        custom_structure(A, [{(xi, one): 1, (one, xi): 1, (xi, yi): 1, (yi, xi): 1}, y_prim])
+
+
+def test_axiom_violation_names_the_first_failing_basis_in_loop_order():
+    A = build_truncated_polynomial(field(2), [2, 2])
+    one = A.identity_index
+    xi, yi = A.index_of[(1, 0)], A.index_of[(0, 1)]
+    x_prim = {(xi, one): 1, (one, xi): 1}
+    # x is fine, so the first failure is at y (basis 2)
+    with pytest.raises(AxiomViolation, match=r"^counit law \(ε⊗id\) fails on basis 2$"):
+        custom_structure(A, [x_prim, {(yi, one): 1}])
+    with pytest.raises(AxiomViolation, match=r"^cocommutativity fails on basis 2$"):
+        custom_structure(A, [x_prim, {(yi, one): 1, (one, yi): 1, (yi, xi): 1}])
+    with pytest.raises(AxiomViolation, match=r"^coassociativity fails on basis 2$"):
+        custom_structure(A, [x_prim, {(yi, one): 1, (one, yi): 1, (xi, yi): 1, (yi, xi): 1}])
+    # basis 1 fails the last law and basis 2 the first: the basis order wins
+    with pytest.raises(AxiomViolation, match=r"^coassociativity fails on basis 1$"):
         custom_structure(A, [{(xi, one): 1, (one, xi): 1, (xi, yi): 1, (yi, xi): 1},
-                             {(yi, one): 1, (one, yi): 1}])
+                             {(yi, one): 1}])
+
+
+def test_multiplicativity_violation_names_the_first_sampled_pair():
+    # x and y primitive and z grouplike-shifted is counital, cocommutative and
+    # coassociative on every basis monomial, but Δ does not respect [x, y] = z
+    H = build_heisenberg(field(3))
+    one = H.identity_index
+    images = []
+    for g, name in enumerate(H.gen_names):
+        gi = H.index_of[H._gen_exps[g]]
+        images.append({(gi, one): 1, (one, gi): 1, **({(gi, gi): 1} if name == "z" else {})})
+    with pytest.raises(AxiomViolation, match=r"^multiplicativity fails at pair \(4, 22\)$"):
+        custom_structure(H, images)
 
 
 def test_delta_extension_examples():

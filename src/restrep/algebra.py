@@ -15,8 +15,8 @@ nonzero terms of every product b_I[s]·b_J[s] at once.  It is the only
 straightening code.  ``product_terms(i, j) = (indices, coefficients)`` is
 its memoized single-pair view.  ``multiply`` and ``products`` (so
 ``left_mult_matrix`` too) straighten all memo misses of one call in one
-kernel call, and so does each product in the sparse A⊗A arithmetic of
-:mod:`restrep.hopf`.
+kernel call, and so does each batch of A⊗A products in
+:mod:`restrep.hopf`, whose keys i·dim + j are the memo's.
 
 Every build runs a verification pass and fails loudly, naming the
 culprit, rather than returning a broken algebra.  Its products go

@@ -1,8 +1,13 @@
 """Cocommutative comultiplication structures on a fixed augmented algebra.
 
 A comultiplication is an algebra map A -> A⊗A recorded on generators and
-extended multiplicatively to the monomial basis (memoized).  Elements of
-A⊗A and A⊗A⊗A are sparse dicts keyed by basis-index pairs/triples.
+extended multiplicatively to the monomial basis.  An element of A⊗A is a
+pair of arrays: sorted distinct int64 keys i·dim + j, the key of the
+product memo of :mod:`restrep.algebra`, and their nonzero coefficients.
+The axiom checks key A⊗A⊗A as (i·dim + j)·dim + k.  Δ of every basis
+monomial is built at construction, one degree per batch, as Δ(m) =
+Δ(m')·Δ(g) with g the last generator of m, so that m = m'·g needs no
+straightening.
 
 Construction always runs the axiom suite (coassociativity, counit law,
 cocommutativity, multiplicativity on sampled pairs) and raises
@@ -20,7 +25,7 @@ import random
 import numpy as np
 
 from .algebra import AlgebraError
-from .matrices import Matrix, _INT
+from .matrices import _INT
 
 AXIOM_FULL_DIM = 256       # full-basis axiom checks up to this dimension
 AXIOM_SAMPLES = 64         # sampled basis elements above
@@ -48,104 +53,70 @@ class NotAutomorphism(HopfError):
     pass
 
 
-# -- sparse tensor-square / tensor-cube arithmetic -------------------------------
+# -- A⊗A as key and coefficient arrays ------------------------------------------------
 
-def t2_add_term(F, acc, key, c):
-    """acc[key] += c in a sparse tensor, dropping zeros; keys are opaque
-    tuples (pairs in A⊗A, triples in A⊗A⊗A)."""
-    if not c:
-        return
-    prev = acc.get(key)
-    if prev is None:
-        acc[key] = c
-    else:
-        s = F.add(prev, c)
-        if s:
-            acc[key] = s
-        else:
-            del acc[key]
+def _normal(A, keys, coef):
+    """The tensor Σ coef[t]·keys[t]: coefficients summed per key, zeros
+    dropped, keys sorted."""
+    keys, coef = A._sum_terms(np.asarray(keys, dtype=np.int64), np.asarray(coef, dtype=_INT))
+    return keys[coef != 0], coef[coef != 0]
 
 
-def t2_add(F, u, v):
-    out = dict(u)
-    for k, c in v.items():
-        t2_add_term(F, out, k, c)
-    return out
+def _add(A, *tensors):
+    return _normal(A, *map(np.concatenate, zip(*tensors)))
 
 
-def t2_axpy(F, acc, c, u, key=None):
-    """acc += c·u in place; ``key`` maps u's keys to acc's when they differ."""
-    for k, v in u.items():
-        t2_add_term(F, acc, key(k) if key else k, F.mul(c, v))
+def _equal(u, v):
+    return all(map(np.array_equal, u, v))
 
 
-def t2_from_pair(a, b):
-    """Simple tensor a⊗b as a sparse dict."""
-    F = a.algebra.field
-    out = {}
-    for i in a.support():
-        for j in b.support():
-            out[(i, j)] = F.mul(int(a.vec[i]), int(b.vec[j]))
-    return out
+def _expand(rows, start):
+    """Each entry of ``rows`` once per position start[r] .. start[r + 1] - 1
+    of its row r: (entry, position) arrays."""
+    n = np.diff(start)[rows]
+    entry = np.repeat(np.arange(len(rows)), n)
+    return entry, np.arange(len(entry)) + (start[rows] - np.cumsum(n) + n)[entry]
 
 
-def t2_mul(A, u, v):
-    """Componentwise product in A⊗A of sparse dicts.  The pairs (i1, i2) of
-    left factors are the product of the sets of left indices of u and of v,
-    and likewise on the right; their basis products are straightened in one
-    batch, and the loop reads them from the memo."""
-    if not u or not v:
-        return {}
+def _products(A, u, v, s, t, group):
+    """Σ per group of the products u[s]·v[t] of terms of u, v = (keys,
+    coef) in A⊗A, for aligned index arrays s, t, group; keyed group·dim² +
+    key.  Every pair of a left (right) index of u with one of v is
+    straightened once, in one batch."""
     F, d = A.field, A.dim
-    (left_u, right_u), (left_v, right_v) = map(set, zip(*u)), map(set, zip(*v))
-    A._memo_terms([i1 * d + i2 for i1 in left_u for i2 in left_v]
-                  + [j1 * d + j2 for j1 in right_u for j2 in right_v])
-    out = {}
-    for (i1, j1), c1 in u.items():
-        for (i2, j2), c2 in v.items():
-            left_idx, left_coef = A.product_terms(i1, i2)
-            if not len(left_idx):
-                continue
-            right_idx, right_coef = A.product_terms(j1, j2)
-            right = list(zip(right_idx.tolist(), right_coef.tolist()))
-            c = F.mul(c1, c2)
-            for li, cl in zip(left_idx.tolist(), left_coef.tolist()):
-                cl = F.mul(c, cl)
-                for rj, cr in right:
-                    t2_add_term(F, out, (li, rj), F.mul(cl, cr))
-    return out
+    (ku, cu), (kv, cv) = u, v
+    sides = []
+    for a, b in ((ku // d, kv // d), (ku % d, kv % d)):
+        (va, ra), (vb, rb) = (np.unique(x, return_inverse=True) for x in (a, b))
+        idx, coef, owner = A._scaled_terms((va[:, None] * d + vb).ravel().tolist(),
+                                           np.ones(len(va) * len(vb), dtype=_INT))
+        start = np.searchsorted(owner, np.arange(len(va) * len(vb) + 1))
+        sides.append((ra[s] * len(vb) + rb[t], start, idx, coef))
+    (lrow, lstart, li, lc), (rrow, rstart, ri, rc) = sides
+    x, lpos = _expand(lrow, lstart)         # each pair once per term of its left product
+    y, rpos = _expand(rrow[x], rstart)      # and per term of its right product
+    x, lpos = x[y], lpos[y]
+    coef = F.MUL[F.MUL[F.MUL[cu[s[x]], cv[t[x]]], lc[lpos]], rc[rpos]]
+    return _normal(A, (group[x] * d + li[lpos]) * d + ri[rpos], coef)
 
 
-def t2_swap(u):
-    return {(j, i): c for (i, j), c in u.items()}
-
-
-def t2_counit(A, u, side):
-    """(ε⊗id) (side 0) or (id⊗ε) (side 1) of a sparse tensor, as a
-    coefficient vector over A."""
-    v = np.zeros(A.dim, dtype=_INT)
-    for key, c in u.items():
-        if key[side] == A.identity_index:
-            k = key[1 - side]
-            v[k] = A.field.add(int(v[k]), c)
-    return v
-
-
-def t2_act_morphism(phi, u):
-    """(φ⊗φ) applied to a sparse tensor; phi an endomorphism of A."""
-    out = {}
-    for (i, j), c in u.items():
-        fi = phi._mono_image(phi.source.basis_exps[i])
-        fj = phi._mono_image(phi.source.basis_exps[j])
-        t2_axpy(phi.target.field, out, c, t2_from_pair(fi, fj))
-    return out
+def _outer(A, scale, left, right):
+    """Σ_t scale[t]·left[t]⊗right[t] over the rows of two coefficient arrays."""
+    F = A.field
+    lt, li = np.nonzero(left)
+    rt, rj = np.nonzero(right)
+    x, y = _expand(lt, np.searchsorted(rt, np.arange(len(right) + 1)))
+    t = lt[x]
+    coef = F.MUL[F.MUL[scale[t], left[t, li[x]]], right[t, rj[y]]]
+    return _normal(A, li[x] * A.dim + rj[y], coef)
 
 
 # -- the comultiplication object ----------------------------------------------------
 
 
 class Comultiplication:
-    """An axiom-verified cocommutative algebra map A -> A⊗A."""
+    """An axiom-verified cocommutative algebra map A -> A⊗A.  ``images``
+    holds Δ of each generator as a tensor (keys, coefficients)."""
 
     def __init__(self, algebra, name, images, nobility_rule=None, twist_chain=(),
                  base_name=None):
@@ -155,37 +126,58 @@ class Comultiplication:
         self.nobility_rule = nobility_rule
         self.twist_chain = tuple(twist_chain)   # morphisms applied, outermost last
         self.base_name = base_name or name
-        self._table = {}
-        if len(images) != len(algebra.gen_names):
-            raise ShapeMismatch("one image per generator required")
+        self._build_table()
         self._verify_axioms()
+
+    def _build_table(self):
+        """Δ of every basis monomial m, as the keys and coefficients at
+        ``_start[m]:_start[m + 1]``.  One batch per degree: Δ(m) =
+        Δ(m')·Δ(g), with g the last generator of m and Δ(m') from the
+        batch before, keyed m·dim² + key."""
+        A = self.algebra
+        d, d2, n = A.dim, A.dim ** 2, len(A.gen_names)
+        gen_keys, gen_coef = map(np.concatenate, zip(*self.images))
+        gen_start = np.cumsum([0] + [len(k) for k, _ in self.images])
+        degree = A._exps.sum(axis=1)
+        last = n - 1 - np.argmax(A._exps[:, ::-1] > 0, axis=1)
+        keys, coef = np.array([A.identity_index * (d2 + d + 1)]), np.ones(1, dtype=_INT)
+        table = [(keys, coef)]
+        for k in range(1, degree.max() + 1):
+            ms = np.nonzero(degree == k)[0]
+            g = last[ms]
+            prev = A._index[(A._exps[ms] - np.eye(n, dtype=np.intp)[g]) @ A._radix]
+            e1, p1 = _expand(prev, np.searchsorted(keys, np.arange(d + 1) * d2))   # Δ(m')
+            e2, p2 = _expand(g[e1], gen_start)                                      # Δ(g)
+            keys, coef = _products(A, (keys % d2, coef), (gen_keys, gen_coef),
+                                   p1[e2], p2, ms[e1[e2]])
+            table.append((keys, coef))
+        keys, self._coef = _add(A, *table)
+        self._start, self._keys = np.searchsorted(keys, np.arange(d + 1) * d2), keys % d2
 
     # -- evaluation ---------------------------------------------------------------
 
     def delta_basis(self, i):
-        hit = self._table.get(i)
-        if hit is not None:
-            return hit
-        A = self.algebra
-        out = {(A.identity_index, A.identity_index): 1}
-        for g, e in enumerate(A.basis_exps[i]):
-            for _ in range(e):
-                out = t2_mul(A, out, self.images[g])
-        self._table[i] = out
-        return out
+        """Δ of basis monomial i, as (keys, coefficients)."""
+        at = slice(self._start[i], self._start[i + 1])
+        return self._keys[at], self._coef[at]
+
+    def _terms(self, rows, scale):
+        """The terms of Σ_t scale[t]·Δ(b_rows[t]): (t, key, coefficient)."""
+        t, pos = _expand(rows, self._start)
+        return t, self._keys[pos], self.algebra.field.MUL[scale[t], self._coef[pos]]
 
     def delta_of(self, a):
         """Linear extension of the basis table to an arbitrary element."""
-        out = {}
-        for i in a.support():
-            t2_axpy(self.algebra.field, out, int(a.vec[i]), self.delta_basis(i))
-        return out
+        support = np.nonzero(a.vec)[0]
+        return _normal(self.algebra, *self._terms(support, a.vec[support])[1:])
 
     def generator_terms(self, g):
         """Δ(g) as a list of (coeff, left index, right index)."""
         if isinstance(g, str):
             g = self.algebra.gen_names.index(g)
-        return [(c, i, j) for (i, j), c in sorted(self.images[g].items())]
+        keys, coef = self.images[g]
+        d = self.algebra.dim
+        return [(c, k // d, k % d) for k, c in zip(keys.tolist(), coef.tolist())]
 
     # -- axioms ------------------------------------------------------------------------
 
@@ -194,34 +186,30 @@ class Comultiplication:
         if A.dim <= AXIOM_FULL_DIM:
             return list(range(A.dim))
         rng = random.Random(0xC0A55)
-        idx = set(rng.randrange(A.dim) for _ in range(AXIOM_SAMPLES))
-        idx.add(A.identity_index)
-        idx.add(A.integral_index)
-        for e in A._gen_exps:
-            idx.add(A.index_of[e])
+        idx = {rng.randrange(A.dim) for _ in range(AXIOM_SAMPLES)}
+        idx |= {A.identity_index, A.integral_index} | {A.index_of[e] for e in A._gen_exps}
         return sorted(idx)
 
     def _verify_axioms(self):
+        """Per sampled basis index in order, the counit laws,
+        cocommutativity (a key transpose) and coassociativity; then
+        multiplicativity per sampled pair.  The first failure is named."""
         A = self.algebra
-        F = A.field
+        d, one = A.dim, A.identity_index
         for i in self._sample_indices():
-            d = self.delta_basis(i)
-            expected = np.zeros(A.dim, dtype=_INT)
-            expected[i] = 1
-            if not np.array_equal(t2_counit(A, d, 0), expected):
+            keys, coef = self.delta_basis(i)
+            u, v = np.divmod(keys, d)
+            if (v[u == one].tolist(), coef[u == one].tolist()) != ([i], [1]):
                 raise AxiomViolation(f"counit law (ε⊗id) fails on basis {i}")
-            if not np.array_equal(t2_counit(A, d, 1), expected):
+            if (u[v == one].tolist(), coef[v == one].tolist()) != ([i], [1]):
                 raise AxiomViolation(f"counit law (id⊗ε) fails on basis {i}")
-            if t2_swap(d) != d:
+            if not _equal(_normal(A, v * d + u, coef), (keys, coef)):
                 raise AxiomViolation(f"cocommutativity fails on basis {i}")
-            # coassociativity as sparse tensor cubes
-            lhs, rhs = {}, {}
-            for (u, v), c in d.items():
-                t2_axpy(F, lhs, c, self.delta_basis(u), key=lambda k: k + (v,))
-                t2_axpy(F, rhs, c, self.delta_basis(v), key=lambda k: (u,) + k)
-            if lhs != rhs:
+            # (Δ⊗id)Δ(b_i) and (id⊗Δ)Δ(b_i), keyed (a·dim + b)·dim + c
+            lt, lk, lc = self._terms(u, coef)
+            rt, rk, rc = self._terms(v, coef)
+            if not _equal(_normal(A, lk * d + v[lt], lc), _normal(A, u[rt] * d * d + rk, rc)):
                 raise AxiomViolation(f"coassociativity fails on basis {i}")
-        # multiplicativity on sampled pairs
         rng = random.Random(0xDE17A)
         if A.dim ** 2 <= MULT_SAMPLES:
             pairs = [(i, j) for i in range(A.dim) for j in range(A.dim)]
@@ -229,31 +217,11 @@ class Comultiplication:
             pairs = [(rng.randrange(A.dim), rng.randrange(A.dim))
                      for _ in range(MULT_SAMPLES)]
         for i, j in pairs:
-            prod = A.element(A.product_vec(i, j))
-            if self.delta_of(prod) != t2_mul(A, self.delta_basis(i), self.delta_basis(j)):
+            u, v = self.delta_basis(i), self.delta_basis(j)
+            s, t = np.divmod(np.arange(len(u[0]) * len(v[0])), max(len(v[0]), 1))
+            if not _equal(self.delta_of(A.element(A.product_vec(i, j))),
+                          _products(A, u, v, s, t, np.zeros_like(s))):
                 raise AxiomViolation(f"multiplicativity fails at pair {(i, j)}")
-
-    # -- derived data ----------------------------------------------------------------------
-
-    def primitive_space(self):
-        """Basis of {a : Δ(a) = a⊗1 + 1⊗a}, as columns over the algebra basis."""
-        A = self.algebra
-        F = A.field
-        one = A.identity_index
-        rows = {}
-        cols = []
-        for i in range(A.dim):
-            d = dict(self.delta_basis(i))
-            t2_add_term(F, d, (i, one), F.neg(1))
-            t2_add_term(F, d, (one, i), F.neg(1))
-            cols.append(d)
-            for key in d:
-                rows.setdefault(key, len(rows))
-        m = np.zeros((len(rows), A.dim), dtype=_INT)
-        for i, d in enumerate(cols):
-            for key, c in d.items():
-                m[rows[key], i] = c
-        return Matrix(F, m, copy=False).nullspace()
 
     def __repr__(self):
         return f"Comultiplication({self.name} on {self.algebra!r})"
@@ -261,8 +229,8 @@ class Comultiplication:
     def to_json(self):
         F = self.algebra.field
         return {"name": self.name, "algebra": self.algebra.to_json(),
-                "images": [[[i, j, F.coeffs(c)] for (i, j), c in sorted(im.items())]
-                           for im in self.images]}
+                "images": [[[i, j, F.coeffs(c)] for c, i, j in self.generator_terms(g)]
+                           for g in range(len(self.images))]}
 
 
 # -- the ω operator ------------------------------------------------------------------------
@@ -279,29 +247,20 @@ def omega(A, a):
     powers = [A.one()]
     for _ in range(p):
         powers.append(A.multiply(powers[-1], a))
-    out = {}
-    for i in range(1, p):
-        c = (math.comb(p, i) // p) % p
-        if not c:
-            continue
-        t2_axpy(A.field, out, c, t2_from_pair(powers[i], powers[p - i]))
-    return out
+    scale = np.array([(math.comb(p, i) // p) % p for i in range(1, p)], dtype=_INT)
+    return _outer(A, scale, np.array([powers[i].vec for i in range(1, p)]),
+                  np.array([powers[p - i].vec for i in range(1, p)]))
 
 
 # -- the named structure library --------------------------------------------------------------
 
 
-def _primitive_image(A, g):
-    one = A.identity_index
+def _primitive_image(A, g, shift=False):
+    """g ↦ g⊗1 + 1⊗g, plus g⊗g when ``shift`` (grouplike-shifted)."""
+    d, one = A.dim, A.identity_index
     gi = A.index_of[A._gen_exps[g]]
-    return {(gi, one): 1, (one, gi): 1}
-
-
-def _grouplike_shift_image(A, g):
-    """g ↦ g⊗1 + 1⊗g + g⊗g."""
-    one = A.identity_index
-    gi = A.index_of[A._gen_exps[g]]
-    return {(gi, one): 1, (one, gi): 1, (gi, gi): 1}
+    keys = [gi * d + one, one * d + gi] + [gi * d + gi] * shift
+    return _normal(A, keys, np.ones(len(keys), dtype=_INT))
 
 
 def _require_shape(A, kind, n_gens=None, bounds=None):
@@ -328,48 +287,62 @@ def named_structure(A, name):
     if name == "wang_Ga2":
         _require_shape(A, "truncated_poly", 2, (p, p))
         x = A.generator(0)
-        dy = t2_add(A.field, _primitive_image(A, 1), omega(A, x))
+        dy = _add(A, _primitive_image(A, 1), omega(A, x))
         return Comultiplication(A, name, [_primitive_image(A, 0), dy],
                                 nobility_rule="first_axis")
     if name == "wang_Ga1xZp":
         _require_shape(A, "truncated_poly", 2, (p, p))
         return Comultiplication(A, name,
-                                [_primitive_image(A, 0), _grouplike_shift_image(A, 1)],
+                                [_primitive_image(A, 0), _primitive_image(A, 1, shift=True)],
                                 nobility_rule="axes")
     if name == "wang_ZpZp":
         _require_shape(A, "truncated_poly", 2, (p, p))
-        return Comultiplication(A, name,
-                                [_grouplike_shift_image(A, 0), _grouplike_shift_image(A, 1)],
-                                nobility_rule="prime_field")
+        images = [_primitive_image(A, g, shift=True) for g in (0, 1)]
+        return Comultiplication(A, name, images, nobility_rule="prime_field")
     if name == "oorttate_Zp":
         _require_shape(A, "truncated_poly", 1, (p,))
-        return Comultiplication(A, name, [_grouplike_shift_image(A, 0)],
+        return Comultiplication(A, name, [_primitive_image(A, 0, shift=True)],
                                 nobility_rule="all")
     if name == "witt_G2":
         _require_shape(A, "truncated_poly", 1, (p * p,))
         x = A.generator(0)
-        im = t2_add(A.field, _primitive_image(A, 0), omega(A, x.pow(p)))
+        im = _add(A, _primitive_image(A, 0), omega(A, x.pow(p)))
         return Comultiplication(A, name, [im], nobility_rule="all")
     if name == "witt_Zp2":
         _require_shape(A, "truncated_poly", 1, (p * p,))
-        return Comultiplication(A, name, [_grouplike_shift_image(A, 0)],
+        return Comultiplication(A, name, [_primitive_image(A, 0, shift=True)],
                                 nobility_rule="all")
     raise ShapeMismatch(f"unknown structure name {name!r}")
 
 
 def custom_structure(A, images, name="custom"):
-    """A user-supplied comultiplication; axiom-verified, nobility unknown."""
+    """A user-supplied comultiplication from generator images {(i, j): c};
+    axiom-verified, nobility unknown."""
+    if len(images) != len(A.gen_names):
+        raise ShapeMismatch("one image per generator required")
+    images = [_image_tensor(A, g, im) for g, im in zip(A.gen_names, images)]
     return Comultiplication(A, name, images, nobility_rule=None)
 
 
+def _image_tensor(A, g, image):
+    """The tensor of the image {(i, j): c} of generator ``g``; ShapeMismatch
+    naming the generator and the key unless every key is a pair of basis
+    indices and every coefficient an encoded field element."""
+    d, q = A.dim, A.field.q
+    for key, c in image.items():
+        if not (isinstance(key, tuple) and len(key) == 2
+                and all(isinstance(i, (int, np.integer)) and 0 <= i < d for i in key)):
+            raise ShapeMismatch(f"image of generator {g}: key {key!r} is not a pair of "
+                                f"basis indices in [0, {d})")
+        if not (isinstance(c, (int, np.integer)) and 0 <= c < q):
+            raise ShapeMismatch(f"image of generator {g}: coefficient {c!r} at key {key!r} "
+                                f"is not an element of GF({q})")
+    return _normal(A, [i * d + j for i, j in image], list(image.values()))
+
+
 def structure_from_json(A, data):
-    F = A.field
-    images = []
-    for im in data["images"]:
-        d = {}
-        for i, j, cs in im:
-            d[(int(i), int(j))] = F.from_coeffs(cs)
-        images.append(d)
+    images = [{(int(i), int(j)): A.field.from_coeffs(cs) for i, j, cs in im}
+              for im in data["images"]]
     return custom_structure(A, images, name=data.get("name", "custom"))
 
 
@@ -386,10 +359,12 @@ def twist(delta, phi):
     except AlgebraError as exc:
         raise NotAutomorphism("twisting morphism is not invertible") from exc
     images = []
-    for g in range(len(A.gen_names)):
-        a = phi_inv.images[g]           # φ⁻¹(g)
-        d = delta.delta_of(a)
-        images.append(t2_act_morphism(phi, d))
+    for a in phi_inv.images:            # φ⁻¹(g)
+        keys, coef = delta.delta_of(a)
+        # (φ⊗φ)(Σ c·b_i⊗b_j) = Σ c·φ(b_i)⊗φ(b_j)
+        left, right = ([phi._mono_image(A.basis_exps[k]).vec for k in ix]
+                       for ix in np.divmod(keys, A.dim))
+        images.append(_outer(A, coef, *(np.reshape(m, (-1, A.dim)) for m in (left, right))))
     label = ",".join(f"{n}↦{im!r}" for n, im in zip(A.gen_names, phi.images))
     return Comultiplication(A, f"{delta.name}^({label})", images,
                             nobility_rule=delta.nobility_rule,

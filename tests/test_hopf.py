@@ -2,15 +2,101 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from restrep.fields import field
-from restrep.algebra import (AlgebraMorphism, build_heisenberg,
+from restrep.algebra import (AlgebraError, AlgebraMorphism, build_heisenberg,
                              build_truncated_polynomial)
 from restrep.hopf import (AxiomViolation, Comultiplication, NotAutomorphism,
                           ShapeMismatch, STRUCTURE_NAMES, custom_structure,
-                          named_structure, omega, structure_from_json, twist,
-                          t2_add, t2_from_pair, t2_mul)
+                          named_structure, omega, structure_from_json, twist)
+from restrep.matrices import Matrix, _INT
+
+
+# -- the dict reference: A⊗A as {(i, j): c} ---------------------------------------
+# The sparse-dict arithmetic the array code replaced, kept as its reference.
+
+def t2_add_term(F, acc, key, c):
+    """acc[key] += c in a sparse tensor, dropping zeros."""
+    if not c:
+        return
+    s = F.add(acc.get(key, 0), c)
+    if s:
+        acc[key] = s
+    else:
+        acc.pop(key, None)
+
+
+def t2_add(F, u, v):
+    out = dict(u)
+    for k, c in v.items():
+        t2_add_term(F, out, k, c)
+    return out
+
+
+def t2_from_pair(a, b):
+    """Simple tensor a⊗b as a sparse dict."""
+    F = a.algebra.field
+    return {(i, j): F.mul(int(a.vec[i]), int(b.vec[j])) for i in a.support() for j in b.support()}
+
+
+def t2_mul(A, u, v):
+    """Componentwise product in A⊗A of sparse dicts, one pair of terms at a time."""
+    F = A.field
+    out = {}
+    for (i1, j1), c1 in u.items():
+        for (i2, j2), c2 in v.items():
+            left_idx, left_coef = A.product_terms(i1, i2)
+            right_idx, right_coef = A.product_terms(j1, j2)
+            c = F.mul(c1, c2)
+            for li, cl in zip(left_idx.tolist(), left_coef.tolist()):
+                for rj, cr in zip(right_idx.tolist(), right_coef.tolist()):
+                    t2_add_term(F, out, (li, rj), F.mul(F.mul(c, cl), cr))
+    return out
+
+
+def as_dict(A, tensor):
+    """A tensor (keys i·dim + j, coefficients) of restrep.hopf as {(i, j): c}."""
+    keys, coef = tensor
+    return {(k // A.dim, k % A.dim): c for k, c in zip(keys.tolist(), coef.tolist())}
+
+
+def reference_delta(A, images):
+    """Δ of every basis monomial as a dict: the dict images of the
+    generators multiplied in word order, one t2_mul per letter."""
+    one = A.identity_index
+    memo = {(0,) * len(A.gen_names): {(one, one): 1}}
+
+    def delta(exps):
+        if exps not in memo:
+            g = max(t for t, e in enumerate(exps) if e)
+            memo[exps] = t2_mul(A, delta(exps[:g] + (exps[g] - 1,) + exps[g + 1:]), images[g])
+        return memo[exps]
+
+    return [delta(e) for e in A.basis_exps]
+
+
+def primitive_space(delta):
+    """Basis of {a : Δ(a) = a⊗1 + 1⊗a}, as columns over the algebra basis."""
+    A = delta.algebra
+    F = A.field
+    one = A.identity_index
+    rows = {}
+    cols = []
+    for i in range(A.dim):
+        d = as_dict(A, delta.delta_basis(i))
+        t2_add_term(F, d, (i, one), F.neg(1))
+        t2_add_term(F, d, (one, i), F.neg(1))
+        cols.append(d)
+        for key in d:
+            rows.setdefault(key, len(rows))
+    m = np.zeros((len(rows), A.dim), dtype=_INT)
+    for i, d in enumerate(cols):
+        for key, c in d.items():
+            m[rows[key], i] = c
+    return Matrix(F, m, copy=False).nullspace()
 
 
 def pascal_binomials(n):
@@ -22,7 +108,7 @@ def pascal_binomials(n):
 
 
 def omega_as_named_dict(A, g=0):
-    om = omega(A, A.generator(g))
+    om = as_dict(A, omega(A, A.generator(g)))
     return {(A.monomial_name(i), A.monomial_name(j)): c for (i, j), c in om.items()}
 
 
@@ -36,7 +122,7 @@ def test_omega_small_primes():
 def test_omega_against_integer_binomial_oracle():
     for p in (3, 5, 7):
         A = build_truncated_polynomial(field(p), [p, p])
-        om = omega(A, A.generator(0))
+        om = as_dict(A, omega(A, A.generator(0)))
         row = pascal_binomials(p)
         for i in range(1, p):
             assert row[i] % p == 0          # divisibility that makes ω well defined
@@ -54,7 +140,7 @@ def test_omega_against_integer_binomial_oracle():
 def test_omega_p5_frozen_values():
     # computed by the integer oracle: C(5,i)/5 mod 5 = 1, 2, 2, 1
     A = build_truncated_polynomial(field(5), [5, 5])
-    om = omega(A, A.generator(0))
+    om = as_dict(A, omega(A, A.generator(0)))
     coeffs = [om[(A.index_of[(i, 0)], A.index_of[(5 - i, 0)])] for i in (1, 2, 3, 4)]
     assert coeffs == [1, 2, 2, 1]
 
@@ -64,19 +150,19 @@ def test_named_structure_images():
     one = A.identity_index
     xi, yi = A.index_of[(1, 0)], A.index_of[(0, 1)]
     lie = named_structure(A, "lie_primitive")
-    assert lie.images[0] == {(xi, one): 1, (one, xi): 1}
+    assert as_dict(A, lie.images[0]) == {(xi, one): 1, (one, xi): 1}
     d1 = named_structure(A, "wang_Ga2")
-    assert d1.images[0] == {(xi, one): 1, (one, xi): 1}
-    assert d1.images[1] == {(yi, one): 1, (one, yi): 1, (xi, xi): 1}
+    assert as_dict(A, d1.images[0]) == {(xi, one): 1, (one, xi): 1}
+    assert as_dict(A, d1.images[1]) == {(yi, one): 1, (one, yi): 1, (xi, xi): 1}
     d2 = named_structure(A, "wang_Ga1xZp")
-    assert d2.images[1] == {(yi, one): 1, (one, yi): 1, (yi, yi): 1}
+    assert as_dict(A, d2.images[1]) == {(yi, one): 1, (one, yi): 1, (yi, yi): 1}
     d3 = named_structure(A, "wang_ZpZp")
-    assert d3.images[0] == {(xi, one): 1, (one, xi): 1, (xi, xi): 1}
+    assert as_dict(A, d3.images[0]) == {(xi, one): 1, (one, xi): 1, (xi, xi): 1}
     Ap = build_truncated_polynomial(field(3), [3], names=("x",))
     oort = named_structure(Ap, "oorttate_Zp")
     xi = Ap.index_of[(1,)]
-    assert oort.images[0] == {(xi, Ap.identity_index): 1, (Ap.identity_index, xi): 1,
-                              (xi, xi): 1}
+    assert as_dict(Ap, oort.images[0]) == {(xi, Ap.identity_index): 1,
+                                           (Ap.identity_index, xi): 1, (xi, xi): 1}
 
 
 def test_every_named_structure_passes_axioms():
@@ -167,11 +253,11 @@ def test_delta_extension_examples():
     A = build_truncated_polynomial(field(2), [2, 2])
     lie = named_structure(A, "lie_primitive")
     one = A.identity_index
-    assert lie.delta_basis(one) == {(one, one): 1}
+    assert as_dict(A, lie.delta_basis(one)) == {(one, one): 1}
     # Δ(xy) = xy⊗1 + x⊗y + y⊗x + 1⊗xy at p = 2
     xi, yi, xyi = A.index_of[(1, 0)], A.index_of[(0, 1)], A.index_of[(1, 1)]
-    assert lie.delta_basis(xyi) == {(xyi, one): 1, (xi, yi): 1, (yi, xi): 1,
-                                    (one, xyi): 1}
+    assert as_dict(A, lie.delta_basis(xyi)) == {(xyi, one): 1, (xi, yi): 1, (yi, xi): 1,
+                                                (one, xyi): 1}
 
 
 def in_sigma_span(A, d, s2):
@@ -209,7 +295,7 @@ def test_deformed_coproduct_of_point_direction_mod_sigma():
     for a in range(K.q):
         s1 = x
         s2 = a * x + y
-        d = d3.delta_of(s2)
+        d = as_dict(A, d3.delta_of(s2))
         one = A.identity_index
         d = t2_add(K, d, {k: K.neg(v) for k, v in t2_from_pair(s2, A.one()).items()})
         d = t2_add(K, d, {k: K.neg(v) for k, v in t2_from_pair(A.one(), s2).items()})
@@ -221,14 +307,18 @@ def test_deformed_coproduct_of_point_direction_mod_sigma():
 
 def test_primitive_space_dimensions():
     A = build_truncated_polynomial(field(3), [3, 3])
-    assert named_structure(A, "lie_primitive").primitive_space().cols == 2
-    assert named_structure(A, "wang_Ga2").primitive_space().cols == 1
-    assert named_structure(A, "wang_ZpZp").primitive_space().cols == 0
+    assert primitive_space(named_structure(A, "lie_primitive")).cols == 2
+    assert primitive_space(named_structure(A, "wang_Ga2")).cols == 1
+    assert primitive_space(named_structure(A, "wang_ZpZp")).cols == 0
     W = build_truncated_polynomial(field(2), [4], names=("x",))
     # x and its square are both primitive for the additive structure
-    assert named_structure(W, "lie_primitive").primitive_space().cols == 2
+    assert primitive_space(named_structure(W, "lie_primitive")).cols == 2
     H = build_heisenberg(field(3))
-    assert named_structure(H, "heisenberg_primitive").primitive_space().cols == 3
+    assert primitive_space(named_structure(H, "heisenberg_primitive")).cols == 3
+
+
+def images_as_dicts(delta):
+    return [as_dict(delta.algebra, im) for im in delta.images]
 
 
 def test_twist_identity_and_roundtrip():
@@ -236,12 +326,12 @@ def test_twist_identity_and_roundtrip():
     lie = named_structure(A, "lie_primitive")
     ident = AlgebraMorphism.identity(A)
     tw = twist(lie, ident)
-    assert tw.images == lie.images
+    assert images_as_dicts(tw) == images_as_dicts(lie)
     x, y = A.generators()
     phi = AlgebraMorphism.from_gen_map(A, {"y": y + x.pow(2)})
     tw = twist(lie, phi)
     back = twist(tw, phi.invert())
-    assert back.images == lie.images
+    assert images_as_dicts(back) == images_as_dicts(lie)
     assert tw.base_name == "lie_primitive" and len(tw.twist_chain) == 1
 
 
@@ -253,7 +343,7 @@ def test_twist_composition_law():
     psi = AlgebraMorphism.from_gen_map(A, {"x": x + y.pow(2)})
     lhs = twist(twist(lie, phi), psi)
     rhs = twist(lie, psi.compose(phi))
-    assert lhs.images == rhs.images
+    assert images_as_dicts(lhs) == images_as_dicts(rhs)
 
 
 def test_twisted_coproduct_explicit_value():
@@ -269,7 +359,7 @@ def test_twisted_coproduct_explicit_value():
         c = A.field.neg(2 % p)
         if c:
             expect[(xi, xi)] = c
-        assert tw.images[1] == expect
+        assert as_dict(A, tw.images[1]) == expect
 
 
 def test_twist_requires_automorphism():
@@ -285,7 +375,7 @@ def test_structure_json_roundtrip():
     A = build_truncated_polynomial(field(2), [2, 2])
     d = named_structure(A, "wang_Ga2")
     again = structure_from_json(A, d.to_json())
-    assert again.images == d.images
+    assert images_as_dicts(again) == images_as_dicts(d)
 
 
 def test_multiplicativity_spot_checks():
@@ -296,6 +386,117 @@ def test_multiplicativity_spot_checks():
     for _ in range(20):
         i, j = rng.randrange(A.dim), rng.randrange(A.dim)
         prod = A.element(A.product_vec(i, j))
-        assert d.delta_of(prod) == t2_mul(A, d.delta_basis(i), d.delta_basis(j))
-    # the zero tensor times anything is zero, on either side
-    assert t2_mul(A, {}, d.delta_basis(1)) == t2_mul(A, d.delta_basis(1), {}) == {}
+        assert as_dict(A, d.delta_of(prod)) == t2_mul(A, as_dict(A, d.delta_basis(i)),
+                                                      as_dict(A, d.delta_basis(j)))
+    # the zero tensor times anything is zero, on either side; Δ(0) = 0
+    x1 = as_dict(A, d.delta_basis(1))
+    assert t2_mul(A, {}, x1) == t2_mul(A, x1, {}) == {}
+    assert as_dict(A, d.delta_of(A.zero())) == {}
+
+
+def test_malformed_images_name_the_generator_and_the_key():
+    A = build_truncated_polynomial(field(3), [3, 3])
+    one = A.identity_index
+    xi, yi = A.index_of[(1, 0)], A.index_of[(0, 1)]
+    x_prim, y_prim = {(xi, one): 1, (one, xi): 1}, {(yi, one): 1, (one, yi): 1}
+    with pytest.raises(ShapeMismatch, match=r"^image of generator y: key \(99, 0\) is not a "
+                                            r"pair of basis indices in \[0, 9\)$"):
+        custom_structure(A, [x_prim, {(99, one): 1, (one, yi): 1}])
+    with pytest.raises(ShapeMismatch, match=r"^image of generator x: coefficient 5 at key "
+                                            r"\(1, 0\) is not an element of GF\(3\)$"):
+        custom_structure(A, [{(xi, one): 5, (one, xi): 1}, y_prim])
+    with pytest.raises(ShapeMismatch, match=r"key \(-1, 0\)"):
+        custom_structure(A, [{(-1, one): 1, (one, xi): 1}, y_prim])
+    with pytest.raises(ShapeMismatch, match="one image per generator"):
+        custom_structure(A, [x_prim])
+    # the JSON path goes through the same check
+    data = named_structure(A, "lie_primitive").to_json()
+    data["images"][1][0][:2] = [99, 0]
+    with pytest.raises(ShapeMismatch, match=r"^image of generator y: key \(99, 0\)"):
+        structure_from_json(A, data)
+    # so a bad structure is an AlgebraError: one line and exit 2 on the CLI path
+    assert issubclass(ShapeMismatch, AlgebraError)
+
+
+def _named_cases():
+    cases = []
+    for p in (2, 3, 5):
+        F = field(p)
+        shapes = [(lambda F=F, p=p: build_truncated_polynomial(F, [p, p]),
+                   ("lie_primitive", "wang_Ga2", "wang_Ga1xZp", "wang_ZpZp")),
+                  (lambda F=F, p=p: build_truncated_polynomial(F, [p], names=("x",)),
+                   ("lie_primitive", "oorttate_Zp")),
+                  (lambda F=F, p=p: build_truncated_polynomial(F, [p * p], names=("x",)),
+                   ("lie_primitive", "witt_G2", "witt_Zp2"))]
+        if p > 2:
+            shapes.append((lambda F=F: build_heisenberg(F), ("lie_primitive", "heisenberg_primitive")))
+        cases += [(make, name, p) for make, names in shapes for name in names]
+    return cases
+
+
+NAMED_CASES = _named_cases()
+
+
+def assert_matches_reference(delta, images):
+    """Δ of every basis monomial equals the dict reference built from the
+    dict ``images``, term for term and in key order."""
+    A = delta.algebra
+    for i, ref in enumerate(reference_delta(A, images)):
+        keys, coef = delta.delta_basis(i)
+        assert [(k // A.dim, k % A.dim, c) for k, c in zip(keys.tolist(), coef.tolist())] \
+            == [(a, b, c) for (a, b), c in sorted(ref.items())], (delta.name, i)
+
+
+@pytest.mark.parametrize("make,name,p", NAMED_CASES,
+                         ids=[f"{name}-p{p}-{i}" for i, (_, name, p) in enumerate(NAMED_CASES)])
+def test_delta_table_matches_dict_reference(make, name, p):
+    A = make()
+    delta = named_structure(A, name)
+    assert_matches_reference(delta, images_as_dicts(delta))
+
+
+def random_automorphism(A, draw):
+    """g ↦ unit·g + higher terms: any degree >= 2 combination on a
+    truncated polynomial algebra, c·z on x and y of H (z ↦ ab·z)."""
+    F = A.field
+    unit = st.integers(1, F.q - 1)
+    if A.kind == "heisenberg":
+        y, z, x = A.generators()
+        a, b, c, e = draw(unit), draw(unit), draw(st.integers(0, F.q - 1)), draw(st.integers(0, F.q - 1))
+        return AlgebraMorphism(A, A, [b * y + e * z, F.mul(a, b) * z, a * x + c * z])
+    higher = [i for i, e in enumerate(A.basis_exps) if sum(e) >= 2]
+    images = []
+    for g in A.generators():
+        vec = g.vec * draw(unit)
+        for i in draw(st.lists(st.sampled_from(higher), max_size=3)) if higher else []:
+            vec[i] = F.add(int(vec[i]), draw(unit))
+        images.append(A.element(vec))
+    return AlgebraMorphism(A, A, images)
+
+
+# twists at p = 5 are left out for time: a random automorphism there can
+# give images of several hundred terms and a table the reference takes seconds on
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([case for case in NAMED_CASES if case[2] <= 3]), st.data())
+def test_twisted_delta_matches_dict_reference(case, data):
+    make, name, p = case
+    A = make()
+    F = A.field
+    delta = named_structure(A, name)
+    phi = random_automorphism(A, data.draw)
+    tw = twist(delta, phi)
+    # (φ⊗φ)Δ(φ⁻¹ g) on dicts: Σ c·φ(b_i)⊗φ(b_j) over the reference Δ(φ⁻¹ g)
+    ref = reference_delta(A, images_as_dicts(delta))
+    expect = []
+    for a in phi.invert().images:
+        d = {}
+        for k in a.support():
+            d = t2_add(F, d, {key: F.mul(int(a.vec[k]), c) for key, c in ref[k].items()})
+        out = {}
+        for (i, j), c in d.items():
+            pair = t2_from_pair(phi.apply(A.monomial(A.basis_exps[i])),
+                                phi.apply(A.monomial(A.basis_exps[j])))
+            out = t2_add(F, out, {key: F.mul(c, v) for key, v in pair.items()})
+        expect.append(out)
+    assert images_as_dicts(tw) == expect
+    assert_matches_reference(tw, expect)

@@ -10,7 +10,7 @@ from restrep.fields import field, sampling_extension
 from restrep.algebra import (AlgebraError, AlgebraMorphism, base_change,
                              build_heisenberg, build_truncated_polynomial)
 from restrep.hopf import named_structure
-from restrep.matrices import Matrix, nilpotent_jordan_type
+from restrep.matrices import JordanType, Matrix, nilpotent_jordan_type
 from restrep.heisenberg import hom_from_cyclic_sum_rev
 from restrep.modules import (HomSpace, HomTooLarge, NotAnIntertwiner, NotFreeBasis, Representation,
                              RepresentationError,
@@ -98,6 +98,29 @@ def test_tensor_jordan_products_over_chain():
     assert jt.parts == (3, 1)
     jt = nilpotent_jordan_type(tensor(J[1], J[2], lie).actions[0])
     assert jt.parts == (2,)
+
+
+def cyclic_jordan_oracle(p, i, j):
+    """J_i⊗J_j for the cyclic group Z/p, 1 <= i <= j <= p, in closed form:
+    ⊕_{k=1..i} J_{j-i+2k-1} when i + j <= p, and otherwise
+    ⊕_{k=1..p-j} J_{j-i+2k-1} ⊕ (i+j-p)·J_p."""
+    if i + j <= p:
+        return JordanType([j - i + 2 * k - 1 for k in range(1, i + 1)])
+    return JordanType([j - i + 2 * k - 1 for k in range(1, p - j + 1)] + [p] * (i + j - p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_tensor_jordan_types_match_the_cyclic_closed_form(p):
+    # an oracle independent of tensor and rank_chain: every pair at r = 1
+    A = build_truncated_polynomial(field(p), [p], names=("x",))
+    J = {i: jordan_block_module(A, i) for i in range(1, p + 1)}
+    for name in ("lie_primitive", "oorttate_Zp"):
+        delta = named_structure(A, name)
+        for i in range(1, p + 1):
+            for j in range(i, p + 1):
+                assert cyclic_jordan_oracle(p, i, j).dimension == i * j
+                jt = nilpotent_jordan_type(tensor(J[i], J[j], delta).actions[0])
+                assert jt == cyclic_jordan_oracle(p, i, j), (name, i, j, str(jt))
 
 
 def test_restrict():

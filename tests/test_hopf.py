@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from restrep.fields import field
+from restrep.fields import FieldError, field
 from restrep.algebra import (AlgebraError, AlgebraMorphism, build_heisenberg,
                              build_truncated_polynomial)
 from restrep.hopf import (AxiomViolation, Comultiplication, NotAutomorphism,
@@ -413,6 +413,13 @@ def test_malformed_images_name_the_generator_and_the_key():
     data = named_structure(A, "lie_primitive").to_json()
     data["images"][1][0][:2] = [99, 0]
     with pytest.raises(ShapeMismatch, match=r"^image of generator y: key \(99, 0\)"):
+        structure_from_json(A, data)
+    data = named_structure(A, "lie_primitive").to_json()
+    data["images"][0][1] = [1.5, 0, [1]]
+    with pytest.raises(ShapeMismatch, match=r"key \(1\.5, 0\)"):
+        structure_from_json(A, data)
+    data["images"][0][1] = [1, 0, [4]]
+    with pytest.raises(FieldError, match=r"^images\[0\] coefficients\[1\]\[0\]: \[4\] is not"):
         structure_from_json(A, data)
     # so a bad structure is an AlgebraError: one line and exit 2 on the CLI path
     assert issubclass(ShapeMismatch, AlgebraError)

@@ -210,7 +210,7 @@ class Comultiplication:
         # Δ(b_i b_j) - Δ(b_i)·Δ(b_j) for the pairs of one left index i at a
         # time, keyed (position of the pair)·dim² + key
         pairs, bad = np.array(pairs), []
-        for i in np.unique(pairs[:, 0]):
+        for i in sorted(set(pairs[:, 0].tolist())):
             n = np.flatnonzero(pairs[:, 0] == i)
             idx, coef, at = A._scaled_terms((i * d + pairs[n, 1]).tolist(), np.ones(len(n), dtype=_INT))
             t, lhs, lc = self._table_terms(idx, coef)

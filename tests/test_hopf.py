@@ -249,6 +249,16 @@ def test_multiplicativity_violation_names_the_first_sampled_pair():
         custom_structure(H, images)
 
 
+def test_cocommutativity_compares_coefficients():
+    # the keys of Δ(x) are symmetric, its coefficients are not
+    A = build_truncated_polynomial(field(3), [3, 3])
+    one = A.identity_index
+    xi, yi = A.index_of[(1, 0)], A.index_of[(0, 1)]
+    with pytest.raises(AxiomViolation, match=r"^cocommutativity fails on basis 1$"):
+        custom_structure(A, [{(xi, one): 1, (one, xi): 1, (xi, yi): 1, (yi, xi): 2},
+                             {(yi, one): 1, (one, yi): 1}])
+
+
 def test_delta_extension_examples():
     A = build_truncated_polynomial(field(2), [2, 2])
     lie = named_structure(A, "lie_primitive")

@@ -1,9 +1,11 @@
 """Field arithmetic: exhaustive axioms, deterministic moduli, embeddings."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from restrep.fields import FieldError, field, sampling_extension
+from restrep.fields import FieldError, _poly_mulmod, field, sampling_extension
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 4), (5, 2)]
 
@@ -92,3 +94,76 @@ def test_sampling_extension_respects_base_degree():
     assert sampling_extension(field(2, 2), 64).e == 10   # 4^k jumps: 2^10 > 256
     assert sampling_extension(field(3, 1), 9).e == 4     # 3^4 = 81 > 36
     assert sampling_extension(field(7, 1), 7).e == 2     # 49 > 28
+
+
+# -- pinned tables ---------------------------------------------------------------
+
+# sha256 of the MUL, ADD, NEG and INV bytes (None: no ADD table at p = 2);
+# a construction change that moves one entry of one table fails here
+TABLE_DIGESTS = {
+    (2, 1): ("30e06038fb18a7cfda688d7bfe8de1ca8fee6002c5b4a498e6993a3592e88893", None,
+             "6b1e73a0094b7b812d3b9e22cffb4f8239319847522c4fa103753b6950020f93",
+             "6b1e73a0094b7b812d3b9e22cffb4f8239319847522c4fa103753b6950020f93"),
+    (3, 1): ("0ce48e78be1a061ae2b48491caa18a7db8eaae836f1ae982568513dab0076ba7",
+             "a5314bfac4d03acbcee0ba278c6a240952aa50d53e3bece060b361e2d8bea5de",
+             "6594e6422836c2ffcad0f91ea8ac41f780e817dfcc956134a721e311b0408b32",
+             "90c2698921ca9fd02950be353f721888760e33ab5095a21e50f1e4360b6de1a0"),
+    (4093, 1): ("16609e19aac08228cef57a01f52a61a3b0093d6c397d9f2502c9bbc8b1474e84",
+                "e9cd396b41b8c1308edac02153ef3e1cab6704d19c5e96c0416f6fd6a76d1cfe",
+                "c7ca0eef4e0708f82ac15de8b9fa72c9a4ea4bf9a9d1cd40e919e958c56f244b",
+                "2dc85ad95acdcfc4682e740a22d79898c55433d6c16f8c28836112d171529fd3"),
+    (2, 9): ("f51bfee2a23e3d8fa0638d6e68a78f20aa59101f5f5ab1e4e05833d1a2f8c7d7", None,
+             "407715b8ded48be4426df98401cecd0e7ad61b9ad742649eb844de452d1c5f91",
+             "a0cd0b8c66edc4c8bca328f0fc06eabe161b03a41d3df4572252ec5b87bcddcb"),
+    (2, 12): ("1bd4a0d58a3a5c928f0cfd3d1d6c51e061f143bc93d7a728a4d30f8ca8dd69f1", None,
+              "8500f04e6b29f9697ab60beb608e81ed0022a0613bc1d636e494029307697d08",
+              "2627201f6d05cf5d7cc93848297f36096923f8620c4ac86192c08ee1662a39e1"),
+    (3, 7): ("8c11bc453323f7481192f6ce6d9de429b23545a2d11f6c8032322abdf730d13d",
+             "b3b3767a0460928ba2f08df931a66bb1c70c654306a8ecdb74f0f8c2448bf593",
+             "b212c23bf3f473fa39479cc919c235dbc1ae635904206c8060fd9a6baded8e56",
+             "83c226ccfe9923327888702408a105f46fc779e1e432a36aa52b68f86356e64c"),
+    (5, 5): ("32823657eb489393aa76c2fb8470fe327702508ca4699427f613a72d12659a8c",
+             "70c3a5c0223b349ba443f232010c182b8aec9a06576fe7d7545a0dfaf93567df",
+             "44d6b14f7a9b101ff95b7f49235d0b141b1a1c31154d35c1f0091da3b534292e",
+             "0f0f7be9cf271c1774218c7c2286a2ca5b8ca10a40e10ec1e188ee5029c84567"),
+    (7, 3): ("9ced1d01c44e712d398a8ad5d335547734c9a392dfa91f70981d3057cb61b66a",
+             "c01bae21f026870dbac75d7c4830bbbc49aee7f36ed452e186948f5798a6923b",
+             "aa7497d13b0220a6e435c2ca928de9eedb90ceed50763132f674ee6618dc1f8a",
+             "43aa35f0464aba1300d2663ac9f8652a085e4e43c4e0cca27d0e3f579317aaf4"),
+}
+MODULI = {(2, 1): (0, 1), (3, 1): (0, 1), (4093, 1): (0, 1),
+          (2, 9): (1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
+          (2, 12): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+          (3, 7): (2, 0, 1, 0, 0, 0, 0, 1), (5, 5): (1, 4, 0, 0, 0, 1), (7, 3): (2, 0, 0, 1)}
+
+
+@pytest.mark.parametrize("p,e", sorted(TABLE_DIGESTS))
+def test_tables_pinned(p, e):
+    F = field(p, e)
+    assert F.modulus == MODULI[p, e]
+    got = []
+    for name in ("MUL", "ADD", "NEG", "INV"):
+        t = getattr(F, name)
+        if t is not None:
+            assert t.dtype == np.int16 and t.shape == (F.q,) * t.ndim
+        got.append(None if t is None else hashlib.sha256(t.tobytes()).hexdigest())
+    assert tuple(got) == TABLE_DIGESTS[p, e]
+
+
+# every pair for q <= 256, 4000 seeded pairs above
+MUL_ORACLE_FIELDS = [(2, 1), (3, 1), (13, 1), (2, 2), (2, 3), (3, 2), (2, 5), (5, 2), (3, 3),
+                     (7, 2), (2, 8), (11, 2), (3, 5), (7, 3), (2, 9), (2, 12), (3, 7),
+                     (5, 5), (7, 4), (4093, 1)]
+
+
+@pytest.mark.parametrize("p,e", MUL_ORACLE_FIELDS)
+def test_mul_matches_polynomial_product(p, e):
+    F = field(p, e)
+    if F.q <= 256:
+        pairs = [(a, b) for a in range(F.q) for b in range(F.q)]
+    else:
+        pairs = np.random.default_rng(p * 100 + e).integers(0, F.q, size=(4000, 2)).tolist()
+    m = list(F.modulus)
+    for a, b in pairs:
+        want = F.from_coeffs(_poly_mulmod(F.coeffs(a), F.coeffs(b), m, p))
+        assert int(F.MUL[a, b]) == want, (a, b)

@@ -284,13 +284,6 @@ class AlgebraPresentation:
             memo.update(zip(miss, zip(np.split(idx, cuts), np.split(coef, cuts))))
         return [memo[key] for key in keys]
 
-    def product_vec(self, i, j):
-        """Dense coefficient vector of basis_i * basis_j (not kept)."""
-        idx, coef = self.product_terms(i, j)
-        v = np.zeros(self.dim, dtype=_INT)
-        v[idx] = coef
-        return v
-
     def _sum_terms(self, keys, coef):
         """(distinct keys, field sum of the coefficients at each key), with
         no array as long as the largest key."""
@@ -730,9 +723,8 @@ class AlgebraMorphism:
 
 
 def morphism_from_json(source, target, data):
-    F = target.field
-    images = [target.element(np.array([F.from_coeffs(c) for c in vec], dtype=_INT))
-              for vec in data["images"]]
+    images = [target.element(np.array(vec, dtype=_INT))
+              for vec in target.field.decode_matrix(data["images"], "images")]
     return AlgebraMorphism(source, target, images)
 
 

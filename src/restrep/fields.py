@@ -7,6 +7,14 @@ coefficient vector of a residue polynomial in base p: the integer
 lets whole matrices live in numpy integer arrays, with arithmetic done
 through precomputed q x q tables (addition is plain XOR when p = 2).
 
+Every table is int16 and has one construction for every (p, e), e = 1
+included.  NEG and ADD come from the base-p digits, one digit at a time.
+MUL and INV come from one log/exp walk over the powers of the least
+primitive element g: multiplying by w is a digit shift and one reduction
+by the modulus, multiplying by g is a sum of those, and MUL[a, b] is
+exp[log a + log b], gathered in row blocks, so no build holds a q x q
+array beyond the tables it keeps.
+
 The modulus for (p, e) is chosen deterministically: the monic irreducible
 of degree e whose coefficient-encoding integer is smallest.  Embeddings
 between extensions of the same characteristic are computed by root
@@ -14,6 +22,7 @@ finding, so no compatibility conditions on the moduli are required.
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -27,14 +36,18 @@ class FieldError(ValueError):
 
 
 def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _prime_factors(n):
+    out, d = [], 2
+    while n > 1:
         if n % d == 0:
-            return False
+            out.append(d)
+            while n % d == 0:
+                n //= d
         d += 1
-    return True
+    return out
 
 
 # -- polynomial helpers over GF(p), coefficient lists low-to-high ----------
@@ -100,14 +113,7 @@ def _is_irreducible(f, p):
     xq = _poly_powmod(x, p ** e, f, p)
     if _poly_sub(xq, x, p):
         return False
-    primes, ee, ell = [], e, 2
-    while ee > 1:
-        if ee % ell == 0:
-            primes.append(ell)
-            while ee % ell == 0:
-                ee //= ell
-        ell += 1
-    for ell in primes:
+    for ell in _prime_factors(e):
         diff = _poly_sub(_poly_powmod(x, p ** (e // ell), f, p), x, p)
         if not diff:
             return False
@@ -121,12 +127,7 @@ def _find_modulus(p, e):
     if e == 1:
         return (0, 1)
     for enc in range(p ** e):
-        f = []
-        v = enc
-        for _ in range(e):
-            f.append(v % p)
-            v //= p
-        f.append(1)
+        f = [enc // p ** i % p for i in range(e)] + [1]
         if _is_irreducible(f, p):
             return tuple(f)
     raise FieldError(f"no irreducible of degree {e} over GF({p})")
@@ -143,12 +144,8 @@ class FieldSpec:
         q = p ** e
         if q > TABLE_CAP:
             raise FieldError(f"field size {q} exceeds table cap {TABLE_CAP}")
-        self.p = p
-        self.e = e
-        self.q = q
+        self.p, self.e, self.q = p, e, q
         self.modulus = _find_modulus(p, e)
-        self.zero = 0
-        self.one = 1
         self._build_tables()
         self._embeddings = {}
 
@@ -156,11 +153,7 @@ class FieldSpec:
 
     def coeffs(self, a):
         """Base-p digits of the encoded scalar (length e, low degree first)."""
-        out = []
-        for _ in range(self.e):
-            out.append(a % self.p)
-            a //= self.p
-        return out
+        return self._digits[a].tolist()
 
     def from_coeffs(self, cs):
         a = 0
@@ -172,6 +165,8 @@ class FieldSpec:
         """Encoded entries of a JSON matrix of coefficient lists (low degree
         first).  FieldError naming the entry as ``where[i][j]`` unless each
         list has at most e digits, all integers in [0, p)."""
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+            raise FieldError(f"{where}: {rows!r} is not a list of rows")
         for i, row in enumerate(rows):
             for j, cell in enumerate(row):
                 if not (isinstance(cell, list) and len(cell) <= self.e
@@ -181,78 +176,58 @@ class FieldSpec:
         return [[self.from_coeffs(cell) for cell in row] for row in rows]
 
     def _build_tables(self):
+        """NEG, ADD, MUL and INV in int16 (see the module docstring)."""
         p, e, q = self.p, self.e, self.q
-        idx = np.arange(q, dtype=np.int64)
-        digits = np.zeros((q, e), dtype=np.int64)
-        v = idx.copy()
-        for i in range(e):
-            digits[:, i] = v % p
-            v //= p
-        self._digits = digits
-
+        place = p ** np.arange(e)
+        D = self._digits = (np.arange(q)[:, None] // place % p).astype(_INT)
+        self.NEG = (-D % p @ place).astype(_INT)
         if p == 2:
             self.ADD = None  # addition is XOR
         else:
-            s = (digits[:, None, :] + digits[None, :, :]) % p
-            self.ADD = self._recombine(s).astype(_INT)
+            # one digit per step: ADD[a'p + a0, b'p + b0] = p·ADD[a', b'] + (a0 + b0) % p
+            r = np.arange(p, dtype=_INT)
+            digit_add = np.add.outer(r, r) % p
+            self.ADD = digit_add
+            for _ in range(e - 1):
+                n = len(self.ADD) * p
+                self.ADD = (p * self.ADD[:, None, :, None] + digit_add[:, None, :]).reshape(n, n)
 
-        neg = self._recombine((-digits) % p)
-        self.NEG = neg.astype(_INT)
+        # a·w shifts the digits up and reduces the carried top digit by the
+        # modulus; a·g sums the digits of a·w^i times the digits g_i
+        up = np.zeros((q, e), dtype=_INT)
+        up[:, 1:] = D[:, :-1]
+        times_w = (up - D[:, -1:] * np.array(self.modulus[:e])) % p @ place
+        acc, a = np.zeros((q, e), dtype=np.int64), np.arange(q)
+        for gi in self.coeffs(self._primitive()):
+            acc += np.int64(gi) * D[a]
+            a = times_w[a]
+        times_g = (acc % p @ place).tolist()
+        exp, a = [], 1
+        for _ in range(q - 1):
+            exp.append(a)
+            a = times_g[a]
 
-        if e == 1:
-            mul = (idx[:, None] * idx[None, :]) % p
-            self.MUL = mul.astype(_INT)
-        else:
-            gen = self._find_primitive()
-            exp = np.zeros(q - 1, dtype=np.int64)
-            log = np.zeros(q, dtype=np.int64)
-            a = 1
-            for k in range(q - 1):
-                exp[k] = a
-                log[a] = k
-                a = self._scalar_mul(a, gen)
-            mul = np.zeros((q, q), dtype=np.int64)
-            lo = log[1:]
-            mul[1:, 1:] = exp[(lo[:, None] + lo[None, :]) % (q - 1)]
-            self.MUL = mul.astype(_INT)
-            self._exp, self._log, self._gen = exp, log, gen
+        # ext is exp twice and then zeros, and log 0 = 2(q-1), so a sum of
+        # logs reads a product and any sum with log 0 reads 0; INV[0] reads
+        # ext[-(q-1)], also 0
+        log = np.empty(q, dtype=_INT)
+        log[exp] = np.arange(q - 1)
+        log[0] = 2 * (q - 1)
+        ext = np.zeros(4 * q - 3, dtype=_INT)
+        ext[:2 * (q - 1)] = exp * 2
+        self.MUL = np.empty((q, q), dtype=_INT)
+        rows = max(1, (1 << 16) // q)
+        for lo in range(0, q, rows):
+            np.take(ext, log[lo:lo + rows, None] + log, out=self.MUL[lo:lo + rows])
+        self.INV = ext[q - 1 - log]
 
-        inv = np.zeros(q, dtype=np.int64)
-        for a in range(1, q):
-            inv[a] = int(np.nonzero(self.MUL[a] == 1)[0][0])
-        self.INV = inv.astype(_INT)
-
-    def _recombine(self, digit_array):
-        out = np.zeros(digit_array.shape[:-1], dtype=np.int64)
-        for i in reversed(range(self.e)):
-            out = out * self.p + digit_array[..., i]
-        return out
-
-    def _scalar_mul(self, a, b):
-        """Product of two encoded scalars by direct polynomial arithmetic."""
-        p, e = self.p, self.e
-        fa, fb = self.coeffs(a), self.coeffs(b)
-        prod = [0] * (2 * e - 1)
-        for i, x in enumerate(fa):
-            if x:
-                for j, y in enumerate(fb):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        rem = _poly_rem(prod, list(self.modulus), p)
-        return self.from_coeffs(rem + [0] * (e - len(rem)))
-
-    def _find_primitive(self):
-        q = self.q
-        target = q - 1
-        for g in range(2, q):
-            a, order = g, 1
-            while a != 1:
-                a = self._scalar_mul(a, g)
-                order += 1
-                if order > target:
-                    break
-            if order == target:
+    def _primitive(self):
+        """Least encoded g whose power (q-1)/l is not 1 for any prime l | q-1."""
+        p, q, m = self.p, self.q, list(self.modulus)
+        for g in range(1, q):
+            if all(_poly_powmod(self.coeffs(g), (q - 1) // l, m, p) != [1]
+                   for l in _prime_factors(q - 1)):
                 return g
-        raise FieldError("no primitive element found")
 
     # -- scalar operations ---------------------------------------------------
 
@@ -274,15 +249,6 @@ class FieldSpec:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return int(self.INV[a])
-
-    def pow(self, a, n):
-        out = 1
-        while n:
-            if n & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return out
 
     # -- vectorised operations on encoded numpy arrays -----------------------
 
@@ -320,24 +286,16 @@ class FieldSpec:
             return self._embeddings[key]
         if big.p != self.p or big.e % self.e:
             raise FieldError(f"GF({self.p}^{self.e}) does not embed in GF({big.p}^{big.e})")
-        if self.e == 1:
-            table = np.arange(self.q, dtype=_INT)  # prime field is the same encoding
-            self._embeddings[key] = table
-            return table
+        # alpha, the smallest root of this field's modulus in big, then every
+        # element's image as a polynomial in alpha, by Horner over the digits
         elems = np.arange(big.q, dtype=_INT)
         val = np.zeros(big.q, dtype=_INT)
         for c in reversed(self.modulus):
-            val = big.add_arrays(big.MUL[val, elems], _INT(c % self.p))
-        roots = np.nonzero(val == 0)[0]
-        if len(roots) == 0:
-            raise FieldError("modulus has no root in extension")
-        alpha = int(roots[0])
+            val = big.add_arrays(big.MUL[val, elems], _INT(c))
+        alpha = np.flatnonzero(val == 0)[0]
         table = np.zeros(self.q, dtype=_INT)
-        for a in range(self.q):
-            acc = 0
-            for c in reversed(self.coeffs(a)):
-                acc = big.add(big.mul(acc, alpha), c)
-            table[a] = acc
+        for i in reversed(range(self.e)):
+            table = big.add_arrays(big.MUL[table, alpha], self._digits[:, i])
         self._embeddings[key] = table
         return table
 
@@ -361,30 +319,6 @@ class FieldSpec:
                 terms.append(head + pw)
         return "+".join(terms) if terms else "0"
 
-    def parse(self, text):
-        """Inverse of :meth:`fmt` (also accepts bare encoded integers)."""
-        text = text.strip()
-        if text.lstrip("-").isdigit():
-            return int(text) % self.q if self.e == 1 else int(text)
-        total = 0
-        for term in text.replace("-", "+-").split("+"):
-            term = term.strip()
-            if not term:
-                continue
-            neg = term.startswith("-")
-            if neg:
-                term = term[1:]
-            if "w" not in term:
-                c, i = int(term), 0
-            else:
-                head, _, tail = term.partition("w")
-                c = int(head) if head else 1
-                i = int(tail.lstrip("^")) if tail else 1
-            if neg:
-                c = -c
-            total = self.add(total, self.from_coeffs([0] * i + [c % self.p]))
-        return total
-
     def __eq__(self, other):
         return isinstance(other, FieldSpec) and (self.p, self.e) == (other.p, other.e)
 
@@ -403,8 +337,17 @@ def field(p, e=1):
     return FieldSpec(p, e)
 
 
+def json_int(data, key, error=FieldError, default=None):
+    """``data[key]`` (``default`` when it is absent and not None), which
+    must be a JSON integer; ``error`` naming the key otherwise."""
+    v = data[key] if default is None else data.get(key, default)
+    if type(v) is not int:
+        raise error(f"{key!r} must be an integer, not {v!r}")
+    return v
+
+
 def field_from_json(data):
-    return field(int(data["p"]), int(data.get("e", 1)))
+    return field(json_int(data, "p"), json_int(data, "e", default=1))
 
 
 def sampling_extension(base, dim):

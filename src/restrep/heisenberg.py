@@ -53,14 +53,6 @@ def block_M(F):
     return Matrix(F, m, copy=False)
 
 
-def block_E(F):
-    """Single 1 in the top right corner."""
-    p = F.p
-    m = np.zeros((p, p), dtype=_INT)
-    m[0, p - 1] = 1
-    return Matrix(F, m, copy=False)
-
-
 def block_F(F):
     """p x p blocks of size p: E in block (p-1, 0)."""
     p = F.p

@@ -32,7 +32,7 @@ import functools
 
 import numpy as np
 
-from .fields import field
+from .fields import field_from_json
 
 _INT = np.int16
 
@@ -68,16 +68,9 @@ def _exact_float(p, inner):
 def _plane_tables(F, flt):
     """Digit tables of GF(p^e) for products, as ``flt``: the (q, e) digits
     of each element b, the (q, e, e) digits of w^i·b for each i (w the
-    field generator), and the place values p^d."""
-    e = F.e
-    powers = np.zeros((2 * e - 1, e), dtype=np.int64)   # digits of w^0 .. w^(2e-2)
-    w = 1
-    for k in range(2 * e - 1):
-        powers[k] = F.coeffs(w)
-        w = F._scalar_mul(w, F.p)   # multiply by the generator w (encoded p)
-    pair = powers[np.add.outer(np.arange(e), np.arange(e))]          # [i, j] -> w^(i+j)
-    shifted = np.einsum("bj,ijd->bid", F._digits, pair) % F.p
-    return F._digits.astype(flt), shifted.astype(flt), F.p ** np.arange(e, dtype=np.int64)
+    field generator; w^i is encoded p^i for i < e), and the place values p^d."""
+    place = F.p ** np.arange(F.e, dtype=np.int64)
+    return F._digits.astype(flt), F._digits[F.MUL[:, place]].astype(flt), place
 
 
 class Matrix:
@@ -121,18 +114,6 @@ class Matrix:
         for i in range(n - 1):
             a[i, i + 1] = 1
         return cls(field_spec, a, copy=False)
-
-    @classmethod
-    def random(cls, field_spec, rows, cols, rng):
-        a = np.array([rng.randrange(field_spec.q) for _ in range(rows * cols)], dtype=_INT)
-        return cls(field_spec, a.reshape(rows, cols), copy=False)
-
-    @classmethod
-    def random_invertible(cls, field_spec, n, rng):
-        while True:
-            m = cls.random(field_spec, n, n, rng)
-            if m.rank() == n:
-                return m
 
     # -- basics ----------------------------------------------------------------
 
@@ -298,7 +279,7 @@ class Matrix:
 
     @classmethod
     def from_json(cls, data):
-        F = field(int(data["field"]["p"]), int(data["field"].get("e", 1)))
+        F = field_from_json(data["field"])
         m = cls(F, F.decode_matrix(data["entries"], "entries"))
         if m.shape != (data["rows"], data["cols"]):
             raise MatrixError("matrix JSON shape mismatch")

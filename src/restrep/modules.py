@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import (AlgebraError, AlgebraMorphism, base_change, build_heisenberg,
                       build_truncated_polynomial)
-from .fields import sampling_extension
+from .fields import field_from_json, json_int, sampling_extension
 from .matrices import Matrix, NotNilpotent, _INT, nilpotent_jordan_type, rank_chain
 
 HOM_BYTE_BUDGET = 1 << 30   # peak bytes the generic intertwiner solve may allocate
@@ -176,13 +176,6 @@ def direct_sum(reps, label=None):
         actions.append(Matrix(F, m, copy=False))
     lab = label or ("+".join(r.label or "?" for r in reps))
     return Representation(A, actions, label=lab, verify=False)
-
-
-def conjugate(M, S):
-    """The same module in a new basis: actions S ρ S⁻¹."""
-    Sinv = S.inverse()
-    return Representation(M.algebra, [S @ a @ Sinv for a in M.actions],
-                          label=f"{M.label}^conj", verify=False)
 
 
 def base_change_rep(M, big_field):
@@ -466,10 +459,6 @@ def hom_space(M, N):
     return HomSpace.reshaped(Matrix(F, big, copy=False).nullspace(), (N.dim, M.dim))
 
 
-def dim_hom(M, N):
-    return len(hom_space(M, N))
-
-
 def hom_space_from_sum(parts, N, solvers):
     """Hom(⊕ parts, N): the blocks of the spaces ``solvers[i](parts[i], N)``
     side by side.  A summand repeated with the same solver (the same two
@@ -656,19 +645,25 @@ def free_rank(M):
 
 
 def rep_from_json(data, algebra=None):
-    from .fields import field_from_json
+    """The module a ``to_json`` record describes.  A header field of the
+    wrong JSON type raises FieldError or RepresentationError naming it."""
     if algebra is None:
         adata = data["algebra"]
         F = field_from_json(adata["field"])
         if adata["kind"] == "truncated_poly":
+            gens = adata["generators"]
+            if not (isinstance(gens, list) and all(isinstance(g, dict) for g in gens)):
+                raise RepresentationError(f"'generators' must be a list of objects, not {gens!r}")
             algebra = build_truncated_polynomial(
-                F, [g["bound"] for g in adata["generators"]],
-                names=tuple(g["name"] for g in adata["generators"]))
+                F, [json_int(g, "bound", RepresentationError) for g in gens],
+                names=tuple(g["name"] for g in gens))
         elif adata["kind"] == "heisenberg":
-            algebra = build_heisenberg(F, adata.get("n", 1))
+            algebra = build_heisenberg(F, json_int(adata, "n", RepresentationError, default=1))
         else:
             raise RepresentationError("unknown algebra kind in JSON")
     F = algebra.field
+    if not isinstance(data["actions"], list):
+        raise RepresentationError(f"'actions' must be a list of matrices, not {data['actions']!r}")
     actions = [Matrix(F, F.decode_matrix(entries, f"actions[{g}]"))
                for g, entries in enumerate(data["actions"])]
     return Representation(algebra, actions, label=data.get("label", ""))

@@ -94,20 +94,6 @@ def top_slice_image(A, coords):
     return out
 
 
-def canonical_pi_point(A, coords, ext=None):
-    """The flat point with image the top-slice combination of the coordinates.
-
-    ``ext`` optionally base changes to GF(p^ext) first (coordinates are
-    then read in the extension's encoding).
-    """
-    if A.kind != "truncated_poly":
-        raise PointError("canonical points live on truncated polynomial algebras")
-    K = A.field if ext is None else field(A.field.p, ext)
-    A_K = A if K == A.field else base_change(A, K)
-    coords = normalize_coords(K, coords)
-    return PiPoint(A_K, top_slice_image(A_K, coords), coords=coords)
-
-
 class SupportSet:
     """A subset of an enumerated point family, by point labels."""
 

@@ -18,14 +18,15 @@ from restrep.algebra import (AlgebraMorphism, build_abelian_restricted,
                              build_heisenberg, build_truncated_polynomial)
 from restrep.hopf import named_structure
 from restrep.klein import KleinContext, MultiplicityVector, WANG_STRUCTURES
-from restrep.matrices import Matrix, nilpotent_jordan_type
-from restrep.modules import (conjugate, direct_sum, free_rank, induce_trivial,
+from restrep.matrices import nilpotent_jordan_type
+from restrep.modules import (direct_sum, free_rank, induce_trivial,
                              iso_test, jordan_block_module, regular_module,
                              tensor, trivial_module, twist_module)
 from restrep.heisenberg import (build_scenario, rank_formula, rank_table,
                                 rho_published, tau_published,
                                 wild_abelian_isotropy_check)
 from restrep.pipoints import PointFamily, nobility, support
+from testkit import conjugate, random_invertible
 
 
 @pytest.fixture(scope="module")
@@ -197,7 +198,7 @@ def _random_singleton_modules(fam, rng, count, max_blocks=2):
         parts = [pool[rng.randrange(len(pool))]
                  for _ in range(rng.randrange(1, max_blocks + 1))]
         M = direct_sum(parts) if len(parts) > 1 else parts[0]
-        S = Matrix.random_invertible(AK.field, M.dim, rng)
+        S = random_invertible(AK.field, M.dim, rng)
         out.append(conjugate(M, S))
     return out
 
@@ -214,7 +215,7 @@ def test_criterion_08_support_axioms(p):
     # S1: projectives have empty support
     for c in (1, 2):
         P = direct_sum([regular_module(AK)] * c) if c > 1 else regular_module(AK)
-        P = conjugate(P, Matrix.random_invertible(AK.field, P.dim, rng))
+        P = conjugate(P, random_invertible(AK.field, P.dim, rng))
         assert len(support(P, fam)) == 0
     # singleton supports, exactly
     for pt in fam:
@@ -304,7 +305,7 @@ def test_criterion_10_infrastructure(ctx):
             direct_sum([jordan_block_module(At, 1), jordan_block_module(At, 2)])]
     for i in range(100):
         M = pool[i % len(pool)]
-        S = Matrix.random_invertible(M.algebra.field, M.dim, rng)
+        S = random_invertible(M.algebra.field, M.dim, rng)
         r = iso_test(M, conjugate(M, S), seed=i)
         assert r.verdict == "isomorphic" and r.witness.rank() == M.dim
 
@@ -322,7 +323,7 @@ def test_criterion_10_infrastructure(ctx):
         if Ma.dim != Mb.dim:
             assert iso_test(Ma, Mb).verdict == "not_isomorphic"
             continue
-        Sb = Matrix.random_invertible(At.field, Mb.dim, rng)
+        Sb = random_invertible(At.field, Mb.dim, rng)
         assert iso_test(Ma, conjugate(Mb, Sb)).verdict == "not_isomorphic"
 
     # the Hom system is invertible up to the standard cap; derived data

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from restrep.fields import field
+from restrep.fields import FieldError, field
 from restrep.algebra import (ASSOC_EXHAUSTIVE_DIM, ASSOC_SAMPLES, ASSOC_SEED, AlgebraError,
                              AlgebraMorphism, AlgebraPresentation, InvalidBound,
                              NotAugmented, NotInvertible, UnsupportedTorus,
@@ -276,6 +276,12 @@ def test_morphism_json_roundtrip():
     phi = AlgebraMorphism.from_gen_map(A, {"y": y + x.pow(2)})
     again = morphism_from_json(A, A, phi.to_json())
     assert again == phi
+    # image coefficients are decoded like any JSON matrix: a digit outside
+    # [0, p) names its entry instead of being reduced mod p
+    data = phi.to_json()
+    data["images"][1][0] = [3]
+    with pytest.raises(FieldError, match=r"images\[1\]\[0\]"):
+        morphism_from_json(A, A, data)
 
 
 def test_base_change_and_element_transport():

@@ -146,6 +146,23 @@ def test_support_ingestion(tmp_path):
     assert code == 2
 
 
+# header values of the wrong JSON type: (path in the module record, value,
+# the key the one-line error names); none may be truncated or traced back
+BAD_HEADERS = {
+    "p_str": (("algebra", "field", "p"), "x", "'p'"),
+    "p_list": (("algebra", "field", "p"), [2], "'p'"),
+    "p_float": (("algebra", "field", "p"), 2.9, "'p'"),
+    "e_str": (("algebra", "field", "e"), "two", "'e'"),
+    "e_float": (("algebra", "field", "e"), 1.5, "'e'"),
+    "generators_str": (("algebra", "generators"), "xy", "'generators'"),
+    "bound_float": (("algebra", "generators", 0, "bound"), 2.5, "'bound'"),
+    "bound_str": (("algebra", "generators", 0, "bound"), "2", "'bound'"),
+    "heisenberg_n_str": (("algebra",), {"kind": "heisenberg", "field": {"p": 3, "e": 1},
+                                        "n": "1"}, "'n'"),
+    "actions_int": (("actions",), 5, "'actions'"),
+}
+
+
 def bad_support_input(tmp_path, case):
     """Arguments for a support run on a module file that cannot be read."""
     mod_file, alg_file = support_fixture(tmp_path)
@@ -157,6 +174,14 @@ def bad_support_input(tmp_path, case):
     if case in ("long_entry", "digit_out_of_range"):
         # over GF(2) an entry is one digit in [0, 2)
         data["actions"][0][0][1] = [1, 1] if case == "long_entry" else [2]
+        mod_file.write_text(json.dumps(data))
+        return ["support", "--module", str(mod_file)]
+    if case in BAD_HEADERS:
+        path, value, _ = BAD_HEADERS[case]
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
         mod_file.write_text(json.dumps(data))
         return ["support", "--module", str(mod_file)]
     # x acts by a 3 x 3 Jordan block, so x^2 = 0 fails
@@ -171,6 +196,7 @@ def bad_support_input(tmp_path, case):
     ["scaling", "--p", "4"], ["heisenberg", "--p", "2"],
     "support:no_algebra", "support:breaks_relation",
     "support:long_entry", "support:digit_out_of_range",
+    *(f"support:{case}" for case in BAD_HEADERS),
 ], ids=lambda a: " ".join(a) if isinstance(a, list) else a)
 def test_bad_input_exits_2_with_one_line(args, tmp_path):
     case = args.split(":")[1] if isinstance(args, str) else None
@@ -183,6 +209,8 @@ def test_bad_input_exits_2_with_one_line(args, tmp_path):
     assert "Traceback" not in err
     if case in ("long_entry", "digit_out_of_range"):
         assert "actions[0][0][1]" in err
+    if case in BAD_HEADERS:
+        assert BAD_HEADERS[case][2] in err
 
 
 def test_usage_error_exit_code():

@@ -1,11 +1,14 @@
 """Field arithmetic: exhaustive axioms, deterministic moduli, embeddings."""
 
+import gc
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from restrep.fields import FieldError, _poly_mulmod, field, sampling_extension
+from restrep.fields import FieldError, FieldSpec, _poly_mulmod, field, sampling_extension
+from testkit import parse
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 4), (5, 2)]
 
@@ -41,7 +44,7 @@ def test_axioms_at_the_enumeration_cap():
     F = field(2, 12)
     idx = np.arange(F.q, dtype=np.int16)
     assert (F.MUL[idx[1:], F.INV[idx[1:]]] == 1).all()
-    w = F.parse("w")
+    w = parse(F, "w")
     assert F.mul(w, F.inv(w)) == 1
 
 
@@ -66,7 +69,7 @@ def test_fmt_parse_roundtrip():
     for (p, e) in ((2, 2), (3, 2), (2, 4)):
         F = field(p, e)
         for a in range(F.q):
-            assert F.parse(F.fmt(a)) == a
+            assert parse(F, F.fmt(a)) == a
 
 
 def test_embedding_is_a_homomorphism():
@@ -167,3 +170,16 @@ def test_mul_matches_polynomial_product(p, e):
     for a, b in pairs:
         want = F.from_coeffs(_poly_mulmod(F.coeffs(a), F.coeffs(b), m, p))
         assert int(F.MUL[a, b]) == want, (a, b)
+@pytest.mark.parametrize("p,e", [(2, 11), (2, 12), (3, 7), (5, 5), (7, 4), (4093, 1)])
+def test_table_build_peak_is_at_most_twice_the_kept_tables(p, e):
+    """The traced peak of one FieldSpec build (past the ``field`` cache) is
+    at most twice the bytes of the arrays the field keeps."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        F = FieldSpec(p, e)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = sum(v.nbytes for v in vars(F).values() if isinstance(v, np.ndarray))
+    assert peak <= 2 * kept, (peak, kept)

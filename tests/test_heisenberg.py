@@ -5,7 +5,7 @@ import pytest
 
 from restrep.fields import field
 from restrep.heisenberg import (HypothesisNotMet,
-                                block_E, block_F, block_L, block_M, block_O,
+                                block_F, block_L, block_M, block_O,
                                 build_scenario, cgm_check,
                                 expected_L1_partition,
                                 expected_mackey_partition, heis_support_scan,
@@ -14,6 +14,7 @@ from restrep.heisenberg import (HypothesisNotMet,
                                 tau_derived, tau_published,
                                 wild_abelian_isotropy_check)
 from restrep.matrices import nilpotent_jordan_type
+from testkit import block_E
 
 
 def test_block_shapes_and_entries():

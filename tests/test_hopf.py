@@ -13,6 +13,7 @@ from restrep.hopf import (AxiomViolation, Comultiplication, NotAutomorphism,
                           ShapeMismatch, STRUCTURE_NAMES, custom_structure,
                           named_structure, omega, structure_from_json, twist)
 from restrep.matrices import Matrix, _INT
+from testkit import product_vec
 
 
 # -- the dict reference: A⊗A as {(i, j): c} ---------------------------------------
@@ -395,7 +396,7 @@ def test_multiplicativity_spot_checks():
     d = named_structure(A, "wang_Ga2")
     for _ in range(20):
         i, j = rng.randrange(A.dim), rng.randrange(A.dim)
-        prod = A.element(A.product_vec(i, j))
+        prod = A.element(product_vec(A, i, j))
         assert as_dict(A, d.delta_of(prod)) == t2_mul(A, as_dict(A, d.delta_basis(i)),
                                                       as_dict(A, d.delta_basis(j)))
     # the zero tensor times anything is zero, on either side; Δ(0) = 0

@@ -10,8 +10,9 @@ from restrep.klein import (BadSupport, DegenerateBasis, KleinContext,
                            MultiplicityVector, PointNotIgnoble,
                            VerificationFailed, WANG_STRUCTURES)
 from restrep.matrices import Matrix, nilpotent_jordan_type
-from restrep.modules import (HomSpace, conjugate, direct_sum, free_rank, hom_space,
+from restrep.modules import (HomSpace, direct_sum, free_rank, hom_space,
                              induce_trivial, iso_test, tensor)
+from testkit import conjugate, random_invertible
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +121,7 @@ def test_chain_solver_matches_generic_on_random_modules(ctx):
         for _ in range(6):
             parts = [mods[rng.randrange(len(mods))] for _ in range(rng.randrange(1, 3))]
             M = direct_sum(parts)
-            M = conjugate(M, Matrix.random_invertible(ctx.K, M.dim, rng))
+            M = conjugate(M, random_invertible(ctx.K, M.dim, rng))
             dims = ctx.basev_hom_dims(M, coords, 3)
             for m in (1, 2, 3):
                 v = ctx.basev(coords, m)
@@ -167,7 +168,7 @@ def test_decompose_rebuild_roundtrip_random(ctx):
                 break
         mv = MultiplicityVector(a, c)
         rep, _ = ctx.rebuild((0, 1), mv)
-        rep = conjugate(rep, Matrix.random_invertible(ctx.K, rep.dim, rng))
+        rep = conjugate(rep, random_invertible(ctx.K, rep.dim, rng))
         assert ctx.decompose(rep, (0, 1)) == mv
 
 

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from restrep.algebra import build_truncated_polynomial
-from restrep.fields import FieldError, field
+from restrep.fields import FieldError, _poly_mulmod, field
 from restrep.hopf import named_structure
 from restrep.matrices import (FieldMismatch, JordanType, Matrix, NotNilpotent, _exact_float,
-                              _ladder_chain, _step_chain, nilpotent_jordan_type, rank_chain)
+                              _ladder_chain, _plane_tables, _step_chain, nilpotent_jordan_type, rank_chain)
 from restrep.modules import jordan_block_module, tensor
+from testkit import random_invertible, random_matrix
 
 FIELDS = [field(2), field(3), field(7), field(2, 2), field(3, 2)]
 
@@ -27,7 +28,7 @@ def test_rank_nullity_on_random_matrices():
     rng = random.Random(11)
     for F in FIELDS:
         for _ in range(25):
-            m = Matrix.random(F, rng.randrange(1, 9), rng.randrange(1, 9), rng)
+            m = random_matrix(F, rng.randrange(1, 9), rng.randrange(1, 9), rng)
             ns = m.nullspace()
             assert ns.cols + m.rank() == m.cols
             if ns.cols:
@@ -39,8 +40,8 @@ def test_rank_submultiplicative():
     rng = random.Random(5)
     for F in FIELDS:
         for _ in range(10):
-            a = Matrix.random(F, 6, 5, rng)
-            b = Matrix.random(F, 5, 7, rng)
+            a = random_matrix(F, 6, 5, rng)
+            b = random_matrix(F, 5, 7, rng)
             assert (a @ b).rank() <= min(a.rank(), b.rank())
 
 
@@ -62,10 +63,23 @@ def test_matmul_against_schoolbook():
     for F in FIELDS:
         # zero rows, zero inner dimension and zero columns included
         for r, k, c in ((4, 6, 3), (0, 6, 3), (4, 0, 3), (4, 6, 0), (0, 0, 0)):
-            a = Matrix.random(F, r, k, rng)
-            b = Matrix.random(F, k, c, rng)
+            a = random_matrix(F, r, k, rng)
+            b = random_matrix(F, k, c, rng)
             assert a.shape == (r, k) and b.shape == (k, c)
             assert (a @ b) == schoolbook(a, b)
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (2, 9), (3, 3), (5, 2), (7, 3)])
+def test_plane_tables_match_the_polynomial_product(p, e):
+    """shifted[b, i] holds the digits of w^i·b, by polynomial arithmetic."""
+    F = field(p, e)
+    digits, shifted, place = _plane_tables(F, np.float32)
+    assert place.tolist() == [p ** d for d in range(e)]
+    for b in range(F.q):
+        assert digits[b].tolist() == F.coeffs(b)
+        for i in range(e):
+            want = _poly_mulmod([0] * i + [1], F.coeffs(b), list(F.modulus), p)
+            assert shifted[b, i].tolist() == want + [0] * (e - len(want))
 
 
 def test_kron_definition_and_ordering():
@@ -80,24 +94,24 @@ def test_kron_rank_multiplicative():
     rng = random.Random(9)
     for _ in range(50):
         F = FIELDS[rng.randrange(len(FIELDS))]
-        a = Matrix.random(F, rng.randrange(1, 5), rng.randrange(1, 5), rng)
-        b = Matrix.random(F, rng.randrange(1, 5), rng.randrange(1, 5), rng)
+        a = random_matrix(F, rng.randrange(1, 5), rng.randrange(1, 5), rng)
+        b = random_matrix(F, rng.randrange(1, 5), rng.randrange(1, 5), rng)
         assert a.kron(b).rank() == a.rank() * b.rank()
 
 
 def test_kron_associative():
     rng = random.Random(2)
     for F in (field(3), field(2, 2)):
-        a, b, c = (Matrix.random(F, 2, 3, rng), Matrix.random(F, 3, 2, rng),
-                   Matrix.random(F, 2, 2, rng))
+        a, b, c = (random_matrix(F, 2, 3, rng), random_matrix(F, 3, 2, rng),
+                   random_matrix(F, 2, 2, rng))
         assert a.kron(b).kron(c) == a.kron(b.kron(c))
 
 
 def test_kron_mixed_product():
     rng = random.Random(4)
     F = field(5)
-    a, b = Matrix.random(F, 3, 3, rng), Matrix.random(F, 2, 2, rng)
-    c, d = Matrix.random(F, 3, 3, rng), Matrix.random(F, 2, 2, rng)
+    a, b = random_matrix(F, 3, 3, rng), random_matrix(F, 2, 2, rng)
+    c, d = random_matrix(F, 3, 3, rng), random_matrix(F, 2, 2, rng)
     assert (a.kron(b)) @ (c.kron(d)) == (a @ c).kron(b @ d)
 
 
@@ -109,8 +123,8 @@ def test_field_mismatch():
 def test_solve_and_inverse():
     rng = random.Random(8)
     for F in FIELDS:
-        m = Matrix.random_invertible(F, 6, rng)
-        rhs = Matrix.random(F, 6, 2, rng)
+        m = random_invertible(F, 6, rng)
+        rhs = random_matrix(F, 6, 2, rng)
         x = m.solve(rhs)
         assert m @ x == rhs
         assert m @ m.inverse() == Matrix.identity(F, 6)
@@ -136,7 +150,7 @@ def test_nullspace_matches_scalar_back_substitution():
     rng = random.Random(17)
     for F in FIELDS:
         for _ in range(10):
-            m = Matrix.random(F, rng.randrange(1, 7), rng.randrange(1, 9), rng)
+            m = random_matrix(F, rng.randrange(1, 7), rng.randrange(1, 9), rng)
             R, pivots = m.rref()
             free = [c for c in range(m.cols) if c not in pivots]
             ref = np.zeros((m.cols, len(free)), dtype=np.int16)
@@ -171,7 +185,7 @@ def test_jordan_type_conjugation_invariant():
     for F in (field(2), field(3), field(5, 2)):
         for _ in range(8):
             parts = [rng.randrange(1, 4) for _ in range(rng.randrange(1, 4))]
-            S = Matrix.random_invertible(F, sum(parts), rng)
+            S = random_invertible(F, sum(parts), rng)
             conj = S @ block_diagonal(F, parts) @ S.inverse()
             assert nilpotent_jordan_type(conj) == JordanType(parts)
 
@@ -197,7 +211,7 @@ def test_jordan_type_formatting_and_queries():
 def test_matrix_json_roundtrip():
     rng = random.Random(6)
     for F in (field(2), field(2, 2), field(3, 2)):
-        m = Matrix.random(F, 3, 4, rng)
+        m = random_matrix(F, 3, 4, rng)
         again = Matrix.from_json(m.to_json())
         assert again == m
         data = m.to_json()
@@ -208,6 +222,10 @@ def test_matrix_json_roundtrip():
             data["entries"][2][1] = bad
             with pytest.raises(FieldError, match=r"entries\[2\]\[1\]"):
                 Matrix.from_json(data)
+        # a field header that is not a JSON integer is refused, not truncated
+        for key, bad in (("p", "2"), ("p", 2.0), ("e", True), ("e", [1])):
+            with pytest.raises(FieldError, match=f"'{key}'"):
+                Matrix.from_json(m.to_json() | {"field": F.to_json() | {key: bad}})
 
 
 def test_pow():
@@ -249,7 +267,7 @@ CHAIN_FIELDS = [field(2), field(5), field(2, 2), field(5, 2)]
 def conjugated_nilpotents(draw, fields=CHAIN_FIELDS, sizes=st.integers(1, 6), blocks=4):
     F = draw(st.sampled_from(fields))
     parts = draw(st.lists(sizes, min_size=1, max_size=blocks))
-    S = Matrix.random_invertible(F, sum(parts), random.Random(draw(st.integers(0, 2**32))))
+    S = random_invertible(F, sum(parts), random.Random(draw(st.integers(0, 2**32))))
     return parts, S @ block_diagonal(F, parts) @ S.inverse()
 
 
@@ -288,7 +306,7 @@ def test_rank_chain_is_memoized_and_rejects_non_nilpotent():
     assert rank_chain(m) == (7, 4, 2, 1, 0)
     assert rank_chain(m) is rank_chain(m)
     with pytest.raises(NotNilpotent):
-        nilpotent_jordan_type(Matrix.random_invertible(F, 300, random.Random(1)))
+        nilpotent_jordan_type(random_invertible(F, 300, random.Random(1)))
     singular = np.pad(Matrix.jordan_block(F, 3).a, ((0, 1), (0, 1)))
     singular[3, 3] = 1   # J3 + (1): the rank stops at 1
     with pytest.raises(NotNilpotent):
@@ -316,7 +334,7 @@ def test_both_chain_algorithms_reject_non_nilpotent(chain):
     assert chain(Matrix.zeros(F, 0)) == (0,)
     assert chain(Matrix.zeros(F, 3)) == (3, 0)
     with pytest.raises(NotNilpotent):
-        chain(Matrix.random_invertible(F, 40, random.Random(2)))
+        chain(random_invertible(F, 40, random.Random(2)))
     for n in (3, 45):   # J_n + (1): the kernels stop growing at dimension n
         singular = np.pad(Matrix.jordan_block(F, n).a, ((0, 1), (0, 1)))
         singular[n, n] = 1
@@ -349,7 +367,7 @@ def test_prime_product_is_exact_at_the_float32_bound(inner, flt):
     crafted_b[-1] = F.p - 3   # odd sum above 2**24 at inner 16: float32 would round it
     cases = [(full, Matrix(F, np.full((inner, 4), F.p - 1))),
              (Matrix(F, np.full((2, inner), F.p - 2)), Matrix(F, crafted_b)),
-             (Matrix.random(F, 5, inner, rng), Matrix.random(F, inner, 6, rng))]
+             (random_matrix(F, 5, inner, rng), random_matrix(F, inner, 6, rng))]
     for a, b in cases:
         assert a @ b == schoolbook(a, b)
 

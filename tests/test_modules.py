@@ -14,13 +14,13 @@ from restrep.matrices import JordanType, Matrix, nilpotent_jordan_type
 from restrep.heisenberg import hom_from_cyclic_sum_rev
 from restrep.modules import (HomSpace, HomTooLarge, NotAnIntertwiner, NotFreeBasis, Representation,
                              RepresentationError,
-                             base_change_rep, conjugate,
-                             dim_hom, direct_sum, free_rank, hom_from_cyclic, hom_from_free,
+                             base_change_rep, direct_sum, free_rank, hom_from_cyclic, hom_from_free,
                              hom_from_relations, hom_space, hom_space_from_sum,
                              induce, induce_trivial, iso_test,
                              jordan_block_module, pbw_cosets, regular_module,
                              rep_from_json, restrict, tensor, trivial_module,
                              twist_module)
+from testkit import conjugate, dim_hom, random_invertible
 
 
 def klein():
@@ -305,7 +305,7 @@ def test_hom_from_free_matches_generic(F, bounds):
     rng = random.Random(31)
     W = direct_sum([V, trivial_module(A)])
     targets = [P, V, W, tensor(V, V, lie),
-               conjugate(W, Matrix.random_invertible(F, W.dim, rng))]
+               conjugate(W, random_invertible(F, W.dim, rng))]
     for N in targets:
         fast = hom_from_free(P, N)
         assert len(fast) == dim_hom(P, N) == N.dim
@@ -327,7 +327,7 @@ def test_hom_space_combine_and_length_match_the_oracle(F):
     Z = Representation(A, [Matrix.zeros(F, 0, 0)] * 2)
     rng = random.Random(17)
     W = direct_sum([Vy, trivial_module(A)])
-    N = conjugate(W, Matrix.random_invertible(F, W.dim, rng))
+    N = conjugate(W, random_invertible(F, W.dim, rng))
     T = tensor(Vy, Vy, named_structure(A, "lie_primitive"))
     both = [(c, 0) for c in Vy.cyclic_data[1]] + [(c, 1) for c in Vx.cyclic_data[1]]
     sum_parts = [Vy, Vy, Z, P]
@@ -365,7 +365,7 @@ def test_iso_oracle_checks_its_witness():
     A = klein()
     M = induce_trivial(A, A.generator("x"))
     rng = random.Random(5)
-    C = conjugate(M, Matrix.random_invertible(A.field, M.dim, rng))
+    C = conjugate(M, random_invertible(A.field, M.dim, rng))
     assert M.actions != C.actions
     n = M.dim
     vec_ident = Matrix(A.field, np.eye(n, dtype=np.int16).reshape(-1, 1))
@@ -398,7 +398,7 @@ def test_iso_oracle_on_random_conjugations():
             direct_sum([jordan_block_module(At, 2), jordan_block_module(At, 3)])]
     for _ in range(30):
         M = pool[rng.randrange(len(pool))]
-        S = Matrix.random_invertible(M.algebra.field, M.dim, rng)
+        S = random_invertible(M.algebra.field, M.dim, rng)
         r = iso_test(M, conjugate(M, S), seed=rng.randrange(10**6))
         assert r.verdict == "isomorphic"
         # the witness really intertwines and is invertible
@@ -452,7 +452,7 @@ def test_witness_stream_is_pinned(monkeypatch):
             "30cccd83c244d509e5d6c3399c70c2bcdd4db4138ec487b35976ae3e27c6f268",
             "4f933d21ba82996c3673e0f169b2ee9f71a680bda21f82927a7abc821947efc6"]
     for i, (M, sha) in enumerate(zip(pool, shas)):
-        S = Matrix.random_invertible(M.algebra.field, M.dim, rng)
+        S = random_invertible(M.algebra.field, M.dim, rng)
         r = iso_test(M, conjugate(M, S), seed=100 + i)
         assert _witness_sha(r.witness, r.trials) == sha, i
 
@@ -470,7 +470,7 @@ def test_free_rank_agrees_with_peeling():
         if not parts:
             continue
         M = direct_sum(parts)
-        S = Matrix.random_invertible(A.field, M.dim, rng)
+        S = random_invertible(A.field, M.dim, rng)
         assert free_rank(conjugate(M, S)) == c
 
 

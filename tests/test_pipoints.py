@@ -11,8 +11,9 @@ from restrep.hopf import custom_structure, named_structure, twist
 from restrep.modules import direct_sum, regular_module, tensor, trivial_module
 from restrep.pipoints import (BadTestModule, NotFlat, PiPoint, PointFamily,
                               UnknownStructure, aut_action_on_point,
-                              canonical_pi_point, coord_label, equivalent,
+                              coord_label, equivalent,
                               is_isotropy, nobility, normalize_coords, support)
+from testkit import canonical_pi_point
 
 
 def klein():

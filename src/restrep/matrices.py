@@ -67,10 +67,10 @@ def _exact_float(p, inner):
 @functools.lru_cache(maxsize=None)
 def _plane_tables(F, flt):
     """Digit tables of GF(p^e) for products, as ``flt``: the (q, e) digits
-    of each element b, the (q, e, e) digits of w^i·b for each i (w the
-    field generator; w^i is encoded p^i for i < e), and the place values p^d."""
+    of each element b, the (e, q, e) digits [i, b, d] of w^i·b (w the field
+    generator; w^i is encoded p^i for i < e), and the place values p^d."""
     place = F.p ** np.arange(F.e, dtype=np.int64)
-    return F._digits.astype(flt), F._digits[F.MUL[:, place]].astype(flt), place
+    return F._digits.astype(flt), F._digits[F.MUL[:, place].T].astype(flt), place
 
 
 class Matrix:
@@ -176,11 +176,13 @@ class Matrix:
         if e == 1:
             prod = (self.a.astype(flt) @ other.a.astype(flt)).astype(intg)
             return Matrix(F, _mod(prod, p).astype(_INT), copy=False)
-        # a·b = Σ_i a_i (w^i b): the digits of self, r x (k·e), times the
-        # digits of w^i·b, (k·e) x (c·e), give the digits of the product
+        # a·b = Σ_i a_i (w^i b): the digits of self, r x (e·k), times the
+        # digits of w^i·b, (e·k) x (c·e), give the digits of the product;
+        # inner index (i, k), so the large operand is one take, not a
+        # gather and a transposed copy
         digits, shifted, place = _plane_tables(F, flt)
-        da = digits[self.a].reshape(r, k * e)
-        db = shifted[other.a].transpose(0, 2, 1, 3).reshape(k * e, c * e)
+        da = digits[self.a].transpose(0, 2, 1).reshape(r, e * k)
+        db = np.take(shifted, other.a, axis=1).reshape(e * k, c * e)
         prod = _mod((da @ db).astype(intg), p).reshape(r, c, e)
         return Matrix(F, (prod @ place).astype(_INT), copy=False)
 

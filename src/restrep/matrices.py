@@ -66,11 +66,14 @@ def _exact_float(p, inner):
 
 @functools.lru_cache(maxsize=None)
 def _plane_tables(F, flt):
-    """Digit tables of GF(p^e) for products, as ``flt``: the (q, e) digits
-    of each element b, the (e, q, e) digits [i, b, d] of w^i·b (w the field
-    generator; w^i is encoded p^i for i < e), and the place values p^d."""
-    place = F.p ** np.arange(F.e, dtype=np.int64)
-    return F._digits.astype(flt), F._digits[F.MUL[:, place].T].astype(flt), place
+    """Digit tables of GF(p^e) for products: as ``flt``, the (q, e) digits
+    of each element b and the (e·q, e) digits of w^i·b in row i·q + b (w the
+    field generator; w^i is encoded p^i for i < e); the row offsets i·q as
+    an (e, 1) int32 column; and the place values p^d."""
+    e, q = F.e, F.q
+    place = F.p ** np.arange(e, dtype=np.int64)
+    shifted = F._digits[F.MUL[:, place].T].reshape(e * q, e)
+    return F._digits.astype(flt), shifted.astype(flt), (q * np.arange(e, dtype=np.int32))[:, None], place
 
 
 class Matrix:
@@ -176,13 +179,13 @@ class Matrix:
         if e == 1:
             prod = (self.a.astype(flt) @ other.a.astype(flt)).astype(intg)
             return Matrix(F, _mod(prod, p).astype(_INT), copy=False)
-        # a·b = Σ_i a_i (w^i b): the digits of self, r x (e·k), times the
-        # digits of w^i·b, (e·k) x (c·e), give the digits of the product;
-        # inner index (i, k), so the large operand is one take, not a
-        # gather and a transposed copy
-        digits, shifted, place = _plane_tables(F, flt)
-        da = digits[self.a].transpose(0, 2, 1).reshape(r, e * k)
-        db = np.take(shifted, other.a, axis=1).reshape(e * k, c * e)
+        # a·b = Σ_i a_i (w^i b): the digits of self, r x (k·e), times the
+        # digits of w^i·b, (k·e) x (c·e), give the digits of the product;
+        # both operands are single takes in their final layout, the right
+        # one of rows i·q + b over a (k, e, c) index grid
+        digits, shifted, offsets, place = _plane_tables(F, flt)
+        da = digits[self.a].reshape(r, k * e)
+        db = np.take(shifted, other.a[:, None, :] + offsets, axis=0).reshape(k * e, c * e)
         prod = _mod((da @ db).astype(intg), p).reshape(r, c, e)
         return Matrix(F, (prod @ place).astype(_INT), copy=False)
 

@@ -71,15 +71,17 @@ def test_matmul_against_schoolbook():
 
 @pytest.mark.parametrize("p,e", [(2, 2), (2, 9), (3, 3), (5, 2), (7, 3)])
 def test_plane_tables_match_the_polynomial_product(p, e):
-    """shifted[i, b] holds the digits of w^i·b, by polynomial arithmetic."""
+    """Row i·q + b of shifted holds the digits of w^i·b, by polynomial
+    arithmetic."""
     F = field(p, e)
-    digits, shifted, place = _plane_tables(F, np.float32)
+    digits, shifted, offsets, place = _plane_tables(F, np.float32)
     assert place.tolist() == [p ** d for d in range(e)]
+    assert offsets.ravel().tolist() == [F.q * i for i in range(e)]
     for b in range(F.q):
         assert digits[b].tolist() == F.coeffs(b)
         for i in range(e):
             want = _poly_mulmod([0] * i + [1], F.coeffs(b), list(F.modulus), p)
-            assert shifted[i, b].tolist() == want + [0] * (e - len(want))
+            assert shifted[i * F.q + b].tolist() == want + [0] * (e - len(want))
 
 
 def test_kron_definition_and_ordering():

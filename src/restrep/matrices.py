@@ -73,7 +73,8 @@ def _plane_tables(F, flt):
     e, q = F.e, F.q
     place = F.p ** np.arange(e, dtype=np.int64)
     shifted = F._digits[F.MUL[:, place].T].reshape(e * q, e)
-    return F._digits.astype(flt), shifted.astype(flt), (q * np.arange(e, dtype=np.int32))[:, None], place
+    offsets = (q * np.arange(e, dtype=np.int32))[:, None]
+    return F._digits.astype(flt), shifted.astype(flt), offsets, place
 
 
 class Matrix:

@@ -100,7 +100,7 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, self.algebra.field.sub_arrays(self.vec, other.vec), copy=False)
 
     def __neg__(self):
-        return AlgebraElement(self.algebra, self.algebra.field.neg_arrays(self.vec), copy=False)
+        return AlgebraElement(self.algebra, self.algebra.field.NEG[self.vec], copy=False)
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):

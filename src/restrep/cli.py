@@ -156,7 +156,7 @@ def scenario_wang_table(args):
 def scenario_support(args):
     with open(args.module) as fh:
         mdata = json.load(fh)
-    if args.algebra:
+    if args.algebra and type(mdata) is dict:   # rep_from_json refuses any other record
         with open(args.algebra) as fh:
             mdata = dict(mdata, algebra=json.load(fh))
     try:

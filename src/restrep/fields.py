@@ -137,13 +137,14 @@ class FieldSpec:
     """GF(p^e) with table-driven arithmetic on integer-encoded scalars."""
 
     def __init__(self, p, e=1):
-        if not _is_prime(p):
-            raise FieldError(f"{p} is not prime")
         if e < 1:
             raise FieldError("extension degree must be >= 1")
+        # the size first: p^e is formed only once e is below log2 of the cap
+        if p > TABLE_CAP or e > TABLE_CAP.bit_length() or p ** e > TABLE_CAP:
+            raise FieldError(f"GF(p^e) with p = {p}, e = {e} exceeds table cap {TABLE_CAP}")
+        if not _is_prime(p):
+            raise FieldError(f"{p} is not prime")
         q = p ** e
-        if q > TABLE_CAP:
-            raise FieldError(f"field size {q} exceeds table cap {TABLE_CAP}")
         self.p, self.e, self.q = p, e, q
         self.modulus = _find_modulus(p, e)
         self._build_tables()
@@ -260,9 +261,6 @@ class FieldSpec:
     def sub_arrays(self, x, y):
         return self.add_arrays(x, y if self.p == 2 else self.NEG[y])   # -y = y in characteristic 2
 
-    def neg_arrays(self, x):
-        return self.NEG[x]
-
     def sum_at(self, idx, x, size):
         """Length-``size`` array whose entry k is the field sum of the x[i]
         with idx[i] == k (digit planes summed as integers, then reduced)."""
@@ -337,17 +335,23 @@ def field(p, e=1):
     return FieldSpec(p, e)
 
 
-def json_int(data, key, error=FieldError, default=None):
-    """``data[key]`` (``default`` when it is absent and not None), which
-    must be a JSON integer; ``error`` naming the key otherwise."""
+_JSON_KINDS = {int: "an integer", str: "a string", dict: "an object", list: "a list"}
+
+
+def json_get(data, key, kind, error=FieldError, default=None):
+    """``data[key]`` (``default`` when it is absent and not None), which must
+    be a JSON value of type ``kind`` (int, str, dict or list); ``error`` naming
+    the key otherwise."""
     v = data[key] if default is None else data.get(key, default)
-    if type(v) is not int:
-        raise error(f"{key!r} must be an integer, not {v!r}")
+    if type(v) is not kind:
+        raise error(f"{key!r} must be {_JSON_KINDS[kind]}, not {v!r}")
     return v
 
 
 def field_from_json(data):
-    return field(json_int(data, "p"), json_int(data, "e", default=1))
+    """The field named by the ``field`` object of a JSON record."""
+    f = json_get(data, "field", dict)
+    return field(json_get(f, "p", int), json_get(f, "e", int, default=1))
 
 
 def sampling_extension(base, dim):

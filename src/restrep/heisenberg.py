@@ -46,11 +46,8 @@ class HypothesisNotMet(RepresentationError):
 def block_M(F):
     """p x p blocks of size p: block (i-1, i) = i·N_p for i = 1..p-1."""
     p = F.p
-    N = Matrix.jordan_block(F, p).a
-    m = np.zeros((p * p, p * p), dtype=_INT)
-    for i in range(1, p):
-        m[(i - 1) * p:i * p, i * p:(i + 1) * p] = F.MUL[i % F.q, N]
-    return Matrix(F, m, copy=False)
+    D = Matrix(F, np.diag(np.arange(1, p), k=1))
+    return Matrix.kron([(1, D, Matrix.jordan_block(F, p))])
 
 
 def block_F(F):
@@ -63,13 +60,13 @@ def block_F(F):
 
 def block_L(F, r):
     """r x r blocks of size p^2: M on the diagonal, identities above."""
-    I_d = Matrix.identity(F, F.p * F.p)
-    return Matrix.identity(F, r).kron(block_M(F)) + Matrix.jordan_block(F, r).kron(I_d)
+    return Matrix.kron([(1, Matrix.identity(F, r), block_M(F)),
+                        (1, Matrix.jordan_block(F, r), Matrix.identity(F, F.p * F.p))])
 
 
 def block_O(F, r):
     """Block diagonal with F blocks: the action of (yz)^{p-1}."""
-    return Matrix.identity(F, r).kron(block_F(F))
+    return Matrix.kron([(1, Matrix.identity(F, r), block_F(F))])
 
 
 # -- scenario construction -----------------------------------------------------------
@@ -83,12 +80,7 @@ def paper_order_permutation(p, r):
     algebra's basis order, which already sorts the x-degree-0 monomials
     by (i ascending, j descending).
     """
-    d = r * p * p
-    perm = np.zeros(d, dtype=np.int64)
-    for ci in range(p * p):
-        for m in range(r):
-            perm[m * p * p + ci] = ci * r + m
-    return perm
+    return np.arange(r * p * p).reshape(p * p, r).T.ravel()
 
 
 class HeisenbergScenario:
@@ -273,7 +265,8 @@ def cgm_check(p):
     if p == 3:
         # independent route: Jordan type of the twisted restriction squared
         MF = (sc1.L + sc1.O)
-        T = MF.kron(Matrix.identity(F, p * p)) + Matrix.identity(F, p * p).kron(MF)
+        I_d = Matrix.identity(F, p * p)
+        T = Matrix.kron([(1, MF, I_d), (1, I_d, MF)])
         direct_left = nilpotent_jordan_type(T).multiplicity(1)
     right = 2 * sum(row["tau"] for row in rows if 2 <= row["r"] <= p - 1)
     # membership of the automorphism in the point's isotropy group: the
@@ -473,5 +466,5 @@ def hom_from_cyclic_sum_rev(T, M, copies):
     in Hom(T, M), one after another; so its kernel is the generic kernel of
     Hom(T, M) once per copy, block diagonally."""
     [(ker, _, _)] = hom_space(T, M).blocks
-    blocks = Matrix(ker.field, np.kron(np.eye(copies, dtype=_INT), ker.a), copy=False)
+    blocks = Matrix.kron([(1, Matrix.identity(ker.field, copies), ker)])
     return HomSpace.reshaped(blocks, (copies * M.dim, T.dim))

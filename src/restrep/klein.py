@@ -28,7 +28,7 @@ import numpy as np
 from .algebra import build_truncated_polynomial
 from .fields import field, sampling_extension
 from .hopf import named_structure
-from .matrices import Matrix, _INT
+from .matrices import Matrix
 from .modules import (Representation, RepresentationError, direct_sum,
                       free_rank, hom_from_free, hom_from_relations, hom_space,
                       hom_space_from_sum, invertible_combination, regular_module,
@@ -152,15 +152,12 @@ class KleinContext:
         if key in self._basev:
             return self._basev[key]
         s1, s2, coeff = self.point_elements(coords, basis_choice)
-        S1 = np.zeros((2 * n, 2 * n), dtype=_INT)
-        S1[:n, n:] = np.eye(n, dtype=_INT)
-        S2 = np.zeros((2 * n, 2 * n), dtype=_INT)
-        S2[:n, n:] = Matrix.jordan_block(K, n).a
-        S1, S2 = Matrix(K, S1, copy=False), Matrix(K, S2, copy=False)
-        # x = alpha s1 + beta s2 and y likewise: the columns of C's inverse
-        sol = coeff.inverse()
-        act_x = S1.scale(int(sol.a[0, 0])) + S2.scale(int(sol.a[1, 0]))
-        act_y = S1.scale(int(sol.a[0, 1])) + S2.scale(int(sol.a[1, 1]))
+        # s1 acts by E⊗I_n and s2 by E⊗N_n, E = [[0, 1], [0, 0]]; x =
+        # alpha s1 + beta s2 and y likewise: the columns of C's inverse
+        E = Matrix.jordan_block(K, 2)
+        I_n, N_n = Matrix.identity(K, n), Matrix.jordan_block(K, n)
+        sol = coeff.inverse().a
+        act_x, act_y = (Matrix.kron([(sol[0, j], E, I_n), (sol[1, j], E, N_n)]) for j in (0, 1))
         label = coord_label(K, coords)
         rep = Representation(self.A, [act_x, act_y], label=f"V{2 * n}({label})")
         self._basev[key] = BasevModule(coords, label, n, rep, s1, s2)

@@ -12,6 +12,10 @@ factor times a table of the digits of w^i·b is one product of inner
 dimension k·e under the same rule, and its reduced digits are combined
 by place value.
 
+Kronecker sums Σ c·X⊗Y are computed as one such product, of inner
+dimension the number of terms: the vec(X) columns times the scaled vec(Y)
+rows, reordered (Van Loan & Pitsianis, 1993; see :meth:`Matrix.kron`).
+
 Elimination runs in batched-pivot rounds (see :func:`_eliminate`): each
 unowned leading column is owned by the lowest row leading there, every
 other row is reduced by the owner of its lead in one update per round,
@@ -69,9 +73,10 @@ def _plane_tables(F, flt):
     """Digit tables of GF(p^e) for products: as ``flt``, the (q, e) digits
     of each element b and the (e·q, e) digits of w^i·b in row i·q + b (w the
     field generator; w^i is encoded p^i for i < e); the row offsets i·q as
-    an (e, 1) int32 column; and the place values p^d."""
+    an (e, 1) int32 column; and the place values p^d, int32 like the
+    digits they recombine, so that no int64 copy of the digits is made."""
     e, q = F.e, F.q
-    place = F.p ** np.arange(e, dtype=np.int64)
+    place = F.p ** np.arange(e, dtype=np.int32)
     shifted = F._digits[F.MUL[:, place].T].reshape(e * q, e)
     offsets = (q * np.arange(e, dtype=np.int32))[:, None]
     return F._digits.astype(flt), shifted.astype(flt), offsets, place
@@ -114,10 +119,7 @@ class Matrix:
     @classmethod
     def jordan_block(cls, field_spec, n):
         """Upper triangular nilpotent block: ones on the superdiagonal."""
-        a = np.zeros((n, n), dtype=_INT)
-        for i in range(n - 1):
-            a[i, i + 1] = 1
-        return cls(field_spec, a, copy=False)
+        return cls(field_spec, np.eye(n, k=1, dtype=_INT), copy=False)
 
     # -- basics ----------------------------------------------------------------
 
@@ -132,9 +134,6 @@ class Matrix:
     @property
     def shape(self):
         return self.a.shape
-
-    def copy(self):
-        return Matrix(self.field, self.a)
 
     def is_zero(self):
         return not self.a.any()
@@ -162,9 +161,6 @@ class Matrix:
     def __sub__(self, other):
         self._check(other)
         return Matrix(self.field, self.field.sub_arrays(self.a, other.a), copy=False)
-
-    def __neg__(self):
-        return Matrix(self.field, self.field.neg_arrays(self.a), copy=False)
 
     def scale(self, c):
         return Matrix(self.field, self.field.MUL[c, self.a], copy=False)
@@ -205,14 +201,28 @@ class Matrix:
     def transpose(self):
         return Matrix(self.field, self.a.T)
 
-    def kron(self, other):
-        """Kronecker product with row-major pair ordering (i_a*rows_b + i_b)."""
-        self._check(other)
-        F = self.field
-        ra, ca = self.shape
-        rb, cb = other.shape
-        big = F.MUL[self.a[:, None, :, None], other.a[None, :, None, :]]
-        return Matrix(F, big.reshape(ra * rb, ca * cb), copy=False)
+    @classmethod
+    def kron(cls, terms):
+        """Σ c·X⊗Y over a nonempty list of ``(c, X, Y)`` terms of one X shape
+        and one Y shape, row-major (i_X·rows_Y + i_Y); X⊗Y is ``[(1, X, Y)]``.
+
+        Entry (i, j, k, l) is Σ_t c_t·X_t[i, j]·Y_t[k, l]: one product of inner
+        dimension T, the vec(X_t) as columns times the c_t·vec(Y_t) as rows,
+        reordered from (r·c) × (r'·c') to (r·r') × (c·c') (Van Loan &
+        Pitsianis, 1993)."""
+        if not terms:
+            raise MatrixError("empty Kronecker sum")
+        _, X0, Y0 = terms[0]
+        F, (r, c), (r2, c2) = X0.field, X0.shape, Y0.shape
+        if any(X.field != F or Y.field != F for _, X, Y in terms):
+            raise FieldMismatch("Kronecker terms over different fields")
+        if any(X.shape != X0.shape or Y.shape != Y0.shape for _, X, Y in terms):
+            raise MatrixError("Kronecker terms differ in shape")
+        U = np.stack([X.a.ravel() for _, X, _ in terms], axis=1)
+        V = np.stack([F.MUL[coef, Y.a].ravel() for coef, _, Y in terms])
+        P = (cls(F, U, copy=False) @ cls(F, V, copy=False)).a
+        return cls(F, P.reshape(r, c, r2, c2).transpose(0, 2, 1, 3).reshape(r * r2, c * c2),
+                   copy=False)
 
     # -- elimination -----------------------------------------------------------------
 
@@ -285,7 +295,7 @@ class Matrix:
 
     @classmethod
     def from_json(cls, data):
-        F = field_from_json(data["field"])
+        F = field_from_json(data)
         m = cls(F, F.decode_matrix(data["entries"], "entries"))
         if m.shape != (data["rows"], data["cols"]):
             raise MatrixError("matrix JSON shape mismatch")

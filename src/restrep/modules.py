@@ -19,8 +19,8 @@ import numpy as np
 
 from .algebra import (AlgebraError, AlgebraMorphism, base_change, build_heisenberg,
                       build_truncated_polynomial)
-from .fields import field_from_json, json_int, sampling_extension
-from .matrices import Matrix, NotNilpotent, _INT, nilpotent_jordan_type, rank_chain
+from .fields import field_from_json, json_get, sampling_extension
+from .matrices import Matrix, NotNilpotent, _INT, _exact_float, nilpotent_jordan_type, rank_chain
 
 HOM_BYTE_BUDGET = 1 << 30   # peak bytes the generic intertwiner solve may allocate
 
@@ -135,8 +135,7 @@ class Representation:
 
 def trivial_module(A):
     """The one dimensional module through the counit (all generators act 0)."""
-    z = Matrix.zeros(A.field, 1)
-    return Representation(A, [z.copy() for _ in A.gen_names], label="k")
+    return Representation(A, [Matrix.zeros(A.field, 1) for _ in A.gen_names], label="k")
 
 
 def regular_module(A):
@@ -191,15 +190,9 @@ def tensor(M, N, delta):
     """M ⊗ N with the action through the comultiplication ``delta``."""
     if M.algebra != N.algebra or delta.algebra != M.algebra:
         raise AlgebraMismatch("tensor factors over different algebras")
-    F = M.algebra.field
-    dim = M.dim * N.dim
-    actions = []
-    for g in range(len(M.algebra.gen_names)):
-        acc = Matrix.zeros(F, dim)
-        for c, i, j in delta.generator_terms(g):
-            term = M.act_monomial(i).kron(N.act_monomial(j))
-            acc = acc + term.scale(c)
-        actions.append(acc)
+    actions = [Matrix.kron([(c, M.act_monomial(i), N.act_monomial(j))
+                            for c, i, j in delta.generator_terms(g)])
+               for g in range(len(M.algebra.gen_names))]
     return Representation(M.algebra, actions,
                           label=f"({M.label})⊗({N.label})")
 
@@ -315,13 +308,10 @@ def induce(M, phi, cosets):
     r, dB = len(cosets), B.dim
     if r * dB != A.dim:
         raise NotFreeBasis(f"{r} cosets x dim {dB} != dim {A.dim}")
-    actions = []
-    for w in _induction_table(phi, cosets):
-        acc = Matrix.zeros(F, r * M.dim)
-        for b in range(dB):
-            if w[:, b, :].any():
-                acc = acc + Matrix(F, w[:, b, :]).kron(M.act_monomial(b))
-        actions.append(acc)
+    # g·c = 0 for every coset c would give g·A = 0, so each sum has a term
+    actions = [Matrix.kron([(1, Matrix(F, w[:, b, :], copy=False), M.act_monomial(b))
+                            for b in range(dB) if w[:, b, :].any()])
+               for w in _induction_table(phi, cosets)]
     return Representation(A, actions, label=f"{M.label}↑", verify=True)
 
 
@@ -440,22 +430,27 @@ def hom_space(M, N):
     if M.algebra != N.algebra:
         raise AlgebraMismatch("Hom between modules over different algebras")
     F = M.algebra.field
-    n_unknown = M.dim * N.dim
+    e, n_unknown = F.e, M.dim * N.dim
     n_gens = len(M.algebra.gen_names)
-    # peak: the (n_gens·n) x n int16 system, plus its elimination working
-    # copy and up to four row-update temporaries of that size, int32 over
-    # a prime field and int16 otherwise
-    need = n_gens * n_unknown * n_unknown * (2 + 5 * (4 if F.e == 1 else 2))
+    # peak bytes per unknown², the system being (n_gens·n) x n int16.  Build:
+    # the system and one generator's Kronecker product, whose float and int
+    # results are e digit planes of itemsize f, 2·n_gens + 2·f·e (plus its
+    # operands, 2·(f + 8)·e² per entry of dim M² + dim N²).  Elimination:
+    # the system, its working copy and four row-update temporaries, int32
+    # over GF(p) and int16 otherwise, n_gens·(2 + 5·4) or n_gens·(2 + 5·2).
+    f = np.dtype(_exact_float(F.p, 2 * e)[0]).itemsize
+    build = ((2 * n_gens + 2 * f * e) * n_unknown ** 2
+             + 2 * (f + 8) * e * e * (M.dim ** 2 + N.dim ** 2))
+    solve = n_gens * (2 + 5 * (4 if e == 1 else 2)) * n_unknown ** 2
+    need = max(build, solve)
     if need > HOM_BYTE_BUDGET:
         raise HomTooLarge(f"Hom solve with {n_unknown} unknowns needs {need} bytes, "
                           f"over the budget of {HOM_BYTE_BUDGET}")
     big = np.empty((n_gens * n_unknown, n_unknown), dtype=_INT)
-    Im = Matrix.identity(F, M.dim)
-    In = Matrix.identity(F, N.dim)
+    Im, In = Matrix.identity(F, M.dim), Matrix.identity(F, N.dim)
     for g in range(n_gens):
-        A_g = N.actions[g]
-        B_g = M.actions[g]
-        big[g * n_unknown:(g + 1) * n_unknown] = (A_g.kron(Im) - In.kron(B_g.transpose())).a
+        big[g * n_unknown:(g + 1) * n_unknown] = Matrix.kron(
+            [(1, N.actions[g], Im), (F.NEG[1], In, M.actions[g].transpose())]).a
     return HomSpace.reshaped(Matrix(F, big, copy=False).nullspace(), (N.dim, M.dim))
 
 
@@ -644,26 +639,25 @@ def free_rank(M):
     return M.act(M.algebra.integral()).rank()
 
 
-def rep_from_json(data, algebra=None):
-    """The module a ``to_json`` record describes.  A header field of the
-    wrong JSON type raises FieldError or RepresentationError naming it."""
-    if algebra is None:
-        adata = data["algebra"]
-        F = field_from_json(adata["field"])
-        if adata["kind"] == "truncated_poly":
-            gens = adata["generators"]
-            if not (isinstance(gens, list) and all(isinstance(g, dict) for g in gens)):
-                raise RepresentationError(f"'generators' must be a list of objects, not {gens!r}")
-            algebra = build_truncated_polynomial(
-                F, [json_int(g, "bound", RepresentationError) for g in gens],
-                names=tuple(g["name"] for g in gens))
-        elif adata["kind"] == "heisenberg":
-            algebra = build_heisenberg(F, json_int(adata, "n", RepresentationError, default=1))
-        else:
-            raise RepresentationError("unknown algebra kind in JSON")
-    F = algebra.field
-    if not isinstance(data["actions"], list):
-        raise RepresentationError(f"'actions' must be a list of matrices, not {data['actions']!r}")
+def rep_from_json(data):
+    """The module a ``to_json`` record describes.  A record or header field of
+    the wrong JSON type raises FieldError or RepresentationError naming it."""
+    if type(data) is not dict:
+        raise RepresentationError(f"a module record must be a JSON object, not {data!r}")
+    adata = json_get(data, "algebra", dict, RepresentationError)
+    F = field_from_json(adata)
+    if adata["kind"] == "truncated_poly":
+        gens = json_get(adata, "generators", list, RepresentationError)
+        if not all(type(g) is dict for g in gens):
+            raise RepresentationError(f"'generators' must be a list of objects, not {gens!r}")
+        algebra = build_truncated_polynomial(
+            F, [json_get(g, "bound", int, RepresentationError) for g in gens],
+            names=tuple(json_get(g, "name", str, RepresentationError) for g in gens))
+    elif adata["kind"] == "heisenberg":
+        algebra = build_heisenberg(F, json_get(adata, "n", int, RepresentationError, default=1))
+    else:
+        raise RepresentationError("unknown algebra kind in JSON")
     actions = [Matrix(F, F.decode_matrix(entries, f"actions[{g}]"))
-               for g, entries in enumerate(data["actions"])]
-    return Representation(algebra, actions, label=data.get("label", ""))
+               for g, entries in enumerate(json_get(data, "actions", list, RepresentationError))]
+    return Representation(algebra, actions,
+                          label=json_get(data, "label", str, RepresentationError, default=""))

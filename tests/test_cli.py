@@ -160,6 +160,14 @@ BAD_HEADERS = {
     "heisenberg_n_str": (("algebra",), {"kind": "heisenberg", "field": {"p": 3, "e": 1},
                                         "n": "1"}, "'n'"),
     "actions_int": (("actions",), 5, "'actions'"),
+    "field_int": (("algebra", "field"), 5, "'field'"),
+    "algebra_list": (("algebra",), [], "'algebra'"),
+    "module_list": ((), [], "module record"),
+    "name_int": (("algebra", "generators", 0, "name"), 7, "'name'"),
+    "label_int": (("label",), 7, "'label'"),
+    # the size is checked before primality and before p^e is formed
+    "p_over_cap": (("algebra", "field"), {"p": 100000000000031, "e": 1}, "p = 100000000000031"),
+    "e_over_cap": (("algebra", "field"), {"p": 3, "e": 100000000}, "e = 100000000"),
 }
 
 
@@ -178,10 +186,13 @@ def bad_support_input(tmp_path, case):
         return ["support", "--module", str(mod_file)]
     if case in BAD_HEADERS:
         path, value, _ = BAD_HEADERS[case]
-        node = data
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
+        if not path:
+            data = value
+        else:
+            node = data
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
         mod_file.write_text(json.dumps(data))
         return ["support", "--module", str(mod_file)]
     # x acts by a 3 x 3 Jordan block, so x^2 = 0 fails

@@ -55,6 +55,16 @@ def test_field_size_cap():
         field(4, 1)  # not prime
 
 
+def test_size_is_checked_before_primality_and_before_p_to_the_e(monkeypatch):
+    import restrep.fields as fields
+    monkeypatch.setattr(fields, "_is_prime", lambda n: pytest.fail(f"primality test of {n}"))
+    with pytest.raises(FieldError, match=r"p = 100000000000031, e = 1 exceeds"):
+        FieldSpec(100000000000031)
+    # p^e has 47.7 million digits, past Python's int-to-string limit
+    with pytest.raises(FieldError, match=r"p = 3, e = 100000000 exceeds"):
+        FieldSpec(3, 10 ** 8)
+
+
 def test_modulus_deterministic_and_reproducible():
     from restrep.fields import _find_modulus
     assert field(2, 2).modulus == (1, 1, 1)          # 1 + w + w^2

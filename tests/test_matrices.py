@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from restrep.algebra import build_truncated_polynomial
 from restrep.fields import FieldError, _poly_mulmod, field
 from restrep.hopf import named_structure
-from restrep.matrices import (FieldMismatch, JordanType, Matrix, NotNilpotent, _exact_float,
-                              _ladder_chain, _plane_tables, _step_chain, nilpotent_jordan_type, rank_chain)
+from restrep.matrices import (FieldMismatch, JordanType, Matrix, MatrixError, NotNilpotent,
+                              _exact_float, _ladder_chain, _plane_tables, _step_chain,
+                              nilpotent_jordan_type, rank_chain)
 from restrep.modules import jordan_block_module, tensor
 from testkit import random_invertible, random_matrix
 
@@ -84,12 +85,55 @@ def test_plane_tables_match_the_polynomial_product(p, e):
             assert shifted[i * F.q + b].tolist() == want + [0] * (e - len(want))
 
 
+def kron(a, b):
+    return Matrix.kron([(1, a, b)])
+
+
+def reference_kron_sum(terms):
+    """Σ c·X⊗Y one term at a time: each X⊗Y by an outer MUL gather, then
+    scaled and added."""
+    F = terms[0][1].field
+    acc = None
+    for c, X, Y in terms:
+        (r, k), (r2, k2) = X.shape, Y.shape
+        big = F.MUL[X.a[:, None, :, None], Y.a[None, :, None, :]].reshape(r * r2, k * k2)
+        term = Matrix(F, big).scale(int(c))
+        acc = term if acc is None else acc + term
+    return acc
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([field(2), field(5), field(1031), field(2, 2), field(5, 2), field(2, 10)]),
+       st.integers(1, 6), st.tuples(*[st.integers(0, 4)] * 4), st.integers(0, 2**32))
+def test_kron_sum_matches_the_per_term_reference(F, n_terms, dims, seed):
+    rng = np.random.default_rng(seed)
+    r, c, r2, c2 = dims
+    # about one coefficient in three is zero
+    terms = [(int(rng.integers(0, F.q)) if rng.random() > 1 / 3 else 0,
+              Matrix(F, rng.integers(0, F.q, size=(r, c))),
+              Matrix(F, rng.integers(0, F.q, size=(r2, c2)))) for _ in range(n_terms)]
+    got = Matrix.kron(terms)
+    assert got.shape == (r * r2, c * c2)
+    assert got == reference_kron_sum(terms)
+
+
+def test_kron_rejects_empty_and_mismatched_terms():
+    F = field(3)
+    with pytest.raises(MatrixError):
+        Matrix.kron([])
+    a, b = Matrix.identity(F, 2), Matrix.identity(F, 3)
+    with pytest.raises(MatrixError):
+        Matrix.kron([(1, a, b), (1, b, a)])
+    with pytest.raises(FieldMismatch):
+        Matrix.kron([(1, a, Matrix.identity(field(5), 3))])
+
+
 def test_kron_definition_and_ordering():
     F2 = field(2)
-    got = Matrix.jordan_block(F2, 2).kron(Matrix.identity(F2, 2))
+    got = Matrix.kron([(1, Matrix.jordan_block(F2, 2), Matrix.identity(F2, 2))])
     expect = Matrix(F2, [[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]])
     assert got == expect
-    assert Matrix.identity(F2, 2).kron(Matrix.identity(F2, 3)) == Matrix.identity(F2, 6)
+    assert kron(Matrix.identity(F2, 2), Matrix.identity(F2, 3)) == Matrix.identity(F2, 6)
 
 
 def test_kron_rank_multiplicative():
@@ -98,7 +142,7 @@ def test_kron_rank_multiplicative():
         F = FIELDS[rng.randrange(len(FIELDS))]
         a = random_matrix(F, rng.randrange(1, 5), rng.randrange(1, 5), rng)
         b = random_matrix(F, rng.randrange(1, 5), rng.randrange(1, 5), rng)
-        assert a.kron(b).rank() == a.rank() * b.rank()
+        assert Matrix.kron([(1, a, b)]).rank() == a.rank() * b.rank()
 
 
 def test_kron_associative():
@@ -106,7 +150,7 @@ def test_kron_associative():
     for F in (field(3), field(2, 2)):
         a, b, c = (random_matrix(F, 2, 3, rng), random_matrix(F, 3, 2, rng),
                    random_matrix(F, 2, 2, rng))
-        assert a.kron(b).kron(c) == a.kron(b.kron(c))
+        assert kron(kron(a, b), c) == kron(a, kron(b, c))
 
 
 def test_kron_mixed_product():
@@ -114,7 +158,7 @@ def test_kron_mixed_product():
     F = field(5)
     a, b = random_matrix(F, 3, 3, rng), random_matrix(F, 2, 2, rng)
     c, d = random_matrix(F, 3, 3, rng), random_matrix(F, 2, 2, rng)
-    assert (a.kron(b)) @ (c.kron(d)) == (a @ c).kron(b @ d)
+    assert kron(a, b) @ kron(c, d) == kron(a @ c, b @ d)
 
 
 def test_field_mismatch():

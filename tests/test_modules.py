@@ -273,6 +273,11 @@ def test_hom_space_refuses_a_solve_over_the_byte_budget():
     assert big.dim == 200
     with pytest.raises(HomTooLarge):
         hom_space(big, big)
+    # over GF(2^10) the build's Kronecker product is 10 digit planes wide:
+    # 4096 unknowns need 82 bytes per unknown² to build, 12 to eliminate
+    J64 = jordan_block_module(build_truncated_polynomial(field(2, 10), [64]), 64)
+    with pytest.raises(HomTooLarge):
+        hom_space(J64, J64)
 
 
 def test_hom_from_cyclic_matches_generic():

@@ -12,11 +12,11 @@ Two families are supported, enough for every scenario in this project:
 Multiplication is by straightening to normal form, in one numpy kernel,
 ``_straighten(I, J)``: it takes index arrays of pairs and returns the
 nonzero terms of every product b_I[s]·b_J[s] at once.  It is the only
-straightening code.  ``product_terms(i, j) = (indices, coefficients)`` is
-its memoized single-pair view.  ``multiply`` and ``products`` (so
-``left_mult_matrix`` too) straighten all memo misses of one call in one
-kernel call, and so does each batch of A⊗A products in
-:mod:`restrep.hopf`, whose keys i·dim + j are the memo's.
+straightening code.  ``_memo_terms`` keeps the ``(indices,
+coefficients)`` of each basis product under the key i·dim + j.
+``multiply`` and ``products`` (so ``left_mult_matrix`` too) straighten
+all memo misses of one call in one kernel call, and so does each batch
+of A⊗A products in :mod:`restrep.hopf`, whose keys are the memo's.
 
 Every build runs a verification pass and fails loudly, naming the
 culprit, rather than returning a broken algebra.  Its products go
@@ -55,10 +55,6 @@ class AlgebraError(ValueError):
 
 
 class InvalidBound(AlgebraError):
-    pass
-
-
-class UnsupportedTorus(AlgebraError):
     pass
 
 
@@ -102,18 +98,20 @@ class AlgebraElement:
     def __neg__(self):
         return AlgebraElement(self.algebra, self.algebra.field.NEG[self.vec], copy=False)
 
+    def __matmul__(self, other):
+        return self.algebra.multiply(self, other)
+
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
-            return self.algebra.multiply(self, other)
+            return self @ other
         return AlgebraElement(self.algebra, self.algebra.field.MUL[other, self.vec], copy=False)
 
     __rmul__ = __mul__
 
     def pow(self, n):
         out = self.algebra.one()
-        base = self
         for _ in range(n):
-            out = self.algebra.multiply(out, base)
+            out = out @ self
         return out
 
     def counit(self):
@@ -153,14 +151,12 @@ class AlgebraPresentation:
     inductions; :func:`restrep.modules.induce` fills it.
     """
 
-    def __init__(self, field, kind, gen_names, bounds, basis_exps, heis_n=None,
-                 cyclic_dims=None, verify=True):
+    def __init__(self, field, kind, gen_names, bounds, basis_exps, heis_n=None):
         self.field = field
         self.kind = kind
         self.gen_names = tuple(gen_names)
         self.bounds = tuple(bounds)
         self.heis_n = heis_n
-        self.cyclic_dims = tuple(cyclic_dims) if cyclic_dims else None
         self.basis_exps = list(basis_exps)
         self.dim = len(self.basis_exps)
         self.index_of = {e: i for i, e in enumerate(self.basis_exps)}
@@ -184,8 +180,7 @@ class AlgebraPresentation:
             p = field.p
             self._rule = np.array([[[math.factorial(k) * math.comb(c, k) * math.comb(i, k) % p
                                      for i in range(p)] for c in range(p)] for k in range(p)])
-        if verify:
-            self._verify_build()
+        self._verify_build()
 
     # -- construction of elements ------------------------------------------------
 
@@ -267,12 +262,6 @@ class AlgebraPresentation:
         keep = (exps < p).all(axis=1)
         return owner[keep], self._index[exps[keep] @ self._radix], coef[keep].astype(_INT)
 
-    def product_terms(self, i, j):
-        """basis_i * basis_j as ``(indices, coefficients)`` arrays holding its
-        nonzero terms; straightened once, then read from the memo."""
-        hit = self._terms.get(i * self.dim + j)
-        return hit if hit is not None else self._memo_terms([i * self.dim + j])[0]
-
     def _memo_terms(self, keys):
         """The terms of the basis products keyed i·dim + j, from the memo;
         the misses are straightened in one kernel call and kept."""
@@ -331,29 +320,24 @@ class AlgebraPresentation:
 
     # -- relation checking (shared by morphisms and representations) ---------------
 
-    def check_relations(self, vals, mul, is_zero, eq, power_vanishes=None):
+    def check_relations(self, vals, power_vanishes=None):
         """Verify the defining relations on an assignment of generator values.
 
-        ``vals`` maps generator index -> value; ``mul`` multiplies values.
-        ``power_vanishes(v, b)`` decides v^b = 0; by default it multiplies
-        the power out.  Works for algebra elements and for representation
-        matrices alike.  Raises AlgebraError on the first failure.
+        ``vals`` maps generator index -> value: algebra elements or
+        representation matrices, which both multiply with ``@`` and compare
+        with ``==``.  ``power_vanishes(v, b)`` decides v^b = 0; by default
+        it is ``v.pow(b).is_zero()``.  Raises AlgebraError on the first
+        failure.
         """
-        def multiplied_out(v, n):
-            out = v
-            for _ in range(n - 1):
-                out = mul(out, v)
-            return is_zero(out)
-
-        power_vanishes = power_vanishes or multiplied_out
         for g, bound in enumerate(self.bounds):
-            if not power_vanishes(vals[g], bound):
+            if not (power_vanishes(vals[g], bound) if power_vanishes
+                    else vals[g].pow(bound).is_zero()):
                 raise AlgebraError(f"relation {self.gen_names[g]}^{bound} = 0 fails")
         k = len(self.gen_names)
         if self.kind == "truncated_poly":
             for g in range(k):
                 for h in range(g + 1, k):
-                    if not eq(mul(vals[g], vals[h]), mul(vals[h], vals[g])):
+                    if not vals[g] @ vals[h] == vals[h] @ vals[g]:
                         raise AlgebraError(
                             f"commutativity [{self.gen_names[g]},{self.gen_names[h]}] fails")
         elif self.kind == "heisenberg":
@@ -361,15 +345,15 @@ class AlgebraPresentation:
             zval = vals[n]
             for a in range(k):
                 for b in range(a + 1, k):
-                    lhs = mul(vals[a], vals[b])   # earlier generator first
-                    rhs = mul(vals[b], vals[a])
+                    lhs = vals[a] @ vals[b]   # earlier generator first
+                    rhs = vals[b] @ vals[a]
                     paired = a < n and b > n and (b - n - 1) == a
                     if paired:
                         # a is y_t, b is x_t: x_t y_t - y_t x_t = z
-                        if not eq(rhs - lhs, zval):
+                        if not rhs - lhs == zval:
                             raise AlgebraError(
                                 f"relation [{self.gen_names[b]},{self.gen_names[a]}] = z fails")
-                    elif not eq(lhs, rhs):
+                    elif not lhs == rhs:
                         raise AlgebraError(
                             f"[{self.gen_names[a]},{self.gen_names[b]}] = 0 fails")
         else:
@@ -505,22 +489,13 @@ class AlgebraPresentation:
 # -- builders ---------------------------------------------------------------------
 
 
-def _log_p(b, p):
-    out = 0
-    while b > 1:
-        b //= p
-        out += 1
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def _cached_truncated(field, bounds, names):
     exps = []
     for total in itertools.product(*[range(b) for b in reversed(bounds)]):
         exps.append(tuple(reversed(total)))
     # mixed radix with the first generator varying fastest
-    return AlgebraPresentation(field, "truncated_poly", names, bounds, exps,
-                               cyclic_dims=[_log_p(b, field.p) for b in bounds])
+    return AlgebraPresentation(field, "truncated_poly", names, bounds, exps)
 
 
 def build_truncated_polynomial(field, bounds, names=None):
@@ -536,14 +511,12 @@ def build_truncated_polynomial(field, bounds, names=None):
     return _cached_truncated(field, bounds, tuple(names))
 
 
-def build_abelian_restricted(field, cyclic_dims, torus_rank=0, names=None):
+def build_abelian_restricted(field, cyclic_dims):
     """u of a direct sum of p-nilpotent cyclic factors of the given lengths."""
-    if torus_rank:
-        raise UnsupportedTorus("torus factors are not supported; only nilcyclic summands")
     if not cyclic_dims:
         raise InvalidBound("need at least one cyclic summand")
     bounds = [field.p ** int(n) for n in cyclic_dims]
-    return build_truncated_polynomial(field, bounds, names=names)
+    return build_truncated_polynomial(field, bounds)
 
 
 @functools.lru_cache(maxsize=None)
@@ -579,31 +552,20 @@ def build_heisenberg(field, n=1):
 class AlgebraMorphism:
     """Algebra map determined by generator images; verified on construction."""
 
-    def __init__(self, source, target, images, verify=True):
+    def __init__(self, source, target, images):
         if len(images) != len(source.gen_names):
             raise AlgebraError("one image per source generator required")
         self.source = source
         self.target = target
         self.images = list(images)
         self._mono_cache = {}
-        if verify:
-            self._verify()
+        self._verify()
 
     @classmethod
-    def identity(cls, A):
-        return cls(A, A, A.generators(), verify=False)
-
-    @classmethod
-    def from_gen_map(cls, A, mapping, target=None):
+    def from_gen_map(cls, A, mapping):
         """Build an endomorphism from {name: element}, unmapped names fixed."""
-        target = target or A
-        images = []
-        for i, name in enumerate(A.gen_names):
-            images.append(mapping.get(name, target.generator(name)
-                          if name in target.gen_names else None))
-            if images[-1] is None:
-                raise AlgebraError(f"no image for generator {name}")
-        return cls(A, target, images)
+        return cls(A, A, [mapping[name] if name in mapping else A.generator(name)
+                          for name in A.gen_names])
 
     def _verify(self):
         for im in self.images:
@@ -611,12 +573,7 @@ class AlgebraMorphism:
                 raise AlgebraError("image not in target algebra")
             if im.counit() != 0:
                 raise NotAugmented("generator image has nonzero counit")
-        T = self.target
-        self.source.check_relations(
-            self.images,
-            mul=lambda a, b: T.multiply(a, b),
-            is_zero=lambda a: a.is_zero(),
-            eq=lambda a, b: a == b)
+        self.source.check_relations(self.images)
 
     def _mono_image(self, exps):
         hit = self._mono_cache.get(exps)
@@ -661,47 +618,40 @@ class AlgebraMorphism:
         return Matrix(T.field, m, copy=False)
 
     def invert(self):
-        """Inverse automorphism, for unipotent-plus-linear generator images.
+        """Inverse automorphism ψ, by one fixed point iteration.
 
-        The linear part is inverted exactly; the unipotent remainder is
-        removed by fixed point iteration, which terminates because each
-        correction lies in a deeper power of the augmentation ideal.
+        μ, the algebra map whose generator images are the exact inverse of
+        φ's linear part, starts the iteration, ψ = μ, and corrects it:
+        ψ(g) ← ψ(g) − μ(φ(ψ(g)) − g).  φ∘μ is the identity modulo
+        terms of higher degree, so each error lies in a deeper power of the
+        augmentation ideal than the last, and the loop ends within dim
+        steps.  NotInvertible when φ is not an endomorphism, its linear
+        part is singular or breaks the relations, the loop does not
+        converge, or φ∘ψ or ψ∘φ is not the identity.
         """
         if self.source != self.target:
             raise NotInvertible("only endomorphisms can be inverted")
         A = self.source
-        k = len(A.gen_names)
-        L = self.linear_part()
+        gens = A.generators()
         try:
-            Linv = L.inverse()
+            Linv = self.linear_part().inverse()
         except Exception as exc:
             raise NotInvertible("linear part is singular") from exc
-        if L == Matrix.identity(A.field, k):
-            eta, mu = self, None
-        else:
-            gens = A.generators()
-            mu_images = []
-            for g in range(k):
-                im = A.zero()
-                for h in range(k):
-                    im = im + int(Linv.a[h, g]) * gens[h]
-                mu_images.append(im)
-            try:
-                mu = AlgebraMorphism(A, A, mu_images)
-            except AlgebraError as exc:
-                raise NotInvertible("linear part does not preserve relations") from exc
-            eta = self.compose(mu)
-        # now eta has identity linear part; iterate psi(g) <- psi(g) - (eta(psi(g)) - g)
-        current = [A.generator(g) for g in range(k)]
+        mu_images = np.zeros((len(gens), A.dim), dtype=_INT)
+        mu_images[:, [A.index_of[e] for e in A._gen_exps]] = Linv.a.T
+        try:
+            mu = AlgebraMorphism(A, A, [A.element(v) for v in mu_images])
+        except AlgebraError as exc:
+            raise NotInvertible("linear part does not preserve relations") from exc
+        current = mu.images
         for _ in range(A.dim + 1):
-            errs = [eta.apply(v) - A.generator(g) for g, v in enumerate(current)]
+            errs = [self.apply(v) - g for v, g in zip(current, gens)]
             if all(e.is_zero() for e in errs):
                 break
-            current = [v - e for v, e in zip(current, errs)]
+            current = [v - mu.apply(e) for v, e in zip(current, errs)]
         else:
             raise NotInvertible("fixed point iteration did not converge")
-        eta_inv = AlgebraMorphism(A, A, current)
-        inverse = eta_inv if mu is None else mu.compose(eta_inv)
+        inverse = AlgebraMorphism(A, A, current)
         check = self.compose(inverse)
         check2 = inverse.compose(self)
         if not (check.is_identity() and check2.is_identity()):

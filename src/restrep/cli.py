@@ -75,8 +75,6 @@ class UsageError(Exception):
 
 
 def scenario_klein(args):
-    if args.p is not None and args.p != 2:
-        raise UsageError("--p must be 2")
     ctx = KleinContext(ext_degree=args.field_ext, seed=args.seed, trials=args.trials)
     nmax = args.n or 4
     rows = [ctx.check_basev_formula(name, pt.coords, n, m)
@@ -153,12 +151,20 @@ def scenario_wang_table(args):
     return rows, (), None
 
 
+def load_json(path):
+    """The JSON document in ``path``; RepresentationError, naming the
+    file, when it does not parse or holds an integer too long to convert."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:       # JSONDecodeError is a ValueError too
+            raise RepresentationError(f"{path}: {exc}") from None
+
+
 def scenario_support(args):
-    with open(args.module) as fh:
-        mdata = json.load(fh)
+    mdata = load_json(args.module)
     if args.algebra and type(mdata) is dict:   # rep_from_json refuses any other record
-        with open(args.algebra) as fh:
-            mdata = dict(mdata, algebra=json.load(fh))
+        mdata = dict(mdata, algebra=load_json(args.algebra))
     try:
         M = rep_from_json(mdata)
     except KeyError as exc:
@@ -210,7 +216,7 @@ def run(args):
     except HypothesisNotMet as exc:
         sys.stderr.write(f"hypothesis not met: {exc}\n")
         return 1
-    except (OSError, json.JSONDecodeError, FieldError, AlgebraError) as exc:
+    except (OSError, FieldError, AlgebraError) as exc:
         sys.stderr.write(f"{args.scenario}: {exc}\n")
         return 2
     if isinstance(result, SupportSet):
@@ -228,44 +234,63 @@ def run(args):
 # -- entry point ------------------------------------------------------------------------
 
 
+class Parser(argparse.ArgumentParser):
+    """A usage error is one line on stderr, led by the scenario name (or
+    ``restrep`` before one is chosen), and exit status 2."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        # a scenario's parser refuses every flag it does not read, itself,
+        # so that the message names the scenario
+        ns, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return ns, extra
+
+    def error(self, message):
+        self.exit(2, f"{self.prog.split()[-1]}: {message}\n")
+
+
+# every flag a scenario may take; one left out is None, and the scenario
+# that reads it fills in its own default
+FLAGS = {
+    "p": dict(type=int, help="characteristic"),
+    "r": dict(type=int),
+    "n": dict(type=int),
+    "m": dict(type=int),
+    "field-ext": dict(type=int, default=2),
+    "seed": dict(type=int, default=0),
+    "trials": dict(type=int, default=24),
+    "format": dict(choices=("table", "csv", "json"), default="table"),
+    "module": dict(required=True),
+    "algebra": {},
+    "out": {},
+}
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
-        prog="restrep",
-        description="exact tensor-product experiments over finite local algebras")
+    ap = Parser(prog="restrep",
+                description="exact tensor-product experiments over finite local algebras")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="scenario", required=True)
-
-    def common(sp):
-        sp.add_argument("--p", type=int, default=None, help="characteristic")
-        sp.add_argument("--r", type=int, default=None)
-        sp.add_argument("--n", type=int, default=None)
-        sp.add_argument("--m", type=int, default=None)
-        sp.add_argument("--field-ext", type=int, default=2, dest="field_ext")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--trials", type=int, default=24)
-        sp.add_argument("--format", choices=("table", "csv", "json"), default="table")
-        sp.add_argument("--out", default=None)
-
-    for name, fn in SCENARIOS.items():
-        sp = sub.add_parser(name)
-        common(sp)
-        if name == "support":
-            sp.add_argument("--module", required=True)
-            sp.add_argument("--algebra", default=None)
+    for name, (fn, flags) in SCENARIOS.items():
+        sp = sub.add_parser(name, allow_abbrev=False)
+        for flag in flags + ("out",):
+            sp.add_argument(f"--{flag}", **FLAGS[flag])
         sp.set_defaults(func=fn)
     return ap
 
 
+# each scenario with the flags it reads; every one also takes --out
 SCENARIOS = {
-    "klein": scenario_klein,
-    "twodim": scenario_twodim,
-    "heisenberg": scenario_heisenberg,
-    "witt": scenario_witt,
-    "wang-table": scenario_wang_table,
-    "support": scenario_support,
-    "abelian-wild": scenario_abelian_wild,
-    "cgm": scenario_cgm,
-    "scaling": scenario_scaling,
+    "klein": (scenario_klein, ("n", "field-ext", "seed", "trials", "format")),
+    "twodim": (scenario_twodim, ("p", "format")),
+    "heisenberg": (scenario_heisenberg, ("p", "format")),
+    "witt": (scenario_witt, ("p", "r", "format")),
+    "wang-table": (scenario_wang_table, ("p", "field-ext", "format")),
+    "support": (scenario_support, ("module", "algebra", "field-ext")),
+    "abelian-wild": (scenario_abelian_wild, ("p", "n", "m", "format")),
+    "cgm": (scenario_cgm, ("p", "format")),
+    "scaling": (scenario_scaling, ("p", "format")),
 }
 
 

@@ -96,7 +96,6 @@ class HeisenbergScenario:
         y, z, x = A.generator("y"), A.generator("z"), A.generator("x")
         self.yz_term = A.multiply(y, z).pow(p - 1)
         self.phi = AlgebraMorphism.from_gen_map(A, {"x": x + self.yz_term})
-        self.phi_inv = self.phi.invert()
         self.L = block_L(self.F, r)
         self.O = block_O(self.F, r)
         self.V = self._induced_module()
@@ -131,10 +130,6 @@ class HeisenbergScenario:
 
     def untwisted_restriction(self):
         return nilpotent_jordan_type(self.L)
-
-
-def build_scenario(p, r):
-    return HeisenbergScenario(p, r)
 
 
 # -- the published rank formulas (and the computed corrections) ------------------------
@@ -202,7 +197,7 @@ def rank_table(p, use_scenarios=False):
     rows = []
     for r in range(1, p + 1):
         if use_scenarios:
-            sc = build_scenario(p, r)
+            sc = HeisenbergScenario(p, r)
             L, O = sc.L, sc.O
         else:
             L, O = block_L(F, r), block_O(F, r)
@@ -256,7 +251,7 @@ def cgm_check(p):
     """
     F = field(p)
     rows = rank_table(p)
-    sc1 = build_scenario(p, 1)
+    sc1 = HeisenbergScenario(p, 1)
     jt_twisted = sc1.twisted_restriction()
     jt_untwisted = sc1.untwisted_restriction()
     blocks = jt_twisted.blocks()
@@ -307,7 +302,7 @@ def heis_support_scan(p):
     matters (plus the regular-module check being a theorem for the
     nullcone directions) at larger p, to stay inside the time budget.
     """
-    sc = build_scenario(p, 1)
+    sc = HeisenbergScenario(p, 1)
     A, V = sc.algebra, sc.V
     fam = PointFamily(A, ext_degree=1, check_flat=(p <= 3))
     if p > 3:

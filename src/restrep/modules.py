@@ -84,12 +84,7 @@ class Representation:
     def verify_relations(self):
         if self.dim == 0:
             return
-        self.algebra.check_relations(
-            self.actions,
-            mul=lambda a, b: a @ b,
-            is_zero=lambda m: m.is_zero(),
-            eq=lambda a, b: a == b,
-            power_vanishes=_power_vanishes)
+        self.algebra.check_relations(self.actions, power_vanishes=_power_vanishes)
 
     # -- evaluation -------------------------------------------------------------
 

@@ -22,7 +22,7 @@ from restrep.matrices import nilpotent_jordan_type
 from restrep.modules import (direct_sum, free_rank, induce_trivial,
                              iso_test, jordan_block_module, regular_module,
                              tensor, trivial_module, twist_module)
-from restrep.heisenberg import (build_scenario, rank_formula, rank_table,
+from restrep.heisenberg import (HeisenbergScenario, rank_formula, rank_table,
                                 rho_published, tau_published,
                                 wild_abelian_isotropy_check)
 from restrep.pipoints import PointFamily, nobility, support
@@ -162,7 +162,7 @@ def test_criterion_06_matrix_cross_validation(p):
     """Generic induction equals the explicit blocks, entrywise, all r."""
     t0 = time.time()
     for r in range(1, p + 1):
-        sc = build_scenario(p, r)   # the constructor raises on any mismatch
+        sc = HeisenbergScenario(p, r)   # the constructor raises on any mismatch
         assert sc.V.act(sc.algebra.generator("x")) == sc.L
         assert sc.V.act(sc.yz_term) == sc.O
     print(f"criterion 6 (p={p}): {p} modules cross-validated in {time.time()-t0:.1f}s")

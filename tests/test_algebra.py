@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from restrep.fields import FieldError, field
 from restrep.algebra import (ASSOC_EXHAUSTIVE_DIM, ASSOC_SAMPLES, ASSOC_SEED, AlgebraError,
                              AlgebraMorphism, AlgebraPresentation, InvalidBound,
-                             NotAugmented, NotInvertible, UnsupportedTorus,
+                             NotAugmented, NotInvertible,
                              base_change, build_abelian_restricted,
                              build_heisenberg, build_truncated_polynomial,
                              element_to_field, morphism_from_json)
@@ -94,9 +94,7 @@ def test_abelian_restricted_builder():
     A = build_abelian_restricted(field(2), [1, 1, 1])
     assert A.bounds == (2, 2, 2) and A.dim == 8
     B = build_abelian_restricted(field(2), [2, 2])
-    assert B.bounds == (4, 4) and B.cyclic_dims == (2, 2)
-    with pytest.raises(UnsupportedTorus):
-        build_abelian_restricted(field(2), [1], torus_rank=1)
+    assert B.bounds == (4, 4)
     with pytest.raises(InvalidBound):
         build_abelian_restricted(field(3), [])
 
@@ -244,7 +242,7 @@ def test_invert_unipotent():
     inv = phi.invert()
     assert inv.images[1] == y - x.pow(2)
     assert phi.compose(inv).is_identity() and inv.compose(phi).is_identity()
-    ident = AlgebraMorphism.identity(A)
+    ident = AlgebraMorphism(A, A, A.generators())
     assert ident.invert().is_identity()
 
 
@@ -268,6 +266,17 @@ def test_invert_linear_part():
     sing = AlgebraMorphism(A, A, [x + y, x + y])
     with pytest.raises(NotInvertible):
         sing.invert()
+
+
+def test_invert_linear_plus_higher_part():
+    # the one iteration starts from the inverse of the linear part and
+    # removes the quadratic terms in the same loop
+    A = build_truncated_polynomial(field(5), [5, 5])
+    x, y = A.generators()
+    phi = AlgebraMorphism(A, A, [2 * x + y + x @ x, x + y + x @ y])
+    inv = phi.invert()
+    assert phi.compose(inv).is_identity() and inv.compose(phi).is_identity()
+    assert inv.linear_part() == phi.linear_part().inverse()
 
 
 def test_morphism_json_roundtrip():

@@ -1,5 +1,6 @@
 """The command line runner: scenarios, formats, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -8,16 +9,20 @@ import sys
 
 import pytest
 
-from restrep.cli import main
+from restrep.cli import FLAGS, SCENARIOS, build_parser, main
 
 
 def run_cli(args, tmp_path=None):
-    """Invoke main() in-process, capturing stdout."""
+    """Invoke main() in-process, capturing stdout and stderr; the exit
+    status of a usage error (SystemExit) is returned like any other."""
     import io
     from contextlib import redirect_stdout, redirect_stderr
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(args)
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -86,9 +91,30 @@ def test_klein_scenario_small():
 
 
 def test_klein_rejects_odd_p():
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["klein", "--p", "3"])
-    assert exc.value.code == 2
+    # klein is the p = 2 scenario and has no --p flag
+    code, out, err = run_cli(["klein", "--p", "3"])
+    assert code == 2
+    assert err == "klein: unrecognized arguments: --p 3\n"
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_scenario_takes_exactly_its_flags(name):
+    fn, flags = SCENARIOS[name]
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[name]
+    assert {s for a in sub._actions for s in a.option_strings} == \
+        {"-h", "--help"} | {f"--{flag}" for flag in flags + ("out",)}
+    base = [name] + (["--module", "m.json"] if "module" in flags else [])
+    for flag in flags + ("out",):
+        value = "json" if flag == "format" else "3"
+        args = parser.parse_args(base + [f"--{flag}", value])
+        assert args.func is fn
+        assert str(getattr(args, flag.replace("-", "_"))) == value
+    for flag in set(FLAGS) - set(flags) - {"out"}:
+        code, out, err = run_cli(base + [f"--{flag}", "3"])
+        assert code == 2 and out == ""
+        assert err == f"{name}: unrecognized arguments: --{flag} 3\n"
 
 
 def test_witt_rejects_r_above_2():
@@ -184,6 +210,12 @@ def bad_support_input(tmp_path, case):
         data["actions"][0][0][1] = [1, 1] if case == "long_entry" else [2]
         mod_file.write_text(json.dumps(data))
         return ["support", "--module", str(mod_file)]
+    if case == "huge_p":
+        # json.dumps cannot write an int this long, so the digits go into the text
+        text = json.dumps(data)
+        assert '"p": 2' in text
+        mod_file.write_text(text.replace('"p": 2', '"p": ' + "7" * 5000, 1))
+        return ["support", "--module", str(mod_file)]
     if case in BAD_HEADERS:
         path, value, _ = BAD_HEADERS[case]
         if not path:
@@ -205,7 +237,11 @@ def bad_support_input(tmp_path, case):
 @pytest.mark.parametrize("args", [
     ["heisenberg", "--p", "4"], ["twodim", "--p", "4"], ["cgm", "--p", "9"],
     ["scaling", "--p", "4"], ["heisenberg", "--p", "2"],
-    "support:no_algebra", "support:breaks_relation",
+    # a flag the scenario does not read, or none it needs, is a usage error
+    ["witt", "--seed", "1"], ["heisenberg", "--trials", "3"], ["klein", "--p", "2"],
+    ["support", "--module", "M", "--format", "csv"], ["witt", "--bogus", "1"],
+    ["support"],
+    "support:no_algebra", "support:huge_p", "support:breaks_relation",
     "support:long_entry", "support:digit_out_of_range",
     *(f"support:{case}" for case in BAD_HEADERS),
 ], ids=lambda a: " ".join(a) if isinstance(a, list) else a)
@@ -222,6 +258,8 @@ def test_bad_input_exits_2_with_one_line(args, tmp_path):
         assert "actions[0][0][1]" in err
     if case in BAD_HEADERS:
         assert BAD_HEADERS[case][2] in err
+    if case == "huge_p":
+        assert f"{args[2]}: " in err and "5000 digits" in err
 
 
 def test_usage_error_exit_code():

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from restrep.fields import field
-from restrep.heisenberg import (HypothesisNotMet,
-                                block_F, block_L, block_M, block_O,
-                                build_scenario, cgm_check,
+from restrep.heisenberg import (HeisenbergScenario, HypothesisNotMet,
+                                block_F, block_L, block_M, block_O, cgm_check,
                                 expected_L1_partition,
                                 expected_mackey_partition, heis_support_scan,
                                 index_scaling_check, rank_formula,
@@ -39,7 +38,7 @@ def test_block_shapes_and_entries():
 def test_scenario_cross_validation(p):
     # the constructor diffs generic induction against the explicit blocks
     for r in range(1, p + 1):
-        sc = build_scenario(p, r)
+        sc = HeisenbergScenario(p, r)
         A = sc.algebra
         assert sc.V.dim == r * p * p
         assert sc.V.act(A.generator("x")) == sc.L
@@ -48,16 +47,16 @@ def test_scenario_cross_validation(p):
 
 def test_scenario_rejects_bad_parameters():
     with pytest.raises(Exception):
-        build_scenario(2, 1)
+        HeisenbergScenario(2, 1)
     with pytest.raises(Exception):
-        build_scenario(3, 4)
+        HeisenbergScenario(3, 4)
 
 
 def test_automorphism_inverse_shape():
-    sc = build_scenario(3, 1)
+    sc = HeisenbergScenario(3, 1)
     A = sc.algebra
     xi = A.gen_names.index("x")
-    assert sc.phi_inv.images[xi] == A.generator("x") - sc.yz_term
+    assert sc.phi.invert().images[xi] == A.generator("x") - sc.yz_term
 
 
 def test_rank_table_p3_fully_published():
@@ -98,10 +97,10 @@ def test_rank_formula_values():
 
 
 def test_restriction_partitions():
-    sc = build_scenario(3, 1)
+    sc = HeisenbergScenario(3, 1)
     assert sc.twisted_restriction() == expected_L1_partition(3)
     assert sc.untwisted_restriction() == expected_mackey_partition(3)
-    sc5 = build_scenario(5, 1)
+    sc5 = HeisenbergScenario(5, 1)
     assert str(sc5.twisted_restriction()) == "J5+2J4+2J3+3J2"
     assert str(sc5.untwisted_restriction()) == "J5+2J4+2J3+2J2+2J1"
 
@@ -184,8 +183,7 @@ def test_unknown_case():
 
 def test_z_direction_restricts_freely_on_all_induced_modules():
     # the central direction never supports V_r: its action is free
-    from restrep.heisenberg import build_scenario
     for r in (1, 2, 3):
-        sc = build_scenario(3, r)
+        sc = HeisenbergScenario(3, r)
         jt = nilpotent_jordan_type(sc.V.act(sc.algebra.generator("z")))
         assert jt.is_free(3), (r, str(jt))

@@ -126,7 +126,7 @@ def test_tensor_jordan_types_match_the_cyclic_closed_form(p):
 def test_restrict():
     A = klein()
     M = regular_module(A)
-    rid = restrict(M, AlgebraMorphism.identity(A))
+    rid = restrict(M, AlgebraMorphism(A, A, A.generators()))
     assert all(a == b for a, b in zip(rid.actions, M.actions))
     # restriction of the induced module along its defining direction is trivial
     B = build_truncated_polynomial(field(2), [2], names=("t",))
@@ -244,7 +244,7 @@ def test_twist_module():
     A = build_truncated_polynomial(field(p), [p, p])
     x, y = A.generators()
     M = induce_trivial(A, y, label="M")
-    ident = AlgebraMorphism.identity(A)
+    ident = AlgebraMorphism(A, A, A.generators())
     assert all(a == b for a, b in zip(twist_module(M, ident).actions, M.actions))
     phi = AlgebraMorphism.from_gen_map(A, {"y": y + x.pow(2)})
     Mphi = twist_module(M, phi)

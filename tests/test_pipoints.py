@@ -194,7 +194,7 @@ def test_aut_action_and_isotropy():
     A = build_truncated_polynomial(field(p), [p, p])
     fam = PointFamily(A, ext_degree=1)
     x, y = A.generators()
-    ident = AlgebraMorphism.identity(A)
+    ident = AlgebraMorphism(A, A, A.generators())
     for pt in fam:
         assert aut_action_on_point(ident, pt, fam) == pt.label
     phi = AlgebraMorphism.from_gen_map(A, {"y": y + x.pow(2)})

@@ -81,9 +81,15 @@ def canonical_pi_point(A, coords, ext=None):
     return PiPoint(A_K, top_slice_image(A_K, coords), coords=coords)
 
 
+def product_terms(A, i, j):
+    """basis_i * basis_j as ``(indices, coefficients)`` arrays holding its
+    nonzero terms, read from the algebra's memo (straightened on a miss)."""
+    return A._memo_terms([i * A.dim + j])[0]
+
+
 def product_vec(A, i, j):
     """Dense coefficient vector of basis_i * basis_j."""
-    idx, coef = A.product_terms(i, j)
+    idx, coef = product_terms(A, i, j)
     v = np.zeros(A.dim, dtype=_INT)
     v[idx] = coef
     return v

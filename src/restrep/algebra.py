@@ -325,12 +325,12 @@ class AlgebraPresentation:
 
         ``vals`` maps generator index -> value: algebra elements or
         representation matrices, which both multiply with ``@`` and compare
-        with ``==``.  ``power_vanishes(v, b)`` decides v^b = 0; by default
-        it is ``v.pow(b).is_zero()``.  Raises AlgebraError on the first
-        failure.
+        with ``==``.  ``power_vanishes(g, b)`` decides vals[g]^b = 0; by
+        default it is ``vals[g].pow(b).is_zero()``.  Raises AlgebraError on
+        the first failure.
         """
         for g, bound in enumerate(self.bounds):
-            if not (power_vanishes(vals[g], bound) if power_vanishes
+            if not (power_vanishes(g, bound) if power_vanishes
                     else vals[g].pow(bound).is_zero()):
                 raise AlgebraError(f"relation {self.gen_names[g]}^{bound} = 0 fails")
         k = len(self.gen_names)
@@ -429,7 +429,10 @@ class AlgebraPresentation:
         Comput. 29, 2000): b_i b_j and b_j b_k, then (b_i b_j) b_k and
         b_i (b_j b_k), in four kernel calls, their difference summed per
         (sample, basis index).  The first failing sample is named, with the
-        counit law first at a sample where both fail."""
+        counit law first at a sample where both fail.  Sampled, unlike the
+        comultiplication axioms: associativity has no cheap exact reduction
+        to the generators, since the triples (generator, b_j, b_k) number
+        dim²·#generators, about 49 M for u(heis_2) at p = 5."""
         dim, one, F = self.dim, self.identity_index, self.field
         rng = random.Random(ASSOC_SEED)
         I, J, K = np.array([rng.randrange(dim) for _ in range(3 * ASSOC_SAMPLES)]).reshape(-1, 3).T

@@ -6,13 +6,16 @@ pair of arrays: sorted distinct int64 keys i·dim + j, the key of the
 product memo of :mod:`restrep.algebra`, and their nonzero coefficients.
 The axiom checks key A⊗A⊗A as (i·dim + j)·dim + k.  Δ of every basis
 monomial is built at construction, one degree per batch, as Δ(m) =
-Δ(m')·Δ(g) with g the last generator of m, so that m = m'·g needs no
-straightening.
+Δ(m')·Δ(g) with g the last generator of m; that m = m'·g in A is
+checked once, for every m.
 
-Construction always runs the axiom suite (coassociativity, counit law,
-cocommutativity, multiplicativity on sampled pairs) and raises
-AxiomViolation on any failure; there is no way to skip it, since every
-downstream tensor computation depends on these identities.
+Construction always runs the axiom suite and raises AxiomViolation on
+any failure; there is no way to skip it, since every downstream tensor
+computation depends on these identities.  It is exact at every
+dimension: Δ is an algebra map exactly when the generator images
+satisfy A's defining relations, and then the counit laws,
+cocommutativity and coassociativity hold exactly when they hold on the
+generators.
 
 Antipodes are deliberately not stored or computed: none of the library
 structures or scenario computations ever apply one, and existence is
@@ -20,16 +23,11 @@ automatic for the listed comultiplications.
 """
 
 import math
-import random
 
 import numpy as np
 
 from .algebra import AlgebraError
 from .matrices import _INT
-
-AXIOM_FULL_DIM = 256       # full-basis axiom checks up to this dimension
-AXIOM_SAMPLES = 64         # sampled basis elements above
-MULT_SAMPLES = 64          # sampled multiplicativity pairs
 
 STRUCTURE_NAMES = (
     "lie_primitive", "wang_Ga2", "wang_Ga1xZp", "wang_ZpZp",
@@ -106,6 +104,31 @@ def _outer(A, scale, left, right):
     return _normal(A, li[x] * A.dim + rj[y], coef)
 
 
+class _Tensor:
+    """An element of A⊗A as normal (keys, coefficients) arrays, with the
+    operations ``AlgebraPresentation.check_relations`` applies."""
+
+    __slots__ = ("algebra", "keys", "coef")
+
+    def __init__(self, algebra, keys, coef):
+        self.algebra, self.keys, self.coef = algebra, keys, coef
+
+    def __matmul__(self, other):
+        s, t = np.divmod(np.arange(len(self.keys) * len(other.keys)), max(len(other.keys), 1))
+        return _Tensor(self.algebra, *_products(self.algebra, (self.keys, self.coef),
+                                                (other.keys, other.coef), s, t, np.zeros_like(s)))
+
+    def __sub__(self, other):
+        neg = self.algebra.field.NEG[other.coef]
+        return _Tensor(self.algebra, *_add(self.algebra, (self.keys, self.coef), (other.keys, neg)))
+
+    def __eq__(self, other):
+        return np.array_equal(self.keys, other.keys) and np.array_equal(self.coef, other.coef)
+
+    def is_zero(self):
+        return not len(self.keys)
+
+
 # -- the comultiplication object ----------------------------------------------------
 
 
@@ -128,23 +151,30 @@ class Comultiplication:
         """Δ of every basis monomial m, as the keys and coefficients at
         ``_start[m]:_start[m + 1]``.  One batch per degree: Δ(m) =
         Δ(m')·Δ(g), with g the last generator of m and Δ(m') from the
-        batch before, keyed m·dim² + key."""
+        batch before, keyed m·dim² + key.  So the table is the algebra map
+        from the free algebra, given by the images, read on one word per
+        monomial; AlgebraError unless m'·g = m in A for every m."""
         A = self.algebra
         d, d2, n = A.dim, A.dim ** 2, len(A.gen_names)
         gen_keys, gen_coef = map(np.concatenate, zip(*self.images))
         gen_start = np.cumsum([0] + [len(k) for k, _ in self.images])
         degree = A._exps.sum(axis=1)
-        last = n - 1 - np.argmax(A._exps[:, ::-1] > 0, axis=1)
+        ms = np.nonzero(degree)[0]
+        last = n - 1 - np.argmax(A._exps[ms, ::-1] > 0, axis=1)
+        prev = A._index[(A._exps[ms] - np.eye(n, dtype=np.intp)[last]) @ A._radix]
+        gens = np.array([A.index_of[e] for e in A._gen_exps])
+        idx, coef, at = A._scaled_terms((prev * d + gens[last]).tolist(), np.ones(len(ms), dtype=_INT))
+        if not (np.array_equal(at, np.arange(len(ms))) and np.array_equal(idx, ms)
+                and (coef == 1).all()):
+            raise AlgebraError("a basis monomial is not m'·g, g its last generator")
         keys, coef = np.array([A.identity_index * (d2 + d + 1)]), np.ones(1, dtype=_INT)
         table = [(keys, coef)]
         for k in range(1, degree.max() + 1):
-            ms = np.nonzero(degree == k)[0]
-            g = last[ms]
-            prev = A._index[(A._exps[ms] - np.eye(n, dtype=np.intp)[g]) @ A._radix]
-            e1, p1 = _expand(prev, np.searchsorted(keys, np.arange(d + 1) * d2))   # Δ(m')
-            e2, p2 = _expand(g[e1], gen_start)                                      # Δ(g)
+            batch = np.nonzero(degree[ms] == k)[0]
+            e1, p1 = _expand(prev[batch], np.searchsorted(keys, np.arange(d + 1) * d2))   # Δ(m')
+            e2, p2 = _expand(last[batch][e1], gen_start)                                 # Δ(g)
             keys, coef = _products(A, (keys % d2, coef), (gen_keys, gen_coef),
-                                   p1[e2], p2, ms[e1[e2]])
+                                   p1[e2], p2, ms[batch][e1[e2]])
             table.append((keys, coef))
         keys, self._coef = _add(A, *table)
         self._start, self._keys = np.searchsorted(keys, np.arange(d + 1) * d2), keys % d2
@@ -176,18 +206,25 @@ class Comultiplication:
     # -- axioms ------------------------------------------------------------------------
 
     def _verify_axioms(self):
-        """Per sampled basis index in order, the counit laws,
-        cocommutativity (a key transpose) and coassociativity; then
-        multiplicativity on the sampled pairs, one batch per left index.
-        The first failure in that order, a pair by its draw, is named."""
+        """Multiplicativity, then per generator in order the counit laws,
+        cocommutativity (a key transpose) and coassociativity; the first
+        failure is named.  The table is Δ read on words (``_build_table``),
+        so Δ is an algebra map exactly when the images satisfy A's defining
+        relations, with Δ(g)^b = Δ(g^(b-1))·Δ(g) read from the table.  Each
+        law then compares two algebra maps, which agree when they agree on
+        the generators."""
         A, F = self.algebra, self.algebra.field
         d, one = A.dim, A.identity_index
-        indices = range(d)
-        if d > AXIOM_FULL_DIM:
-            rng = random.Random(0xC0A55)
-            indices = {rng.randrange(d) for _ in range(AXIOM_SAMPLES)}
-            indices = sorted(indices | {one, A.integral_index} | {A.index_of[e] for e in A._gen_exps})
-        for i in indices:
+        vals = [_Tensor(A, *im) for im in self.images]
+
+        def power_vanishes(g, b):
+            below = A.index_of[tuple((b - 1) * e for e in A._gen_exps[g])]
+            return (_Tensor(A, *self.delta_basis(below)) @ vals[g]).is_zero()
+        try:
+            A.check_relations(vals, power_vanishes=power_vanishes)
+        except AlgebraError as exc:
+            raise AxiomViolation(f"Δ is not multiplicative: {exc}") from None
+        for i in (A.index_of[e] for e in A._gen_exps):
             keys, coef = self.delta_basis(i)
             u, v = np.divmod(keys, d)
             for law, side, other in (("ε⊗id", u, v), ("id⊗ε", v, u)):
@@ -203,25 +240,6 @@ class Comultiplication:
             if len(_normal(A, np.concatenate([lk * d + v[lt], u[rt] * d * d + rk]),
                            np.concatenate([lc, rc]))[0]):
                 raise AxiomViolation(f"coassociativity fails on basis {i}")
-        rng = random.Random(0xDE17A)
-        pairs = ([(i, j) for i in range(d) for j in range(d)] if d * d <= MULT_SAMPLES
-                 else [(rng.randrange(d), rng.randrange(d)) for _ in range(MULT_SAMPLES)])
-        # Δ(b_i b_j) - Δ(b_i)·Δ(b_j) for the pairs of one left index i at a
-        # time, keyed (position of the pair)·dim² + key
-        pairs, bad = np.array(pairs), []
-        for i in sorted(set(pairs[:, 0].tolist())):
-            n = np.flatnonzero(pairs[:, 0] == i)
-            idx, coef, at = A._scaled_terms((i * d + pairs[n, 1]).tolist(), np.ones(len(n), dtype=_INT))
-            t, lhs, lc = self._table_terms(idx, coef)
-            pj, v = _expand(pairs[n, 1], self._start)         # the terms of each Δ(b_j)
-            u = self.delta_basis(i)
-            su, sv = np.divmod(np.arange(len(u[0]) * len(v)), max(len(v), 1))
-            rhs, rc = _products(A, u, (self._keys[v], self._coef[v]), su, sv, n[pj[sv]])
-            diff, _ = _normal(A, np.concatenate([n[at[t]] * d * d + lhs, rhs]),
-                              np.concatenate([lc, F.NEG[rc]]))
-            bad += (diff // (d * d)).tolist()
-        if bad:
-            raise AxiomViolation(f"multiplicativity fails at pair {tuple(pairs[min(bad)].tolist())}")
 
     def __repr__(self):
         return f"Comultiplication({self.name} on {self.algebra!r})"

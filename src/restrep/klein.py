@@ -8,10 +8,11 @@ realized by the block matrices
 
 with N_n the upper triangular nilpotent block; each V_2n is built and
 verified once per point (and basis choice) and kept on the context.
-Every module supported at a single point splits as ⊕ a_n V_2n ⊕ cP, and
-the multiplicities are recovered exactly from Hom dimensions against the
-V_2m plus the free rank: an invertible integer linear system whose exact
-inverse over the rationals is computed once per size.
+Every module supported at a single point splits as ⊕ a_n V_2n ⊕ cP.
+Since dim Hom(V_2m, V_2n) = mn + min(m, n) and dim Hom(V_2m, P) = 2m
+(checked by ``hom_table``), e_m = dim Hom(V_2m, M) − m·dim M/2 is
+Σ_n a_n·min(m, n), so the multiplicities are its second differences and c
+follows from dim M; c must equal the free rank.
 
 V_2m is presented on generators u_1..u_m by the chain relations
 s2·u_1 = 0 and s2·u_i = s1·u_{i-1}, so Hom(V_2m, M) is the kernel of one
@@ -19,9 +20,6 @@ block system in the images of the u_i (``modules.hom_from_relations``).
 One elimination of that system at the largest m gives every dimension;
 the generic intertwiner solver cross-checks the H table.
 """
-
-import functools
-from fractions import Fraction
 
 import numpy as np
 
@@ -47,10 +45,6 @@ class DegenerateBasis(KleinError):
 
 
 class PointNotIgnoble(KleinError):
-    pass
-
-
-class SingularSystem(KleinError):
     pass
 
 
@@ -202,6 +196,8 @@ class KleinContext:
         reference point [1:0] from the chain presentation.  Up to
         GENERIC_H_CAP the generic intertwiner solver runs too and must
         agree; beyond that the chain system alone extends the table.
+        KleinError unless H[m][n] = mn + min(m, n) and h[m] = 2m, the closed
+        form that ``decompose``'s second differences assume.
         """
         if self._hom_table and self._hom_table[0] >= cap:
             return self._hom_table[1], self._hom_table[2]
@@ -223,27 +219,22 @@ class KleinContext:
                         f"Hom solvers disagree at ({m},{n}): {generic} vs {H[m][n]}")
             if len(hom_space(vs[m - 1].rep, self.P)) != h[m]:
                 raise KleinError(f"Hom solvers disagree at ({m},P)")
+        for m in range(1, cap + 1):
+            if h[m] != 2 * m or any(H[m][n] != m * n + min(m, n) for n in range(1, cap + 1)):
+                raise KleinError(f"Hom table row {m} is not mn + min(m, n) and 2m")
         self._hom_table = (cap, H, h)
         return H, h
-
-    def system_matrix(self, cap):
-        """The (cap+1) square integer system: Hom rows plus the dimension row."""
-        H, h = self.hom_table(cap)
-        rows = []
-        for m in range(1, cap + 1):
-            rows.append([H[m][n] for n in range(1, cap + 1)] + [h[m]])
-        rows.append([2 * n for n in range(1, cap + 1)] + [4])
-        return rows
 
     # -- decomposition ----------------------------------------------------------------
 
     def decompose(self, M, coords):
         """Multiplicities of ⊕ a_n V_2n(point) ⊕ cP isomorphic to M.
 
-        Checks that M is supported at the point, solves the Hom-dimension
-        system over the rationals, demands a nonnegative integral solution,
-        and certifies the rebuild against M with an explicit invertible
-        intertwiner.
+        Checks that M is supported at the point, reads a_m as the second
+        difference 2e_m − e_(m−1) − e_(m+1) of e_m = dim Hom(V_2m, M) −
+        m·dim M/2 (e_0 = 0, e_(cap+1) = e_cap), demands a_m ≥ 0 and c =
+        (dim M − Σ 2n·a_n)/4 equal to the free rank, and certifies the
+        rebuild against M with an explicit invertible intertwiner.
         """
         coords = normalize_coords(self.K, coords)
         label = coord_label(self.K, coords)
@@ -255,19 +246,17 @@ class KleinContext:
         if rest < 0 or rest % 2:
             raise VerificationFailed("dimension bookkeeping is impossible")
         cap = max(1, rest // 2)
-        inv = _rational_inverse(tuple(map(tuple, self.system_matrix(cap))))
-        if inv is None:
-            raise SingularSystem(f"Hom system singular at cap {cap}")
-        rhs = self.basev_hom_dims(M, coords, cap) + [M.dim]
-        sol = [sum(a * b for a, b in zip(row, rhs)) for row in inv]
-        counts = []
-        for v in sol:
-            if v.denominator != 1 or v < 0:
-                raise VerificationFailed(f"non-integral multiplicities {sol}")
-            counts.append(int(v))
-        mv = MultiplicityVector({n: counts[n - 1] for n in range(1, cap + 1)}, counts[-1])
-        if mv.dimension != M.dim:
-            raise VerificationFailed("dimension mismatch in solution")
+        self.hom_table(cap)         # KleinError unless the closed form below holds
+        e = [0] + [h - m * M.dim // 2 for m, h in enumerate(self.basev_hom_dims(M, coords, cap), 1)]
+        e.append(e[-1])
+        a = {m: 2 * e[m] - e[m - 1] - e[m + 1] for m in range(1, cap + 1)}
+        if min(a.values()) < 0:
+            raise VerificationFailed(f"negative multiplicities {a}")
+        # c = (dim M − Σ 2n·a_n)/4 is the free rank exactly when Σ 2n·a_n = rest
+        if sum(2 * n * v for n, v in a.items()) != rest:
+            raise VerificationFailed(f"multiplicities {a} leave a free part other than "
+                                     f"the free rank {cfree}")
+        mv = MultiplicityVector(a, cfree)
         rebuilt, hom_solver = self.rebuild(coords, mv)
         if rebuilt.dim != M.dim:
             raise VerificationFailed("rebuild dimension mismatch")
@@ -365,25 +354,3 @@ class KleinContext:
             "lie_s2_action_zero": lie_zero,
             "witness_found": deformed_nonzero and lie_zero,
         }
-
-
-@functools.lru_cache(maxsize=None)
-def _rational_inverse(rows):
-    """The exact inverse over Q of a square integer matrix given as a tuple
-    of row tuples, by Gauss–Jordan; None when singular.  Cached, since the
-    Hom-dimension system depends on its size alone."""
-    n = len(rows)
-    aug = [[Fraction(v) for v in row] + [Fraction(int(r == c)) for c in range(n)]
-           for r, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)

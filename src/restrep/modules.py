@@ -84,7 +84,8 @@ class Representation:
     def verify_relations(self):
         if self.dim == 0:
             return
-        self.algebra.check_relations(self.actions, power_vanishes=_power_vanishes)
+        self.algebra.check_relations(
+            self.actions, power_vanishes=lambda g, b: _power_vanishes(self.actions[g], b))
 
     # -- evaluation -------------------------------------------------------------
 

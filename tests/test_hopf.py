@@ -1,5 +1,6 @@
 """Comultiplications: the ω term, the named library, axioms, twisting."""
 
+import collections
 import random
 
 import numpy as np
@@ -7,13 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from restrep.fields import FieldError, field
-from restrep.algebra import (AlgebraError, AlgebraMorphism, build_heisenberg,
-                             build_truncated_polynomial)
+from restrep.algebra import (AlgebraError, AlgebraMorphism, AlgebraPresentation,
+                             build_heisenberg, build_truncated_polynomial)
 from restrep.hopf import (AxiomViolation, Comultiplication, NotAutomorphism,
                           ShapeMismatch, STRUCTURE_NAMES, custom_structure,
                           named_structure, omega, structure_from_json, twist)
 from restrep.matrices import Matrix, _INT
-from testkit import product_terms, product_vec
+from testkit import product_terms, product_vec, reference_verdict
 
 
 # -- the dict reference: A⊗A as {(i, j): c} ---------------------------------------
@@ -237,7 +238,7 @@ def test_axiom_violation_names_the_first_failing_basis_in_loop_order():
                              {(yi, one): 1}])
 
 
-def test_multiplicativity_violation_names_the_first_sampled_pair():
+def test_multiplicativity_violation_names_the_failing_relation():
     # x and y primitive and z grouplike-shifted is counital, cocommutative and
     # coassociative on every basis monomial, but Δ does not respect [x, y] = z
     H = build_heisenberg(field(3))
@@ -246,8 +247,56 @@ def test_multiplicativity_violation_names_the_first_sampled_pair():
     for g, name in enumerate(H.gen_names):
         gi = H.index_of[H._gen_exps[g]]
         images.append({(gi, one): 1, (one, gi): 1, **({(gi, gi): 1} if name == "z" else {})})
-    with pytest.raises(AxiomViolation, match=r"^multiplicativity fails at pair \(4, 22\)$"):
+    with pytest.raises(AxiomViolation, match=r"^Δ is not multiplicative: relation \[x,y\] = z fails$"):
         custom_structure(H, images)
+    assert reference_verdict(H, images) == "multiplicativity fails at pair (0, 14)"
+
+
+def test_power_relation_that_fails_on_few_pairs_is_rejected():
+    # y ↦ y⊗1 + 1⊗y + x²⊗x² on GF(2)[x,y]/(x⁸, y²) is counital, cocommutative
+    # and coassociative on every basis monomial, but Δ(y)² = x⁴⊗x⁴ ≠ 0:
+    # Δ(b_i b_j) = Δ(b_i)·Δ(b_j) fails only on the 10 of 256 pairs
+    # (x^a·y, x^b·y) with a + b ≤ 3, which 64 sampled pairs can all miss
+    A = build_truncated_polynomial(field(2), [8, 2])
+    one = A.identity_index
+    xi, yi, x2 = A.index_of[(1, 0)], A.index_of[(0, 1)], A.index_of[(2, 0)]
+    images = [{(xi, one): 1, (one, xi): 1}, {(yi, one): 1, (one, yi): 1, (x2, x2): 1}]
+    with pytest.raises(AxiomViolation, match=r"^Δ is not multiplicative: relation y\^2 = 0 fails$"):
+        custom_structure(A, images)
+    assert reference_verdict(A, images) == "multiplicativity fails at pair (8, 8)"
+
+
+def test_exact_check_agrees_with_the_reference_on_every_x_power_term():
+    # y ↦ y⊗1 + 1⊗y + x^a⊗x^b + x^b⊗x^a on GF(2)[x,y]/(x⁸, y²), every
+    # 1 <= a <= b < 8: each verdict occurs, multiplicativity alone included
+    A = build_truncated_polynomial(field(2), [8, 2])
+    one, yi = A.identity_index, A.index_of[(0, 1)]
+    xs = [A.index_of[(a, 0)] for a in range(8)]
+    verdicts = collections.Counter()
+    for a in range(1, 8):
+        for b in range(a, 8):
+            images = [{(xs[1], one): 1, (one, xs[1]): 1},
+                      {(yi, one): 1, (one, yi): 1, (xs[a], xs[b]): 1, (xs[b], xs[a]): 1}]
+            try:
+                custom_structure(A, images)
+                exact = None
+            except AxiomViolation as exc:
+                exact = str(exc)
+            reference = reference_verdict(A, images)
+            assert (exact is None) == (reference is None), (a, b, exact, reference)
+            verdicts[(reference or "accepted").split(" ")[0]] += 1
+    assert verdicts == {"accepted": 3, "multiplicativity": 3, "coassociativity": 22}
+
+
+def test_table_requires_each_monomial_to_be_its_word():
+    # Δ(xy) is built as Δ(x)·Δ(y), so x·y = xy must hold in A: with the
+    # product memo corrupted to x·y = 2xy the build refuses
+    exps = [(i, j) for j in range(3) for i in range(3)]
+    A = AlgebraPresentation(field(3), "truncated_poly", ("x", "y"), (3, 3), exps)
+    x, y, xy = (A.index_of[e] for e in ((1, 0), (0, 1), (1, 1)))
+    A._terms[x * A.dim + y] = (np.array([xy]), np.array([2], dtype=_INT))
+    with pytest.raises(AlgebraError, match=r"^a basis monomial is not m'·g"):
+        named_structure(A, "lie_primitive")
 
 
 def test_cocommutativity_compares_coefficients():
@@ -518,3 +567,46 @@ def test_twisted_delta_matches_dict_reference(case, data):
         expect.append(out)
     assert images_as_dicts(tw) == expect
     assert_matches_reference(tw, expect)
+
+
+# Unequal bounds, where a counital image can fail a power relation: on
+# k[x]/(x^p^a) and k[x,y]/(x^p, y^p) Frobenius makes every one hold.
+UNEQUAL_CASES = [(lambda: build_truncated_polynomial(field(2), [8, 2]), "lie_primitive", 2),
+                 (lambda: build_truncated_polynomial(field(3), [3, 9]), "lie_primitive", 3)]
+
+
+# the all-pairs reference builds Δ on every pair of basis monomials, so the
+# property runs on algebras of dimension at most 27, and twists only at p <= 3
+# with equal bounds, where random_automorphism draws endomorphisms
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([case for case in NAMED_CASES if case[0]().dim <= 27] + UNEQUAL_CASES),
+       st.data())
+def test_exact_axiom_check_agrees_with_the_all_pairs_reference(case, data):
+    make, name, p = case
+    A = make()
+    F = A.field
+    delta = named_structure(A, name)
+    if p <= 3 and len(set(A.bounds)) == 1 and data.draw(st.booleans()):
+        delta = twist(delta, random_automorphism(A, data.draw))
+    images, one = images_as_dicts(delta), A.identity_index
+    # symmetric terms on aug⊗aug keep the counit laws and cocommutativity:
+    # b_i⊗b_j + b_j⊗b_i, b_i⊗b_i or Δ(b_i) - b_i⊗1 - 1⊗b_i; the last two
+    # often keep coassociativity too and leave only a relation to fail
+    aug = st.sampled_from([i for i in range(A.dim) if i != one])
+    for _ in range(data.draw(st.integers(0, 2))):
+        g, i, j = data.draw(st.integers(0, len(images) - 1)), data.draw(aug), data.draw(aug)
+        kind = data.draw(st.sampled_from(("pair", "square", "coboundary")))
+        if kind == "coboundary":
+            terms = as_dict(A, delta.delta_basis(i))
+            del terms[(i, one)], terms[(one, i)]
+        else:
+            terms = {(i, j): 1, (j, i): 1} if kind == "pair" else {(i, i): 1}
+        c = data.draw(st.integers(1, F.q - 1))
+        for key, v in terms.items():
+            t2_add_term(F, images[g], key, F.mul(c, v))
+    try:
+        custom_structure(A, images)
+        exact = None
+    except AxiomViolation as exc:
+        exact = str(exc)
+    assert (exact is None) == (reference_verdict(A, images) is None), exact

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from restrep.klein import (BadSupport, DegenerateBasis, KleinContext,
+from restrep.klein import (BadSupport, DegenerateBasis, KleinContext, KleinError,
                            MultiplicityVector, PointNotIgnoble,
                            VerificationFailed, WANG_STRUCTURES)
 from restrep.matrices import Matrix, nilpotent_jordan_type
@@ -142,11 +142,31 @@ def test_certify_never_materializes_a_basis(ctx, monkeypatch):
     assert row["computed"] == "2V8 + 12P" and row["match"]
 
 
-def test_system_matrix_invertible(ctx):
-    from restrep.klein import _rational_inverse
-    for cap in (1, 2, 4, 8):
-        rows = ctx.system_matrix(cap)
-        assert _rational_inverse(tuple(map(tuple, rows))) is not None
+def test_decompose_refuses_hom_dimensions_no_sum_has(monkeypatch):
+    # V_4 has dim Hom(V_2m, V_4) = 3, 6; other values are read as second
+    # differences and refused, not turned into a decomposition
+    ctx = KleinContext(ext_degree=2)
+    ctx.hom_table(2)
+    v = ctx.basev((1, 1), 2)
+    assert ctx.decompose(v.rep, (1, 1)) == MultiplicityVector({2: 1}, 0)
+    for dims, message in (([3, 7], r"^negative multiplicities \{1: -1, 2: 2\}$"),
+                          ([3, 5], r"^multiplicities \{1: 1, 2: 0\} leave a free part other "
+                                   r"than the free rank 0$")):
+        monkeypatch.setattr(ctx, "basev_hom_dims", lambda M, coords, cap: dims)
+        with pytest.raises(VerificationFailed, match=message):
+            ctx.decompose(v.rep, (1, 1))
+
+
+def test_hom_table_refuses_a_table_off_the_closed_form(monkeypatch):
+    # with the generic cross-check off, a chain solver reading every
+    # dimension one too high is refused by the closed form alone
+    ctx = KleinContext(ext_degree=2)
+    monkeypatch.setattr(ctx, "GENERIC_H_CAP", 0)
+    chain = ctx.basev_hom_dims
+    monkeypatch.setattr(ctx, "basev_hom_dims",
+                        lambda M, coords, cap: [d + 1 for d in chain(M, coords, cap)])
+    with pytest.raises(KleinError, match=r"^Hom table row 1 is not mn \+ min\(m, n\) and 2m$"):
+        ctx.hom_table(2)
 
 
 def test_decompose_identity_cases(ctx):

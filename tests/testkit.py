@@ -1,11 +1,13 @@
 """Helpers that only the tests use: random matrices and conjugates,
-formatted-scalar parsing, the Kronecker Hom dimension and a few fixed
-constructions, kept out of the library."""
+formatted-scalar parsing, the Kronecker Hom dimension, the all-pairs
+comultiplication axiom check and a few fixed constructions, kept out of
+the library."""
 
 import numpy as np
 
 from restrep.algebra import base_change
 from restrep.fields import field
+from restrep.hopf import Comultiplication, _expand, _image_tensor, _normal, _products
 from restrep.matrices import _INT, Matrix
 from restrep.modules import Representation, hom_space
 from restrep.pipoints import PiPoint, PointError, normalize_coords, top_slice_image
@@ -93,3 +95,46 @@ def product_vec(A, i, j):
     v = np.zeros(A.dim, dtype=_INT)
     v[idx] = coef
     return v
+
+
+def reference_verdict(A, images):
+    """The comultiplication axioms checked on every basis monomial and every
+    pair, for generator images {(i, j): c}: None when they hold, else the
+    first failure.  In basis order, the counit laws, cocommutativity and
+    coassociativity of Δ(b_i); then Δ(b_i b_j) = Δ(b_i)·Δ(b_j), one batch
+    per left index i."""
+    delta = Comultiplication.__new__(Comultiplication)
+    delta.algebra = A
+    delta.images = [_image_tensor(A, g, im) for g, im in zip(A.gen_names, images)]
+    delta._build_table()
+    F, d, one = A.field, A.dim, A.identity_index
+    for i in range(d):
+        keys, coef = delta.delta_basis(i)
+        u, v = np.divmod(keys, d)
+        for law, side, other in (("ε⊗id", u, v), ("id⊗ε", v, u)):
+            if (other[side == one].tolist(), coef[side == one].tolist()) != ([i], [1]):
+                return f"counit law ({law}) fails on basis {i}"
+        swapped = v * d + u
+        order = np.argsort(swapped)
+        if not (np.array_equal(swapped[order], keys) and np.array_equal(coef[order], coef)):
+            return f"cocommutativity fails on basis {i}"
+        # (Δ⊗id)Δ(b_i) - (id⊗Δ)Δ(b_i), keyed (a·dim + b)·dim + c
+        lt, lk, lc = delta._table_terms(u, coef)
+        rt, rk, rc = delta._table_terms(v, F.NEG[coef])
+        if len(_normal(A, np.concatenate([lk * d + v[lt], u[rt] * d * d + rk]),
+                       np.concatenate([lc, rc]))[0]):
+            return f"coassociativity fails on basis {i}"
+    js = np.arange(d)
+    for i in range(d):
+        # Δ(b_i b_j) - Δ(b_i)·Δ(b_j) for every j, keyed j·dim² + key
+        idx, coef, at = A._scaled_terms((i * d + js).tolist(), np.ones(d, dtype=_INT))
+        t, lhs, lc = delta._table_terms(idx, coef)
+        pj, v = _expand(js, delta._start)         # the terms of each Δ(b_j)
+        u = delta.delta_basis(i)
+        su, sv = np.divmod(np.arange(len(u[0]) * len(v)), max(len(v), 1))
+        rhs, rc = _products(A, u, (delta._keys[v], delta._coef[v]), su, sv, pj[sv])
+        diff, _ = _normal(A, np.concatenate([at[t] * d * d + lhs, rhs]),
+                          np.concatenate([lc, F.NEG[rc]]))
+        if len(diff):
+            return f"multiplicativity fails at pair {(i, int(diff[0] // (d * d)))}"
+    return None

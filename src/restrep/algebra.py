@@ -22,15 +22,15 @@ Every build runs a verification pass and fails loudly, naming the
 culprit, rather than returning a broken algebra.  Its products go
 through the kernel in batches and are not memoized.  The unit law is
 checked on every basis monomial and the socle law on every generator,
-one kernel call each.  Up to ASSOC_EXHAUSTIVE_DIM, associativity on
-every triple and the counit law on every pair are checked on the
-structure tensor C (C[i, j, k] is the coefficient of basis k in b_i b_j,
-one kernel call over all pairs), one contraction per i; both kinds have
-structure constants in the prime subfield (verified), so the contraction
-is exact integer arithmetic reduced mod p.  Above that size they are
-checked on ASSOC_SAMPLES triples drawn from ASSOC_SEED, all in one
-batched pass of four kernel calls, and the first failing triple in draw
-order is named.
+one kernel call each.  Then each monomial m ≠ 1 is read as a word
+m = m'·g, g its last generator (``_word_prev``, ``_word_last``), and
+m'·g = m is checked in one kernel call; :mod:`restrep.hopf` builds Δ
+of every monomial on these words.  Last, ``_check_triples`` checks the
+counit law and associativity on a set of triples in one batched pass of
+four kernel calls, naming the first failing triple.  Up to
+ASSOC_EXHAUSTIVE_DIM the set is every (b_i, b_j, g), g a generator,
+and the check is exact; above it, ASSOC_SAMPLES triples drawn from
+ASSOC_SEED.
 """
 
 import functools
@@ -362,9 +362,10 @@ class AlgebraPresentation:
     # -- build-time verification -----------------------------------------------------
 
     def _verify_build(self):
-        """Unit and socle laws, then the counit law and associativity on the
-        structure tensor or on sampled triples; each batch of products is
-        one kernel call, and none of them is kept in the memo."""
+        """Unit and socle laws, the word m = m'·g of every monomial, then
+        the counit law and associativity on every (b_i, b_j, g) or on
+        sampled triples; each batch of products is one kernel call, and
+        none of them is kept in the memo."""
         dim = self.dim
         basis, ones = np.arange(dim), np.full(dim, self.identity_index)
         owner, idx, coef = self._straighten(np.concatenate([ones, basis]),
@@ -383,82 +384,70 @@ class AlgebraPresentation:
         if len(owner):
             raise AlgebraError(f"integral fails the socle check: generator "
                                f"{self.gen_names[(owner % len(gens)).min()]} does not kill it")
+        # the word of m ≠ 1: m' = m/g for g its last generator, and m'·g = m
+        n = len(gens)
+        ms = np.nonzero(self._exps.any(axis=1))[0]
+        last = n - 1 - np.argmax(self._exps[ms, ::-1] > 0, axis=1)
+        prev = self._index[(self._exps[ms] - np.eye(n, dtype=np.intp)[last]) @ self._radix]
+        owner, idx, coef = self._straighten(prev, gens[last])
+        if not (np.array_equal(owner, np.arange(len(ms))) and np.array_equal(idx, ms)
+                and (coef == 1).all()):
+            raise AlgebraError("a basis monomial is not m'·g, g its last generator")
+        # indexed by monomial, -1 at the identity
+        self._word_prev, self._word_last = np.full(dim, -1), np.full(dim, -1)
+        self._word_prev[ms], self._word_last[ms] = prev, last
         if dim <= ASSOC_EXHAUSTIVE_DIM:
-            self._verify_structure_tensor()
+            # exact: with the unit law and the words, (b_i b_j)·g = b_i·(b_j g)
+            # for every generator g gives every triple, by induction on the
+            # word of the third factor.  In order of j, then i, then g.
+            J, I, K = (a.ravel() for a in np.meshgrid(basis, basis, gens, indexing="ij"))
+            self._check_triples(I, J, K)
         else:
             self._verify_sampled()
 
     def _pair_name(self, i, j):
         return f"({self.monomial_name(i)}, {self.monomial_name(j)})"
 
-    def _verify_structure_tensor(self):
-        """The counit law on every pair and associativity on every triple,
-        on C[i, j, k] = coefficient of basis k in b_i b_j.  AlgebraError
-        unless every constant lies in the prime subfield, whose encoded
-        scalars are the integers 0..p-1."""
-        d, p, one = self.dim, self.field.p, self.identity_index
-        owner, idx, coef = self._straighten(np.repeat(np.arange(d), d), np.tile(np.arange(d), d))
-        bad = owner[coef >= p]
-        if len(bad):
-            raise AlgebraError(f"structure constant of {self._pair_name(*divmod(bad[0], d))} "
-                               "is outside the prime field")
-        C = np.zeros((d * d, d), dtype=np.int64)
-        C[owner, idx] = coef
-        C = C.reshape(d, d, d)
-        # counit is an algebra map: eps(b_i b_j) = eps(b_i) eps(b_j)
-        eps = np.zeros((d, d), dtype=np.int64)
-        eps[one, one] = 1
-        bad = np.argwhere(C[:, :, one] != eps)
-        if len(bad):
-            raise AlgebraError(f"counit is not an algebra map at pair {self._pair_name(*bad[0])}")
-        # ((b_i b_j) b_k)_n = C[i] @ C.reshape(d, d^2), indexed [j, (k, n)];
-        # (b_i (b_j b_k))_n = C.reshape(d^2, d) @ C[i], indexed [(j, k), n].
-        # Entries are < p and sums have d terms, so float64 is exact.
-        Cf = C.astype(np.float64)
-        by_first, by_pair = Cf.reshape(d, d * d), Cf.reshape(d * d, d)
-        for i in range(d):
-            diff = (Cf[i] @ by_first).reshape(d, d, d) - (by_pair @ Cf[i]).reshape(d, d, d)
-            bad = np.argwhere((diff.astype(np.int64) % p).any(axis=2))
-            if len(bad):
-                j, k = bad[0]
-                raise AlgebraError(f"associativity fails at triple {(i, int(j), int(k))}")
-
-    def _verify_sampled(self):
-        """The counit law and associativity on ASSOC_SAMPLES triples drawn
-        from ASSOC_SEED, all at once (Rajagopalan & Schulman, SIAM J.
-        Comput. 29, 2000): b_i b_j and b_j b_k, then (b_i b_j) b_k and
-        b_i (b_j b_k), in four kernel calls, their difference summed per
-        (sample, basis index).  The first failing sample is named, with the
-        counit law first at a sample where both fail.  Sampled, unlike the
-        comultiplication axioms: associativity has no cheap exact reduction
-        to the generators, since the triples (generator, b_j, b_k) number
-        dim²·#generators, about 49 M for u(heis_2) at p = 5."""
-        dim, one, F = self.dim, self.identity_index, self.field
-        rng = random.Random(ASSOC_SEED)
-        I, J, K = np.array([rng.randrange(dim) for _ in range(3 * ASSOC_SAMPLES)]).reshape(-1, 3).T
+    def _check_triples(self, I, J, K):
+        """The counit law on the pairs (b_i, b_j) and associativity on the
+        triples (b_i, b_j, b_k) of the index arrays I, J, K, all at once
+        (Rajagopalan & Schulman, SIAM J. Comput. 29, 2000): b_i b_j and
+        b_j b_k, then (b_i b_j) b_k and b_i (b_j b_k), in four kernel
+        calls, their difference summed per (triple, basis index).  The
+        first failing triple in order is named, with the counit law first
+        at a triple where both fail."""
+        dim, one, F, count = self.dim, self.identity_index, self.field, len(I)
         ij_at, ij, ij_coef = self._straighten(I, J)
         jk_at, jk, jk_coef = self._straighten(J, K)
         # counit is an algebra map: eps(b_i b_j) = eps(b_i) eps(b_j)
         unit = ij == one
-        eps = np.bincount(ij_at[unit], weights=ij_coef[unit], minlength=ASSOC_SAMPLES)
+        eps = np.bincount(ij_at[unit], weights=ij_coef[unit], minlength=count)
         counit_bad = np.nonzero(eps != ((I == one) & (J == one)))[0]
         # (b_i b_j) b_k - b_i (b_j b_k) as one sum of scaled terms
         left_at, left, left_coef = self._straighten(ij, K[ij_at])
         right_at, right, right_coef = self._straighten(I[jk_at], jk)
-        sample = np.concatenate([ij_at[left_at], jk_at[right_at]])
+        triple = np.concatenate([ij_at[left_at], jk_at[right_at]])
         coef = np.concatenate([F.MUL[ij_coef[left_at], left_coef],
                                F.NEG[F.MUL[jk_coef[right_at], right_coef]]])
-        keys, sums = self._sum_terms(sample * dim + np.concatenate([left, right]), coef)
+        keys, sums = self._sum_terms(triple * dim + np.concatenate([left, right]), coef)
         assoc_bad = keys[sums != 0] // dim
-        s_counit = counit_bad[0] if len(counit_bad) else ASSOC_SAMPLES
-        s_assoc = assoc_bad[0] if len(assoc_bad) else ASSOC_SAMPLES
+        s_counit = counit_bad[0] if len(counit_bad) else count
+        s_assoc = assoc_bad[0] if len(assoc_bad) else count
         first = min(s_counit, s_assoc)
-        if first == ASSOC_SAMPLES:
+        if first == count:
             return
         i, j, k = (int(v[first]) for v in (I, J, K))
         if s_counit == first:
             raise AlgebraError(f"counit is not an algebra map at pair {self._pair_name(i, j)}")
         raise AlgebraError(f"associativity fails at triple {(i, j, k)}")
+
+    def _verify_sampled(self):
+        """``_check_triples`` on ASSOC_SAMPLES triples drawn from
+        ASSOC_SEED.  Sampled because the exact set of triples (b_i, b_j, g)
+        numbers dim²·#generators, about 48.8 M for u(heis_2) at p = 5."""
+        rng = random.Random(ASSOC_SEED)
+        self._check_triples(*np.array([rng.randrange(self.dim) for _ in range(3 * ASSOC_SAMPLES)])
+                            .reshape(-1, 3).T)
 
     # -- misc ------------------------------------------------------------------------
 

@@ -250,16 +250,23 @@ class Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog.split()[-1]}: {message}\n")
 
 
+def positive(text):
+    """An integer flag's value; one below 1 is refused, not read as unset."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {int(text)}")
+    return int(text)
+
+
 # every flag a scenario may take; one left out is None, and the scenario
 # that reads it fills in its own default
 FLAGS = {
-    "p": dict(type=int, help="characteristic"),
-    "r": dict(type=int),
-    "n": dict(type=int),
-    "m": dict(type=int),
+    "p": dict(type=positive, help="characteristic"),
+    "r": dict(type=positive),
+    "n": dict(type=positive),
+    "m": dict(type=positive),
     "field-ext": dict(type=int, default=2),
     "seed": dict(type=int, default=0),
-    "trials": dict(type=int, default=24),
+    "trials": dict(type=positive, default=24),
     "format": dict(choices=("table", "csv", "json"), default="table"),
     "module": dict(required=True),
     "algebra": {},

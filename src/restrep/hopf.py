@@ -6,8 +6,8 @@ pair of arrays: sorted distinct int64 keys i·dim + j, the key of the
 product memo of :mod:`restrep.algebra`, and their nonzero coefficients.
 The axiom checks key A⊗A⊗A as (i·dim + j)·dim + k.  Δ of every basis
 monomial is built at construction, one degree per batch, as Δ(m) =
-Δ(m')·Δ(g) with g the last generator of m; that m = m'·g in A is
-checked once, for every m.
+Δ(m')·Δ(g) on the algebra's word m = m'·g of m, which its build has
+checked.
 
 Construction always runs the axiom suite and raises AxiomViolation on
 any failure; there is no way to skip it, since every downstream tensor
@@ -136,45 +136,36 @@ class Comultiplication:
     """An axiom-verified cocommutative algebra map A -> A⊗A.  ``images``
     holds Δ of each generator as a tensor (keys, coefficients)."""
 
-    def __init__(self, algebra, name, images, nobility_rule=None, twist_chain=(),
-                 base_name=None):
+    def __init__(self, algebra, name, images, nobility_rule=None, twist_chain=()):
         self.algebra = algebra
         self.name = name
         self.images = list(images)
         self.nobility_rule = nobility_rule
         self.twist_chain = tuple(twist_chain)   # morphisms applied, outermost last
-        self.base_name = base_name or name
         self._build_table()
         self._verify_axioms()
 
     def _build_table(self):
         """Δ of every basis monomial m, as the keys and coefficients at
         ``_start[m]:_start[m + 1]``.  One batch per degree: Δ(m) =
-        Δ(m')·Δ(g), with g the last generator of m and Δ(m') from the
-        batch before, keyed m·dim² + key.  So the table is the algebra map
-        from the free algebra, given by the images, read on one word per
-        monomial; AlgebraError unless m'·g = m in A for every m."""
+        Δ(m')·Δ(g), with m = m'·g the algebra's word of m and Δ(m') from
+        the batch before, keyed m·dim² + key.  So the table is the algebra
+        map from the free algebra, given by the images, read on one word
+        per monomial."""
         A = self.algebra
-        d, d2, n = A.dim, A.dim ** 2, len(A.gen_names)
+        d, d2 = A.dim, A.dim ** 2
         gen_keys, gen_coef = map(np.concatenate, zip(*self.images))
         gen_start = np.cumsum([0] + [len(k) for k, _ in self.images])
         degree = A._exps.sum(axis=1)
-        ms = np.nonzero(degree)[0]
-        last = n - 1 - np.argmax(A._exps[ms, ::-1] > 0, axis=1)
-        prev = A._index[(A._exps[ms] - np.eye(n, dtype=np.intp)[last]) @ A._radix]
-        gens = np.array([A.index_of[e] for e in A._gen_exps])
-        idx, coef, at = A._scaled_terms((prev * d + gens[last]).tolist(), np.ones(len(ms), dtype=_INT))
-        if not (np.array_equal(at, np.arange(len(ms))) and np.array_equal(idx, ms)
-                and (coef == 1).all()):
-            raise AlgebraError("a basis monomial is not m'·g, g its last generator")
         keys, coef = np.array([A.identity_index * (d2 + d + 1)]), np.ones(1, dtype=_INT)
         table = [(keys, coef)]
         for k in range(1, degree.max() + 1):
-            batch = np.nonzero(degree[ms] == k)[0]
-            e1, p1 = _expand(prev[batch], np.searchsorted(keys, np.arange(d + 1) * d2))   # Δ(m')
-            e2, p2 = _expand(last[batch][e1], gen_start)                                 # Δ(g)
+            ms = np.nonzero(degree == k)[0]
+            starts = np.searchsorted(keys, np.arange(d + 1) * d2)
+            e1, p1 = _expand(A._word_prev[ms], starts)          # Δ(m')
+            e2, p2 = _expand(A._word_last[ms][e1], gen_start)   # Δ(g)
             keys, coef = _products(A, (keys % d2, coef), (gen_keys, gen_coef),
-                                   p1[e2], p2, ms[batch][e1[e2]])
+                                   p1[e2], p2, ms[e1[e2]])
             table.append((keys, coef))
         keys, self._coef = _add(A, *table)
         self._start, self._keys = np.searchsorted(keys, np.arange(d + 1) * d2), keys % d2
@@ -388,5 +379,4 @@ def twist(delta, phi):
     label = ",".join(f"{n}↦{im!r}" for n, im in zip(A.gen_names, phi.images))
     return Comultiplication(A, f"{delta.name}^({label})", images,
                             nobility_rule=delta.nobility_rule,
-                            twist_chain=delta.twist_chain + (phi,),
-                            base_name=delta.base_name)
+                            twist_chain=delta.twist_chain + (phi,))

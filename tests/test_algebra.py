@@ -15,6 +15,7 @@ from restrep.algebra import (ASSOC_EXHAUSTIVE_DIM, ASSOC_SAMPLES, ASSOC_SEED, Al
                              base_change, build_abelian_restricted,
                              build_heisenberg, build_truncated_polynomial,
                              element_to_field, morphism_from_json)
+from testkit import reference_algebra_verdict
 
 
 def reference_straighten(A, ei, ej):
@@ -404,12 +405,17 @@ def test_product_table_holds_nonzero_terms_only():
 class Corrupted(AlgebraPresentation):
     """A presentation whose products of the given exponent pairs are
     replaced, so the build verification must reject it: the kernel's rows
-    of those pairs are swapped for the given terms."""
+    of those pairs are swapped for the given terms.  ``verify=False``
+    skips the build verification, for the reference to judge."""
 
-    def __init__(self, good, replace):
-        self.replace = replace
+    def __init__(self, good, replace, verify=True):
+        self.replace, self.verify = replace, verify
         super().__init__(good.field, good.kind, good.gen_names, good.bounds,
                          good.basis_exps, heis_n=good.heis_n)
+
+    def _verify_build(self):
+        if self.verify:
+            super()._verify_build()
 
     def _straighten(self, I, J):
         owner, idx, coef = super()._straighten(I, J)
@@ -477,9 +483,17 @@ def build_error(good, replace):
 def test_build_rejects_nonassociative_product_exhaustively():
     good = build_truncated_polynomial(field(3), [3, 3])
     assert good.dim <= ASSOC_EXHAUSTIVE_DIM
-    # x·y = 2xy breaks (x·x)·y = x·(x·y); (x, x, y) is triple (1, 1, 3),
-    # the first in order that fails
-    with pytest.raises(AlgebraError, match=r"associativity fails at triple \(1, 1, 3\)"):
+    # y·x = 2xy breaks (y·x)·x = y·(x·x); the triples (i, j, g) run with j
+    # slowest, and (y, x, x) is triple (3, 1, 1), the first that fails
+    with pytest.raises(AlgebraError, match=r"associativity fails at triple \(3, 1, 1\)"):
+        Corrupted(good, {((0, 1), (1, 0)): {(1, 1): 2}})
+
+
+def test_build_requires_each_monomial_to_be_its_word():
+    # hopf builds Δ(xy) as Δ(x)·Δ(y), so x·y = xy must hold in A: the build
+    # refuses x·y = 2xy
+    good = build_truncated_polynomial(field(3), [3, 3])
+    with pytest.raises(AlgebraError, match=r"^a basis monomial is not m'·g, g its last"):
         Corrupted(good, {((1, 0), (0, 1)): {(1, 1): 2}})
 
 
@@ -504,9 +518,10 @@ def test_build_names_the_failing_law():
     good = build_truncated_polynomial(field(3), [3, 3])
     with pytest.raises(AlgebraError, match="unit law fails on basis monomial x\\*y"):
         Corrupted(good, {((1, 1), (0, 0)): {(1, 1): 2}})
-    # x·y = xy + 1 keeps the unit law; its counit is 1 = ε(x)ε(y) + 1
-    with pytest.raises(AlgebraError, match=r"counit is not an algebra map at pair \(x, y\)"):
-        Corrupted(good, {((1, 0), (0, 1)): {(1, 1): 1, (0, 0): 1}})
+    # y·x = xy + 1 keeps the unit law and the words; its counit is
+    # 1 = ε(y)ε(x) + 1
+    with pytest.raises(AlgebraError, match=r"counit is not an algebra map at pair \(y, x\)"):
+        Corrupted(good, {((0, 1), (1, 0)): {(1, 1): 1, (0, 0): 1}})
     with pytest.raises(AlgebraError, match="socle check: generator y does not kill it"):
         Corrupted(good, {((0, 1), (2, 2)): {(2, 2): 1}})
     big = build_heisenberg(field(3), 2)
@@ -514,8 +529,56 @@ def test_build_names_the_failing_law():
     zero, z = (0,) * 5, (0, 0, 1, 0, 0)
     with pytest.raises(AlgebraError, match="unit law fails on basis monomial z"):
         Corrupted(big, {(zero, z): {}})
-    with pytest.raises(AlgebraError, match="outside the prime field"):
-        Corrupted(base_change(good, field(3, 2)), {((1, 0), (0, 1)): {(1, 1): 3}})
+    # over GF(9), where 3 encodes w: x·y = w·xy breaks the word of xy, and
+    # y·x = w·xy the exact check, in field arithmetic
+    big = base_change(good, field(3, 2))
+    with pytest.raises(AlgebraError, match="a basis monomial is not m'·g"):
+        Corrupted(big, {((1, 0), (0, 1)): {(1, 1): 3}})
+    with pytest.raises(AlgebraError, match=r"associativity fails at triple \(3, 1, 1\)"):
+        Corrupted(big, {((0, 1), (1, 0)): {(1, 1): 3}})
+
+
+SMALL_ALGEBRAS = {
+    "GF(3)[x,y]/(x^3,y^3)": lambda: build_truncated_polynomial(field(3), [3, 3]),
+    "GF(3)[x]/(x^9)": lambda: build_truncated_polynomial(field(3), [9]),
+    "GF(3)[x]/(x^3)": lambda: build_truncated_polynomial(field(3), [3]),
+    "GF(2)[x,y,z]/(x^2,y^2,z^2)": lambda: build_truncated_polynomial(field(2), [2, 2, 2]),
+    "GF(2)[x,y]/(x^4,y^4)": lambda: build_truncated_polynomial(field(2), [4, 4]),
+    "GF(4)[x,y]/(x^2,y^2)": lambda: build_truncated_polynomial(field(2, 2), [2, 2]),
+    "H(3,1)": lambda: build_heisenberg(field(3)),
+}
+
+
+# each change replaces b_i·b_j by scale·(b_i·b_j), plus c·b_extra unless
+# extra is None; the raw integers are reduced to the algebra and its field.
+# The example x·x = 2x² in k[x]/(x^3) is associative: only the word of x²
+# rejects it.
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(SMALL_ALGEBRAS)),
+       st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63), st.integers(0, 3),
+                          st.none() | st.integers(0, 63), st.integers(1, 3)),
+                min_size=1, max_size=2))
+@example("GF(3)[x]/(x^3)", [(1, 1, 2, None, 1)])
+def test_build_agrees_with_the_all_triples_reference(name, changes):
+    good = SMALL_ALGEBRAS[name]()
+    F, exps = good.field, good.basis_exps
+    replace = {}
+    for i, j, scale, extra, c in changes:
+        ei, ej = exps[i % good.dim], exps[j % good.dim]
+        terms = {e: F.mul(scale % F.q, v) for e, v in reference_straighten(good, ei, ej).items()}
+        if extra is not None:
+            e = exps[extra % good.dim]
+            terms[e] = F.add(terms.get(e, 0), 1 + (c - 1) % (F.q - 1))
+        replace[ei, ej] = {e: v for e, v in terms.items() if v}
+    try:
+        Corrupted(good, replace)
+        built = None
+    except AlgebraError as exc:
+        built = str(exc)
+    expect = reference_algebra_verdict(Corrupted(good, replace, verify=False))
+    assert (built is None) == (expect is None), (built, expect)
+    if expect and not expect.startswith(("counit", "associativity")):
+        assert built == expect
 
 
 def doubled(A, i, j):

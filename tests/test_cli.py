@@ -70,6 +70,15 @@ def test_cgm_scenario_json():
     assert cert["right_twice_tau_sum"] == 6
 
 
+def test_cgm_scenario_beyond_the_published_primes():
+    # the closed forms of 2 Σ τ(r) are published for p = 3, 5, 7 only
+    code, out, err = run_cli(["cgm", "--p", "11", "--format", "json"])
+    assert code == 0 and err == ""
+    cert = json.loads(out)["extra"]["certificate"]
+    assert cert["right_published"] is None and cert["right_matches_published"] is None
+    assert cert["right_matches_derived"] and cert["identity_fails"]
+
+
 def test_twodim_scenarios():
     code, out, _ = run_cli(["twodim", "--p", "3", "--format", "json"])
     assert code == 0
@@ -241,6 +250,9 @@ def bad_support_input(tmp_path, case):
     ["witt", "--seed", "1"], ["heisenberg", "--trials", "3"], ["klein", "--p", "2"],
     ["support", "--module", "M", "--format", "csv"], ["witt", "--bogus", "1"],
     ["support"],
+    # an integer flag below 1 is refused, not read as a flag left out
+    ["twodim", "--p", "0"], ["heisenberg", "--p", "0"], ["klein", "--n", "0"],
+    ["abelian-wild", "--n", "0"], ["klein", "--n", "-1"], ["klein", "--trials", "0"],
     "support:no_algebra", "support:huge_p", "support:breaks_relation",
     "support:long_entry", "support:digit_out_of_range",
     *(f"support:{case}" for case in BAD_HEADERS),

@@ -1,7 +1,9 @@
 """Helpers that only the tests use: random matrices and conjugates,
-formatted-scalar parsing, the Kronecker Hom dimension, the all-pairs
-comultiplication axiom check and a few fixed constructions, kept out of
-the library."""
+formatted-scalar parsing, the Kronecker Hom dimension, the all-triples
+algebra check, the all-pairs comultiplication axiom check and a few
+fixed constructions, kept out of the library."""
+
+import itertools
 
 import numpy as np
 
@@ -95,6 +97,50 @@ def product_vec(A, i, j):
     v = np.zeros(A.dim, dtype=_INT)
     v[idx] = coef
     return v
+
+
+def reference_algebra_verdict(A):
+    """The laws an algebra build verifies, checked on every monomial, pair
+    and triple in scalar field arithmetic on the basis products that
+    ``A._straighten`` gives: None when they hold, else the first failure.
+    In order, with the build's messages: the unit law on every monomial,
+    the socle law on every generator, the word m = m'·g of every monomial
+    m ≠ 1 (g its last generator), the counit law on every pair and
+    associativity on every triple (i, j, k)."""
+    F, d, one = A.field, A.dim, A.identity_index
+    table = [{} for _ in range(d * d)]
+    for s, t, c in zip(*(a.tolist() for a in A._straighten(*np.divmod(np.arange(d * d), d)))):
+        table[s][t] = c
+
+    def times(u, v):
+        out = {}
+        for m, a in u.items():
+            for n, b in v.items():
+                for t, c in table[m * d + n].items():
+                    out[t] = F.add(out.get(t, 0), F.mul(F.mul(a, b), c))
+        return {t: c for t, c in out.items() if c}
+
+    for i in range(d):
+        if not table[one * d + i] == table[i * d + one] == {i: 1}:
+            return f"unit law fails on basis monomial {A.monomial_name(i)}"
+    gens = [A.index_of[e] for e in A._gen_exps]
+    lam = A.integral_index
+    for g, name in zip(gens, A.gen_names):
+        if table[g * d + lam] or table[lam * d + g]:
+            return f"integral fails the socle check: generator {name} does not kill it"
+    for m, exps in enumerate(A.basis_exps):
+        if m != one:
+            g = max(t for t, e in enumerate(exps) if e)
+            prev = A.index_of[tuple(e - (t == g) for t, e in enumerate(exps))]
+            if table[prev * d + gens[g]] != {m: 1}:
+                return "a basis monomial is not m'·g, g its last generator"
+    for i, j in itertools.product(range(d), repeat=2):
+        if table[i * d + j].get(one, 0) != int(i == j == one):
+            return f"counit is not an algebra map at pair {A._pair_name(i, j)}"
+    for i, j, k in itertools.product(range(d), repeat=3):
+        if times(table[i * d + j], {k: 1}) != times({i: 1}, table[j * d + k]):
+            return f"associativity fails at triple {(i, j, k)}"
+    return None
 
 
 def reference_verdict(A, images):

@@ -9,14 +9,16 @@ through precomputed q x q tables (addition is plain XOR when p = 2).
 
 Every table is int16 and has one construction for every (p, e), e = 1
 included.  NEG and ADD come from the base-p digits, one digit at a time.
-MUL and INV come from one log/exp walk over the powers of the least
-primitive element g: multiplying by w is a digit shift and one reduction
-by the modulus, multiplying by g is a sum of those, and MUL[a, b] is
-exp[log a + log b], gathered in row blocks, so no build holds a q x q
-array beyond the tables it keeps.
+Multiplying by any g is GF(p)-linear on the digits, so each map a ↦ a·g
+is one product.  MUL and INV come from one walk 1, g, g², … over the
+powers of a primitive element g: MUL[a, b] is exp[log a + log b],
+gathered in row blocks, so no build holds a q x q array beyond the
+tables it keeps.
 
-The modulus for (p, e) is chosen deterministically: the monic irreducible
-of degree e whose coefficient-encoding integer is smallest.  Embeddings
+The modulus for (p, e) is the monic irreducible of degree e whose
+coefficient-encoding integer is smallest, by Rabin's test read off the
+walk of w; g is w when that walk is exp, else the least encoded element
+whose walk has q - 1 steps (MUL and INV do not depend on g).  Embeddings
 between extensions of the same characteristic are computed by root
 finding, so no compatibility conditions on the moduli are required.
 """
@@ -39,97 +41,63 @@ def _is_prime(n):
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
-def _prime_factors(n):
-    out, d = [], 2
-    while n > 1:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
+def _linear(D, rows, p):
+    """The GF(p)-linear map a ↦ Σ a_i·rows[i] on encoded scalars (D: the
+    float32 digits of every scalar): one float32 product, exact since every
+    sum is at most e·(p-1)² < 2^24."""
+    x = (D @ rows).astype(np.int32)
+    x -= x // p * p
+    return x @ p ** np.arange(len(rows), dtype=np.int32)
+
+
+def _times_w(D, f, p):
+    """a ↦ a·w in GF(p)[w]/(f), for f monic of degree e given by its low e
+    coefficients: w·w^i is w^(i+1), and w·w^(e-1) is -f."""
+    rows = np.eye(len(f), k=1, dtype=np.float32)
+    rows[-1] = np.negative(f) % p
+    return _linear(D, rows, p)
+
+
+def _times(D, times_w, g, p):
+    """a ↦ a·g, whose row i is the digits of w^i·g."""
+    rows = [g]
+    while len(rows) < D.shape[1]:
+        rows.append(times_w[rows[-1]])
+    return _linear(D, D[rows], p)
+
+
+def _cycle(step):
+    """1, step[1], step[step[1]], … up to the walk's return to 1."""
+    step, out, a = step.tolist(), [1], int(step[1])
+    while a != 1:
+        out.append(a)
+        a = step[a]
     return out
-
-
-# -- polynomial helpers over GF(p), coefficient lists low-to-high ----------
-
-def _poly_trim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _poly_mulmod(f, g, m, p):
-    out = [0] * (len(f) + len(g) - 1) if f and g else []
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _poly_rem(out, m, p)
-
-
-def _poly_rem(f, m, p):
-    f = list(f)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(f) > dm:
-        c = (f[-1] * inv_lead) % p
-        if c:
-            off = len(f) - 1 - dm
-            for i, a in enumerate(m):
-                f[off + i] = (f[off + i] - c * a) % p
-        f.pop()
-    return _poly_trim(f)
-
-
-def _poly_powmod(f, n, m, p):
-    out = [1]
-    f = _poly_rem(f, m, p)
-    while n:
-        if n & 1:
-            out = _poly_mulmod(out, f, m, p)
-        f = _poly_mulmod(f, f, m, p)
-        n >>= 1
-    return out
-
-
-def _poly_sub(f, g, p):
-    n = max(len(f), len(g))
-    f = f + [0] * (n - len(f))
-    g = g + [0] * (n - len(g))
-    return _poly_trim([(a - b) % p for a, b in zip(f, g)])
-
-
-def _poly_gcd(f, g, p):
-    f, g = _poly_trim(list(f)), _poly_trim(list(g))
-    while g:
-        f, g = g, _poly_rem(f, g, p)
-    return f
-
-
-def _is_irreducible(f, p):
-    """Rabin test: f monic of degree e over GF(p)."""
-    e = len(f) - 1
-    x = [0, 1]
-    xq = _poly_powmod(x, p ** e, f, p)
-    if _poly_sub(xq, x, p):
-        return False
-    for ell in _prime_factors(e):
-        diff = _poly_sub(_poly_powmod(x, p ** (e // ell), f, p), x, p)
-        if not diff:
-            return False
-        if len(_poly_gcd(f, diff, p)) > 1:
-            return False
-    return True
 
 
 def _find_modulus(p, e):
-    """Smallest-encoded monic irreducible of degree e over GF(p)."""
+    """Smallest-encoded monic irreducible f of degree e over GF(p), by
+    Rabin's test on the walk 1, w, w², … in GF(p)[w]/(f), which returns to
+    1 as f(0) ≠ 0 is required (w^k is entry k mod its length): w^q = w and,
+    for every prime l | e, h = w^(p^(e/l)) − w is a unit, i.e. a ↦ a·h
+    takes q distinct values; being GF(p)-linear, it maps only 0 to 0."""
     if e == 1:
         return (0, 1)
-    for enc in range(p ** e):
-        f = [enc // p ** i % p for i in range(e)] + [1]
-        if _is_irreducible(f, p):
-            return tuple(f)
+    q, w = p ** e, p
+    D = (np.arange(q)[:, None] // p ** np.arange(e) % p).astype(np.float32)
+    primes = [l for l in range(2, e + 1) if e % l == 0 and _is_prime(l)]
+    for f in D[1:]:
+        if not f[0]:
+            continue
+        times_w = _times_w(D, f, p)
+        walk = _cycle(times_w)
+
+        def minus_w_is_unit(k):
+            h = (D[walk[k % len(walk)]] - D[w]) % p @ p ** np.arange(e)
+            return np.count_nonzero(_times(D, times_w, int(h), p) == 0) == 1
+
+        if walk[q % len(walk)] == w and all(minus_w_is_unit(p ** (e // l)) for l in primes):
+            return tuple(f.astype(int).tolist()) + (1,)
     raise FieldError(f"no irreducible of degree {e} over GF({p})")
 
 
@@ -193,20 +161,12 @@ class FieldSpec:
                 n = len(self.ADD) * p
                 self.ADD = (p * self.ADD[:, None, :, None] + digit_add[:, None, :]).reshape(n, n)
 
-        # a·w shifts the digits up and reduces the carried top digit by the
-        # modulus; a·g sums the digits of a·w^i times the digits g_i
-        up = np.zeros((q, e), dtype=_INT)
-        up[:, 1:] = D[:, :-1]
-        times_w = (up - D[:, -1:] * np.array(self.modulus[:e])) % p @ place
-        acc, a = np.zeros((q, e), dtype=np.int64), np.arange(q)
-        for gi in self.coeffs(self._primitive()):
-            acc += np.int64(gi) * D[a]
-            a = times_w[a]
-        times_g = (acc % p @ place).tolist()
-        exp, a = [], 1
-        for _ in range(q - 1):
-            exp.append(a)
-            a = times_g[a]
+        # the generator g is the first from w on (from 1 at e = 1, where w = 0)
+        # whose walk takes q - 1 steps: a constant's order divides p - 1
+        Df = D.astype(np.float32)
+        times_w = _times_w(Df, self.modulus[:e], p)
+        walks = (_cycle(_times(Df, times_w, g, p)) for g in range(p if e > 1 else 1, q))
+        exp = next(walk for walk in walks if len(walk) == q - 1)
 
         # ext is exp twice and then zeros, and log 0 = 2(q-1), so a sum of
         # logs reads a product and any sum with log 0 reads 0; INV[0] reads
@@ -221,14 +181,6 @@ class FieldSpec:
         for lo in range(0, q, rows):
             np.take(ext, log[lo:lo + rows, None] + log, out=self.MUL[lo:lo + rows])
         self.INV = ext[q - 1 - log]
-
-    def _primitive(self):
-        """Least encoded g whose power (q-1)/l is not 1 for any prime l | q-1."""
-        p, q, m = self.p, self.q, list(self.modulus)
-        for g in range(1, q):
-            if all(_poly_powmod(self.coeffs(g), (q - 1) // l, m, p) != [1]
-                   for l in _prime_factors(q - 1)):
-                return g
 
     # -- scalar operations ---------------------------------------------------
 

@@ -98,6 +98,7 @@ class HeisenbergScenario:
         self.phi = AlgebraMorphism.from_gen_map(A, {"x": x + self.yz_term})
         self.L = block_L(self.F, r)
         self.O = block_O(self.F, r)
+        self.X = self.L + self.O   # L_r + O_r, its rank chain memoized once
         self.V = self._induced_module()
         self._cross_check()
 
@@ -120,13 +121,13 @@ class HeisenbergScenario:
         if got_o != self.O:
             raise CrossCheckFailed(f"(yz)^(p-1) action differs from O_{self.r}")
         try:
-            nilpotent_jordan_type(self.L + self.O)
+            nilpotent_jordan_type(self.X)
         except Exception as exc:
             raise CrossCheckFailed("L_r + O_r is not nilpotent") from exc
 
     def twisted_restriction(self):
         """Jordan type of the module restricted along the moved subalgebra."""
-        return nilpotent_jordan_type(self.L + self.O)
+        return nilpotent_jordan_type(self.X)
 
     def untwisted_restriction(self):
         return nilpotent_jordan_type(self.L)
@@ -197,12 +198,7 @@ def rank_table(p, use_scenarios=False):
     F = field(p)
     rows = []
     for r in range(1, p + 1):
-        if use_scenarios:
-            sc = HeisenbergScenario(p, r)
-            L, O = sc.L, sc.O
-        else:
-            L, O = block_L(F, r), block_O(F, r)
-        X = L + O
+        X = HeisenbergScenario(p, r).X if use_scenarios else block_L(F, r) + block_O(F, r)
         X2 = X @ X
         dim = r * p * p
         rank = X.rank()
@@ -260,9 +256,8 @@ def cgm_check(p):
     direct_left = None
     if p == 3:
         # independent route: Jordan type of the twisted restriction squared
-        MF = (sc1.L + sc1.O)
         I_d = Matrix.identity(F, p * p)
-        T = Matrix.kron([(1, MF, I_d), (1, I_d, MF)])
+        T = Matrix.kron([(1, sc1.X, I_d), (1, I_d, sc1.X)])
         direct_left = nilpotent_jordan_type(T).multiplicity(1)
     right = 2 * sum(row["tau"] for row in rows if 2 <= row["r"] <= p - 1)
     # membership of the automorphism in the point's isotropy group: the
@@ -374,7 +369,7 @@ def wild_abelian_isotropy_check(case, p=None, n=None, m=None):
     restriction comes out free).
     """
     if case == "twodim":
-        p = p or 3
+        p = 3 if p is None else p
         if p == 2:
             return {"case": case, "p": 2, "applicable": False,
                     "note": "no PA violation at p=2 (the construction needs p > 2)"}
@@ -418,8 +413,8 @@ def wild_abelian_isotropy_check(case, p=None, n=None, m=None):
                   "has_J2": jt.multiplicity(2) > 0,
                   "hypothesis_met": fixed and _neither_trivial_nor_free(jt, 2)}
     elif case == "mixed":
-        p = p or 3
-        n, m = n or 2, m or 2
+        p = 3 if p is None else p
+        n, m = (2 if n is None else n), (2 if m is None else m)
         A = build_abelian_restricted(field(p), [n, m])
         x, y = A.generators()
         try:
@@ -434,7 +429,7 @@ def wild_abelian_isotropy_check(case, p=None, n=None, m=None):
                   "intermediate_part": jt.has_part_strictly_between(1, p),
                   "hypothesis_met": fixed and _neither_trivial_nor_free(jt, p)}
     elif case == "equal2power":
-        n = n or 2
+        n = 2 if n is None else n
         if n < 2:
             raise HypothesisNotMet("need n >= 2 for the equal two-power case")
         A = build_abelian_restricted(field(2), [n, n])

@@ -170,11 +170,11 @@ class KleinContext:
         Block row i of the chain system at m = up_to involves only the
         first i block columns, so its first m·dim rows are the system of
         V_2m, whose rank is the number of pivot columns below m·dim in the
-        rref of the transposed system.
+        echelon form of the transposed system.
         """
         s1, s2, _ = self.point_elements(coords)
         system = relation_system(M, self._chain_relations(s1, s2, up_to), up_to)
-        _, pivots = system.transpose().rref()
+        pivots = system.transpose().pivots()
         ranks = np.searchsorted(pivots, M.dim * np.arange(1, up_to + 1))
         return [m * M.dim - int(r) for m, r in zip(range(1, up_to + 1), ranks)]
 

@@ -233,6 +233,11 @@ class Matrix:
             self._echelon = A[prow]
         return len(self._echelon)
 
+    def pivots(self):
+        """Leading columns of the echelon rows that ``rank()`` keeps, by
+        increasing column: the pivot columns of the rref too."""
+        return tuple((self._echelon != 0).argmax(axis=1).tolist()) if self.rank() else ()
+
     def rref(self):
         A = self.a.copy()
         prow, pcols = _eliminate(self.field, A, reduced=True)

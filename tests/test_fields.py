@@ -7,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from restrep.fields import FieldError, FieldSpec, _poly_mulmod, field, sampling_extension
-from testkit import parse
+from restrep.fields import FieldError, FieldSpec, _find_modulus, _is_prime, field, sampling_extension
+from testkit import parse, poly_mulmod, smallest_irreducible
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 4), (5, 2)]
 
@@ -66,13 +66,21 @@ def test_size_is_checked_before_primality_and_before_p_to_the_e(monkeypatch):
 
 
 def test_modulus_deterministic_and_reproducible():
-    from restrep.fields import _find_modulus
     assert field(2, 2).modulus == (1, 1, 1)          # 1 + w + w^2
     assert field(3, 2).modulus == (1, 0, 1)          # 1 + w^2
     # the factory caches; a fresh search gives the same polynomial
     F1, F2 = field(5, 2), field(5, 2)
     assert F1 is F2
     assert F1.modulus == tuple(_find_modulus(5, 2))
+
+
+EXTENSIONS = [(p, e) for p in range(2, 65) if _is_prime(p)
+              for e in range(2, 13) if p ** e <= 4096]
+
+
+@pytest.mark.parametrize("p,e", EXTENSIONS)
+def test_modulus_is_the_smallest_irreducible_by_trial_division(p, e):
+    assert _find_modulus(p, e) == smallest_irreducible(p, e)
 
 
 def test_fmt_parse_roundtrip():
@@ -178,7 +186,7 @@ def test_mul_matches_polynomial_product(p, e):
         pairs = np.random.default_rng(p * 100 + e).integers(0, F.q, size=(4000, 2)).tolist()
     m = list(F.modulus)
     for a, b in pairs:
-        want = F.from_coeffs(_poly_mulmod(F.coeffs(a), F.coeffs(b), m, p))
+        want = F.from_coeffs(poly_mulmod(F.coeffs(a), F.coeffs(b), m, p))
         assert int(F.MUL[a, b]) == want, (a, b)
 @pytest.mark.parametrize("p,e", [(2, 11), (2, 12), (3, 7), (5, 5), (7, 4), (4093, 1)])
 def test_table_build_peak_is_at_most_twice_the_kept_tables(p, e):

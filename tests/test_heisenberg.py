@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from restrep.fields import field
+from restrep.fields import FieldError, field
 from restrep.heisenberg import (HeisenbergScenario, HypothesisNotMet,
                                 block_F, block_L, block_M, block_O, cgm_check,
                                 expected_L1_partition,
@@ -174,6 +174,15 @@ def test_wild_equal2power():
     assert rep3["restriction"] == "2J2+4J1"
     with pytest.raises(HypothesisNotMet):
         wild_abelian_isotropy_check("equal2power", n=1)
+
+
+def test_wild_zero_is_an_error_not_a_default():
+    with pytest.raises(HypothesisNotMet):
+        wild_abelian_isotropy_check("equal2power", n=0)
+    with pytest.raises(FieldError):
+        wild_abelian_isotropy_check("twodim", p=0)
+    with pytest.raises(FieldError):
+        wild_abelian_isotropy_check("mixed", p=0, n=0, m=0)
 
 
 def test_unknown_case():

@@ -1,5 +1,6 @@
 """Helpers that only the tests use: random matrices and conjugates,
-formatted-scalar parsing, the Kronecker Hom dimension, the all-triples
+formatted-scalar parsing, polynomial arithmetic over GF(p) with the
+trial-division modulus, the Kronecker Hom dimension, the all-triples
 algebra check, the all-pairs comultiplication axiom check and a few
 fixed constructions, kept out of the library."""
 
@@ -38,6 +39,48 @@ def parse(F, text):
             c = -c
         total = F.add(total, F.from_coeffs([0] * i + [c % F.p]))
     return total
+
+
+# -- polynomials over GF(p): coefficient lists, low degree first ---------------
+
+def poly_trim(f):
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def poly_rem(f, m, p):
+    f = list(f)
+    dm = len(m) - 1
+    inv_lead = pow(m[-1], p - 2, p)
+    while len(f) > dm:
+        c = (f[-1] * inv_lead) % p
+        if c:
+            off = len(f) - 1 - dm
+            for i, a in enumerate(m):
+                f[off + i] = (f[off + i] - c * a) % p
+        f.pop()
+    return poly_trim(f)
+
+
+def poly_mulmod(f, g, m, p):
+    out = [0] * (len(f) + len(g) - 1) if f and g else []
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] = (out[i + j] + a * b) % p
+    return poly_rem(out, m, p)
+
+
+def smallest_irreducible(p, e):
+    """The smallest-encoded monic f of degree e over GF(p) with no monic
+    factor of degree <= e/2, by trial division."""
+    def monic(enc, d):
+        return [enc // p ** i % p for i in range(d)] + [1]
+
+    factors = [monic(enc, d) for d in range(1, e // 2 + 1) for enc in range(p ** d)]
+    return next(tuple(f) for f in (monic(enc, e) for enc in range(p ** e))
+                if all(poly_rem(f, g, p) for g in factors))
 
 
 def random_matrix(F, rows, cols, rng):

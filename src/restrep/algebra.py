@@ -24,13 +24,16 @@ through the kernel in batches and are not memoized.  The unit law is
 checked on every basis monomial and the socle law on every generator,
 one kernel call each.  Then each monomial m ≠ 1 is read as a word
 m = m'·g, g its last generator (``_word_prev``, ``_word_last``), and
-m'·g = m is checked in one kernel call; :mod:`restrep.hopf` builds Δ
-of every monomial on these words.  Last, ``_check_triples`` checks the
-counit law and associativity on a set of triples in one batched pass of
-four kernel calls, naming the first failing triple.  Up to
-ASSOC_EXHAUSTIVE_DIM the set is every (b_i, b_j, g), g a generator,
-and the check is exact; above it, ASSOC_SAMPLES triples drawn from
-ASSOC_SEED.
+m'·g = m is checked in one kernel call.  Every algebra map out of A
+reads these words: :mod:`restrep.hopf` builds Δ of every monomial on
+them, ``AlgebraMorphism.table`` holds φ(m) = φ(m')·φ(g), and a module
+acts by ρ(m) = ρ(m')·ρ(g) (:mod:`restrep.modules`).  Last,
+``_check_triples`` checks the counit law and associativity on a set of
+triples in one batched pass of four kernel calls, naming the first
+failing triple.  Up to ASSOC_EXHAUSTIVE_DIM the set is every
+(b_i, b_j, g), g a generator, and the check is exact, by induction on
+the word of the third factor; above it, ASSOC_SAMPLES triples drawn
+from ASSOC_SEED.
 """
 
 import functools
@@ -41,7 +44,7 @@ import warnings
 
 import numpy as np
 
-from .matrices import Matrix, _INT
+from .matrices import Matrix, MatrixError, _INT
 
 GEN_NAMES = ("x", "y", "z", "u", "v", "s", "r")
 
@@ -542,7 +545,9 @@ def build_heisenberg(field, n=1):
 
 
 class AlgebraMorphism:
-    """Algebra map determined by generator images; verified on construction."""
+    """Algebra map determined by generator images; verified on construction.
+    ``table`` holds φ of every basis monomial, read on the source's words
+    as Δ is; ``apply``, ``invert``, twisting and induction read it."""
 
     def __init__(self, source, target, images):
         if len(images) != len(source.gen_names):
@@ -550,16 +555,6 @@ class AlgebraMorphism:
         self.source = source
         self.target = target
         self.images = list(images)
-        self._mono_cache = {}
-        self._verify()
-
-    @classmethod
-    def from_gen_map(cls, A, mapping):
-        """Build an endomorphism from {name: element}, unmapped names fixed."""
-        return cls(A, A, [mapping[name] if name in mapping else A.generator(name)
-                          for name in A.gen_names])
-
-    def _verify(self):
         for im in self.images:
             if im.algebra != self.target:
                 raise AlgebraError("image not in target algebra")
@@ -567,26 +562,34 @@ class AlgebraMorphism:
                 raise NotAugmented("generator image has nonzero counit")
         self.source.check_relations(self.images)
 
-    def _mono_image(self, exps):
-        hit = self._mono_cache.get(exps)
-        if hit is not None:
-            return hit
-        out = self.target.one()
-        for g, e in enumerate(exps):
-            for _ in range(e):
-                out = self.target.multiply(out, self.images[g])
-        self._mono_cache[exps] = out
-        return out
+    @classmethod
+    def from_gen_map(cls, A, mapping):
+        """Build an endomorphism from {name: element}, unmapped names fixed."""
+        return cls(A, A, [mapping[name] if name in mapping else A.generator(name)
+                          for name in A.gen_names])
+
+    @functools.cached_property
+    def table(self):
+        """The dim source × dim target array whose row m is φ(b_m), formed on
+        first use: φ(m) = φ(m')·φ(g) on the source's word m = m'·g, one batch
+        per degree and last generator."""
+        A, T = self.source, self.target
+        table = np.zeros((A.dim, T.dim), dtype=_INT)
+        table[A.identity_index, T.identity_index] = 1
+        degree = A._exps.sum(axis=1)
+        for k in range(1, degree.max() + 1):
+            for g, im in enumerate(self.images):
+                ms = np.nonzero((degree == k) & (A._word_last == g))[0]
+                if len(ms):
+                    table[ms] = T.products(table[A._word_prev[ms]], im.vec[None]).T
+        return table
 
     def apply(self, a):
         if a.algebra != self.source:
             raise AlgebraError("element not in source algebra")
         F = self.target.field
-        out = self.target.zero()
-        for i in a.support():
-            c = int(a.vec[i])
-            out = out + c * self._mono_image(self.source.basis_exps[i])
-        return out
+        row = Matrix(F, a.vec[None], copy=False) @ Matrix(F, self.table, copy=False)
+        return AlgebraElement(self.target, row.a[0], copy=False)
 
     def compose(self, other):
         """self ∘ other."""
@@ -599,54 +602,21 @@ class AlgebraMorphism:
         return all(im == self.source.generator(g) for g, im in enumerate(self.images)) \
             and self.source == self.target
 
-    def linear_part(self):
-        """Matrix of generator-coefficients of the images (k x k)."""
-        A, T = self.source, self.target
-        k = len(A.gen_names)
-        m = np.zeros((len(T.gen_names), k), dtype=_INT)
-        for g, im in enumerate(self.images):
-            for h in range(len(T.gen_names)):
-                m[h, g] = im.vec[T.index_of[T._gen_exps[h]]]
-        return Matrix(T.field, m, copy=False)
-
     def invert(self):
-        """Inverse automorphism ψ, by one fixed point iteration.
-
-        μ, the algebra map whose generator images are the exact inverse of
-        φ's linear part, starts the iteration, ψ = μ, and corrects it:
-        ψ(g) ← ψ(g) − μ(φ(ψ(g)) − g).  φ∘μ is the identity modulo
-        terms of higher degree, so each error lies in a deeper power of the
-        augmentation ideal than the last, and the loop ends within dim
-        steps.  NotInvertible when φ is not an endomorphism, its linear
-        part is singular or breaks the relations, the loop does not
-        converge, or φ∘ψ or ψ∘φ is not the identity.
-        """
+        """The inverse automorphism ψ: φ(a) = a·Φ for the table Φ, so ψ's
+        generator images are the rows of Φ⁻¹ at the generators.  Checked:
+        Φ·Φ⁻¹ = I (``Matrix.inverse``), ψ's relations, and ψ's table = Φ⁻¹,
+        so ψ∘φ and φ∘ψ are the identity.  NotInvertible when φ is not an
+        endomorphism, Φ is singular or a check fails."""
         if self.source != self.target:
             raise NotInvertible("only endomorphisms can be inverted")
         A = self.source
-        gens = A.generators()
         try:
-            Linv = self.linear_part().inverse()
-        except Exception as exc:
-            raise NotInvertible("linear part is singular") from exc
-        mu_images = np.zeros((len(gens), A.dim), dtype=_INT)
-        mu_images[:, [A.index_of[e] for e in A._gen_exps]] = Linv.a.T
-        try:
-            mu = AlgebraMorphism(A, A, [A.element(v) for v in mu_images])
-        except AlgebraError as exc:
-            raise NotInvertible("linear part does not preserve relations") from exc
-        current = mu.images
-        for _ in range(A.dim + 1):
-            errs = [self.apply(v) - g for v, g in zip(current, gens)]
-            if all(e.is_zero() for e in errs):
-                break
-            current = [v - mu.apply(e) for v, e in zip(current, errs)]
-        else:
-            raise NotInvertible("fixed point iteration did not converge")
-        inverse = AlgebraMorphism(A, A, current)
-        check = self.compose(inverse)
-        check2 = inverse.compose(self)
-        if not (check.is_identity() and check2.is_identity()):
+            inv = Matrix(A.field, self.table, copy=False).inverse().a
+            inverse = AlgebraMorphism(A, A, [A.element(inv[A.index_of[e]]) for e in A._gen_exps])
+        except (MatrixError, AlgebraError) as exc:
+            raise NotInvertible(f"φ is not an automorphism: {exc}") from exc
+        if not np.array_equal(inverse.table, inv):
             raise NotInvertible("inverse verification failed")
         return inverse
 

@@ -25,9 +25,11 @@ from .hopf import named_structure
 from .klein import WANG_STRUCTURES, KleinContext
 from .matrices import nilpotent_jordan_type
 from .modules import RepresentationError, jordan_block_module, rep_from_json, tensor
-from .pipoints import PointFamily, SupportSet, nobility, support
+from .pipoints import PointError, PointFamily, SupportSet, nobility, support
 
 log = logging.getLogger("restrep")
+
+SUPPORT_POINTS_CAP = 8192   # most points a support scan of P^(k-1)(GF(q)) may visit
 
 
 def _jsonable(v):
@@ -169,6 +171,11 @@ def scenario_support(args):
         M = rep_from_json(mdata)
     except KeyError as exc:
         raise RepresentationError(f"{args.module}: the module JSON has no key {exc}")
+    k, q = len(M.algebra.gen_names), field(M.algebra.p, args.field_ext).q
+    points = (q ** k - 1) // (q - 1)
+    if points > SUPPORT_POINTS_CAP:
+        raise PointError(f"the scan of P^{k - 1}(GF({q})) has {points} points, over the cap "
+                         f"of {SUPPORT_POINTS_CAP}")
     return support(M, PointFamily(M.algebra, ext_degree=args.field_ext))
 
 

@@ -18,7 +18,8 @@ tables it keeps.
 The modulus for (p, e) is the monic irreducible of degree e whose
 coefficient-encoding integer is smallest, by Rabin's test read off the
 walk of w; g is w when that walk is exp, else the least encoded element
-whose walk has q - 1 steps (MUL and INV do not depend on g).  Embeddings
+whose walk has q - 1 steps (MUL and INV do not depend on g); the
+search's digits, map a ↦ a·w and walk of w are reused.  Embeddings
 between extensions of the same characteristic are computed by root
 finding, so no compatibility conditions on the moduli are required.
 """
@@ -76,15 +77,15 @@ def _cycle(step):
 
 
 def _find_modulus(p, e):
-    """Smallest-encoded monic irreducible f of degree e over GF(p), by
-    Rabin's test on the walk 1, w, w², … in GF(p)[w]/(f), which returns to
-    1 as f(0) ≠ 0 is required (w^k is entry k mod its length): w^q = w and,
-    for every prime l | e, h = w^(p^(e/l)) − w is a unit, i.e. a ↦ a·h
-    takes q distinct values; being GF(p)-linear, it maps only 0 to 0."""
-    if e == 1:
-        return (0, 1)
+    """``(f, D, a ↦ a·w, the walk 1, w, w², …)``: the smallest-encoded monic
+    irreducible f of degree e over GF(p) and the float32 digits D of every
+    scalar (at e = 1, f = t and no walk).  By Rabin's test on the walk, which
+    returns to 1 as f(0) ≠ 0 (w^k is entry k mod its length): w^q = w and,
+    for every prime l | e, a ↦ a·h is injective for h = w^(p^(e/l)) − w."""
     q, w = p ** e, p
     D = (np.arange(q)[:, None] // p ** np.arange(e) % p).astype(np.float32)
+    if e == 1:
+        return (0, 1), D, None, None
     primes = [l for l in range(2, e + 1) if e % l == 0 and _is_prime(l)]
     for f in D[1:]:
         if not f[0]:
@@ -97,7 +98,7 @@ def _find_modulus(p, e):
             return np.count_nonzero(_times(D, times_w, int(h), p) == 0) == 1
 
         if walk[q % len(walk)] == w and all(minus_w_is_unit(p ** (e // l)) for l in primes):
-            return tuple(f.astype(int).tolist()) + (1,)
+            return tuple(f.astype(int).tolist()) + (1,), D, times_w, walk
     raise FieldError(f"no irreducible of degree {e} over GF({p})")
 
 
@@ -114,8 +115,8 @@ class FieldSpec:
             raise FieldError(f"{p} is not prime")
         q = p ** e
         self.p, self.e, self.q = p, e, q
-        self.modulus = _find_modulus(p, e)
-        self._build_tables()
+        self.modulus, D, times_w, walk = _find_modulus(p, e)
+        self._build_tables(D, times_w, walk)
         self._embeddings = {}
 
     # -- encoding ----------------------------------------------------------
@@ -144,11 +145,12 @@ class FieldSpec:
                                      f"coefficient list (length <= {self.e}, digits in [0, {self.p}))")
         return [[self.from_coeffs(cell) for cell in row] for row in rows]
 
-    def _build_tables(self):
-        """NEG, ADD, MUL and INV in int16 (see the module docstring)."""
+    def _build_tables(self, Df, times_w, walk):
+        """NEG, ADD, MUL and INV in int16 (see the module docstring), from
+        the modulus search's digits, map a ↦ a·w and walk of w."""
         p, e, q = self.p, self.e, self.q
         place = p ** np.arange(e)
-        D = self._digits = (np.arange(q)[:, None] // place % p).astype(_INT)
+        D = self._digits = Df.astype(_INT)
         self.NEG = (-D % p @ place).astype(_INT)
         if p == 2:
             self.ADD = None  # addition is XOR
@@ -161,12 +163,11 @@ class FieldSpec:
                 n = len(self.ADD) * p
                 self.ADD = (p * self.ADD[:, None, :, None] + digit_add[:, None, :]).reshape(n, n)
 
-        # the generator g is the first from w on (from 1 at e = 1, where w = 0)
-        # whose walk takes q - 1 steps: a constant's order divides p - 1
-        Df = D.astype(np.float32)
-        times_w = _times_w(Df, self.modulus[:e], p)
-        walks = (_cycle(_times(Df, times_w, g, p)) for g in range(p if e > 1 else 1, q))
-        exp = next(walk for walk in walks if len(walk) == q - 1)
+        # the generator g is the first from w = p on (from 1 at e = 1, where
+        # w = 0) whose walk takes q - 1 steps: a constant's order divides p - 1
+        walks = (walk if g == p else _cycle(_times(Df, times_w, g, p))
+                 for g in range(p if e > 1 else 1, q))
+        exp = next(cycle for cycle in walks if len(cycle) == q - 1)
 
         # ext is exp twice and then zeros, and log 0 = 2(q-1), so a sum of
         # logs reads a product and any sum with log 0 reads 0; INV[0] reads

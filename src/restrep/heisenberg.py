@@ -24,7 +24,7 @@ from .algebra import (AlgebraError, AlgebraMorphism, build_abelian_restricted,
                       build_heisenberg, build_truncated_polynomial)
 from .fields import field
 from .hopf import named_structure
-from .matrices import Matrix, _INT, JordanType, nilpotent_jordan_type
+from .matrices import Matrix, _INT, JordanType, nilpotent_jordan_type, rank_chain
 from .modules import (HomSpace, Representation, RepresentationError, direct_sum,
                       hom_from_cyclic, hom_space, hom_space_from_sum, induce,
                       induce_trivial, iso_test, jordan_block_module,
@@ -193,16 +193,15 @@ def rank_table(p, use_scenarios=False):
     Mismatches are flagged, not hidden: the published square-rank cases
     for 3 <= r < p disagree with the matrices (both construction paths
     agree with each other), so those rows carry match=False against the
-    published value and match=True against the derived one.
+    published value and match=True against the derived one.  rank(X) and
+    rank(X²) are read from X's rank chain (the scenario's, already formed).
     """
     F = field(p)
     rows = []
     for r in range(1, p + 1):
         X = HeisenbergScenario(p, r).X if use_scenarios else block_L(F, r) + block_O(F, r)
-        X2 = X @ X
         dim = r * p * p
-        rank = X.rank()
-        rank2 = X2.rank()
+        rank, rank2 = (rank_chain(X) + (0,))[1:3]
         nullity = dim - rank
         tau = dim - 2 * rank + rank2
         rows.append({

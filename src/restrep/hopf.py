@@ -369,13 +369,9 @@ def twist(delta, phi):
         phi_inv = phi.invert()
     except AlgebraError as exc:
         raise NotAutomorphism("twisting morphism is not invertible") from exc
-    images = []
-    for a in phi_inv.images:            # φ⁻¹(g)
-        keys, coef = delta.delta_of(a)
-        # (φ⊗φ)(Σ c·b_i⊗b_j) = Σ c·φ(b_i)⊗φ(b_j)
-        left, right = ([phi._mono_image(A.basis_exps[k]).vec for k in ix]
-                       for ix in np.divmod(keys, A.dim))
-        images.append(_outer(A, coef, *(np.reshape(m, (-1, A.dim)) for m in (left, right))))
+    # (φ⊗φ)(Σ c·b_i⊗b_j) = Σ c·φ(b_i)⊗φ(b_j) on each Δ(φ⁻¹(g)), φ(b_i) a row of φ's table
+    images = [_outer(A, coef, phi.table[keys // A.dim], phi.table[keys % A.dim])
+              for keys, coef in map(delta.delta_of, phi_inv.images)]
     label = ",".join(f"{n}↦{im!r}" for n, im in zip(A.gen_names, phi.images))
     return Comultiplication(A, f"{delta.name}^({label})", images,
                             nobility_rule=delta.nobility_rule,

@@ -186,18 +186,6 @@ class Matrix:
         prod = _mod((da @ db).astype(intg), p).reshape(r, c, e)
         return Matrix(F, (prod @ place).astype(_INT), copy=False)
 
-    def pow(self, n):
-        if not self.is_square():
-            raise MatrixError("power of a non-square matrix")
-        out = Matrix.identity(self.field, self.rows)
-        base = self
-        while n:
-            if n & 1:
-                out = out @ base
-            base = base @ base if n > 1 else base
-            n >>= 1
-        return out
-
     def transpose(self):
         return Matrix(self.field, self.a.T)
 

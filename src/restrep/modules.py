@@ -13,6 +13,7 @@ an extension field, and the inconclusive case reports the failure bound
 (dim/q)^trials.
 """
 
+import math
 import random
 
 import numpy as np
@@ -23,6 +24,7 @@ from .fields import field_from_json, json_get, sampling_extension
 from .matrices import Matrix, NotNilpotent, _INT, _exact_float, nilpotent_jordan_type, rank_chain
 
 HOM_BYTE_BUDGET = 1 << 30   # peak bytes the generic intertwiner solve may allocate
+ALGEBRA_DIM_CAP = 4096      # largest algebra a module record may name
 
 
 class RepresentationError(AlgebraError):
@@ -90,14 +92,14 @@ class Representation:
     # -- evaluation -------------------------------------------------------------
 
     def act_monomial(self, i):
-        hit = self._act_cache.get(i)
-        if hit is not None:
-            return hit
-        out = Matrix.identity(self.algebra.field, self.dim)
-        for g, e in enumerate(self.algebra.basis_exps[i]):
-            if e:
-                out = out @ self.actions[g].pow(e)
-        self._act_cache[i] = out
+        """ρ(b_i) = ρ(m')·ρ(g) on the algebra's word b_i = m'·g, memoized per
+        monomial; the word's uncached prefixes are formed shortest first."""
+        A, cache, word = self.algebra, self._act_cache, []
+        while i not in cache and i != A.identity_index:
+            word, i = word + [i], int(A._word_prev[i])
+        out = cache[i] if i in cache else Matrix.identity(A.field, self.dim)
+        for m in reversed(word):
+            out = cache[m] = out @ self.actions[A._word_last[m]]
         return out
 
     def act(self, a):
@@ -208,8 +210,7 @@ def twist_module(M, phi):
     φ⁻¹(a) does in M, so the annihilator becomes A·φ(image) and the basis
     vector c·v of M is φ(c)·v in the twist.
     """
-    phi_inv = phi.invert()
-    actions = [M.act(im) for im in phi_inv.images]
+    actions = [M.act(im) for im in phi.invert().images]
     cyclic = None
     if M.cyclic_data is not None:
         image, cosets = M.cyclic_data
@@ -243,9 +244,8 @@ def _induction_table(phi, cosets):
     hit = A.induction_tables.get(key)
     if hit is not None:
         return hit
-    phi_basis = np.array([phi.apply(B.monomial(e)).vec for e in B.basis_exps])
     coset_vecs = np.array([c.vec for c in cosets])
-    E = Matrix(F, A.products(coset_vecs, phi_basis), copy=False)
+    E = Matrix(F, A.products(coset_vecs, phi.table), copy=False)
     monomial = (E.is_square() and (np.count_nonzero(E.a, axis=0) == 1).all()
                 and (np.count_nonzero(E.a, axis=1) == 1).all())
     if not monomial and E.rank() != A.dim:
@@ -637,22 +637,31 @@ def free_rank(M):
 
 def rep_from_json(data):
     """The module a ``to_json`` record describes.  A record or header field of
-    the wrong JSON type raises FieldError or RepresentationError naming it."""
+    the wrong JSON type raises FieldError or RepresentationError naming it, and
+    so does an algebra of dimension over ALGEBRA_DIM_CAP, before it is built."""
     if type(data) is not dict:
         raise RepresentationError(f"a module record must be a JSON object, not {data!r}")
     adata = json_get(data, "algebra", dict, RepresentationError)
     F = field_from_json(adata)
-    if adata["kind"] == "truncated_poly":
+    kind = adata["kind"]
+    if kind == "truncated_poly":
         gens = json_get(adata, "generators", list, RepresentationError)
         if not all(type(g) is dict for g in gens):
             raise RepresentationError(f"'generators' must be a list of objects, not {gens!r}")
-        algebra = build_truncated_polynomial(
-            F, [json_get(g, "bound", int, RepresentationError) for g in gens],
-            names=tuple(json_get(g, "name", str, RepresentationError) for g in gens))
-    elif adata["kind"] == "heisenberg":
-        algebra = build_heisenberg(F, json_get(adata, "n", int, RepresentationError, default=1))
+        bounds = [json_get(g, "bound", int, RepresentationError) for g in gens]
+        names = tuple(json_get(g, "name", str, RepresentationError) for g in gens)
+        dim = math.prod(bounds)
+    elif kind == "heisenberg":
+        n = json_get(adata, "n", int, RepresentationError, default=1)
+        if not 0 <= n < ALGEBRA_DIM_CAP.bit_length():  # beyond, p^(2n+1) > the cap
+            raise RepresentationError(f"'n' = {n} is outside [0, {ALGEBRA_DIM_CAP.bit_length()})")
+        dim = F.p ** (2 * n + 1)
     else:
         raise RepresentationError("unknown algebra kind in JSON")
+    if dim > ALGEBRA_DIM_CAP:
+        raise RepresentationError(f"algebra dimension {dim} is over the cap of {ALGEBRA_DIM_CAP}")
+    algebra = (build_truncated_polynomial(F, bounds, names) if kind == "truncated_poly"
+               else build_heisenberg(F, n))
     actions = [Matrix(F, F.decode_matrix(entries, f"actions[{g}]"))
                for g, entries in enumerate(json_get(data, "actions", list, RepresentationError))]
     return Representation(algebra, actions,

@@ -9,13 +9,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from restrep.fields import FieldError, field
+from restrep.matrices import Matrix
 from restrep.algebra import (ASSOC_EXHAUSTIVE_DIM, ASSOC_SAMPLES, ASSOC_SEED, AlgebraError,
                              AlgebraMorphism, AlgebraPresentation, InvalidBound,
                              NotAugmented, NotInvertible,
                              base_change, build_abelian_restricted,
                              build_heisenberg, build_truncated_polynomial,
                              element_to_field, morphism_from_json)
-from testkit import reference_algebra_verdict
+from restrep.modules import pbw_cosets
+from testkit import (MORPHISM_ALGEBRAS, random_automorphism, reference_algebra_verdict,
+                     reference_image)
 
 
 def reference_straighten(A, ei, ej):
@@ -270,14 +273,67 @@ def test_invert_linear_part():
 
 
 def test_invert_linear_plus_higher_part():
-    # the one iteration starts from the inverse of the linear part and
-    # removes the quadratic terms in the same loop
+    # on the generator block of the tables, modulo the square of the
+    # augmentation ideal, the inverse is the inverse of φ's linear part
     A = build_truncated_polynomial(field(5), [5, 5])
     x, y = A.generators()
     phi = AlgebraMorphism(A, A, [2 * x + y + x @ x, x + y + x @ y])
     inv = phi.invert()
     assert phi.compose(inv).is_identity() and inv.compose(phi).is_identity()
-    assert inv.linear_part() == phi.linear_part().inverse()
+    gens = np.ix_(*[[A.index_of[e] for e in A._gen_exps]] * 2)
+    assert Matrix(A.field, inv.table[gens]) == Matrix(A.field, phi.table[gens]).inverse()
+
+
+def assert_table_matches_reference(phi):
+    for i in range(phi.source.dim):
+        assert np.array_equal(phi.table[i], reference_image(phi, i).vec), i
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(MORPHISM_ALGEBRAS), st.data())
+def test_automorphism_table_and_inverse(make, data):
+    A = make()
+    phi = random_automorphism(A, data.draw)
+    assert_table_matches_reference(phi)
+    a = A.element(data.draw(st.lists(st.integers(0, A.field.q - 1),
+                                     min_size=A.dim, max_size=A.dim)))
+    assert phi.apply(a) == sum((int(c) * reference_image(phi, i) for i, c in enumerate(a.vec)),
+                               A.zero())
+    psi = phi.invert()
+    assert_table_matches_reference(psi)
+    assert phi.compose(psi).is_identity() and psi.compose(phi).is_identity()
+
+
+# (algebra, image of t, r): k[t]/t^(p^r) -> A as pbw_cosets embeds it
+EMBEDDINGS = [
+    (lambda: build_truncated_polynomial(field(3), [3, 3]), lambda x, y: x + y, 1),
+    (lambda: build_truncated_polynomial(field(3), [3, 3]), lambda x, y: x + y @ y, 1),
+    (lambda: build_truncated_polynomial(field(2), [2, 2, 2]), lambda x, y: x + y, 1),
+    (lambda: build_truncated_polynomial(field(2, 2), [2, 2]), lambda x, y: x + y, 1),
+    (lambda: build_truncated_polynomial(field(3), [9]), lambda x, _: x + x @ x, 2),
+    (lambda: build_truncated_polynomial(field(2), [4, 2]), lambda x, y: x + y @ y, 2),
+    (lambda: build_heisenberg(field(3)), lambda y, x: y + x, 1),
+    (lambda: build_heisenberg(field(5)), lambda y, x: y + x @ x, 1),
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(EMBEDDINGS), st.data())
+def test_embedding_table_matches_reference(case, data):
+    make, image, r = case
+    A = make()
+    gens = A.generators()
+    unit = data.draw(st.integers(1, A.field.q - 1))
+    phi, _ = pbw_cosets(A, unit * image(gens[0], gens[-1]), r)
+    assert_table_matches_reference(phi)
+
+
+def test_non_bijective_endomorphism_is_not_invertible():
+    for p in (2, 3):
+        A = build_truncated_polynomial(field(p), [p, p])
+        x, y = A.generators()
+        with pytest.raises(NotInvertible):
+            AlgebraMorphism(A, A, [x @ x, y]).invert()
 
 
 def test_morphism_json_roundtrip():

@@ -274,6 +274,47 @@ def test_bad_input_exits_2_with_one_line(args, tmp_path):
         assert f"{args[2]}: " in err and "5000 digits" in err
 
 
+def oversized_module(tmp_path, algebra, k):
+    """A module file over ``algebra`` on which k generators act by 0 on a
+    1-dimensional space."""
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps({"algebra": algebra, "dim": 1, "label": "k",
+                                "actions": [[[[0]]]] * k}))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["20_generators", "heisenberg_n", "negative_n", "points"])
+def test_support_refuses_oversized_input_before_building(case, tmp_path, monkeypatch):
+    import restrep.cli
+    import restrep.modules
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built past a cap")
+    monkeypatch.setattr(restrep.cli, "PointFamily", refuse)
+    gf2 = {"p": 2, "e": 1}
+    if case == "20_generators":
+        # dim 2^20; the family would be P^19(GF(4)), about 3.7e11 points
+        monkeypatch.setattr(restrep.modules, "build_truncated_polynomial", refuse)
+        algebra = {"kind": "truncated_poly", "field": gf2,
+                   "generators": [{"name": f"g{i}", "bound": 2} for i in range(20)]}
+        args, expect = [], "dimension 1048576 is over the cap of 4096"
+    elif case in ("heisenberg_n", "negative_n"):
+        # p^(2n+1), and a negative n used to end in a ValueError traceback
+        monkeypatch.setattr(restrep.modules, "build_heisenberg", refuse)
+        n = 10 ** 9 if case == "heisenberg_n" else -1
+        algebra = {"kind": "heisenberg", "field": {"p": 3, "e": 1}, "n": n}
+        args, expect = [], f"'n' = {n} is outside [0, 13)"
+    else:
+        # dim 64, but P^5(GF(2^12)) has about 1.2e18 points
+        algebra = {"kind": "truncated_poly", "field": gf2,
+                   "generators": [{"name": f"g{i}", "bound": 2} for i in range(6)]}
+        args, expect = ["--field-ext", "12"], "P^5(GF(4096)) has"
+    k = len(algebra.get("generators", "yzx"))
+    code, out, err = run_cli(["support", "--module", oversized_module(tmp_path, algebra, k)] + args)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("support: ") and expect in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-scenario"])
@@ -332,6 +373,10 @@ GOLDEN = {
         "65ffc970e159fefbe5f4627d6e3a809d3185416b14c8bbf4967c098aa20cff03",
     ("heisenberg", "--p", "3", "--format", "csv"):
         "c2fd361bc9d14b11135b32b4261f71ed0cd1eb5dd1765fb9ccdf58f6051c0e19",
+    ("twodim", "--p", "5", "--format", "json"):
+        "b043e3d88df6145f95831379c1d8362636b04a1f6041a7f5abef37a005ad034e",
+    ("abelian-wild", "--p", "5", "--format", "json"):
+        "f31cba99c8f729884a683089ab3ec1cd77573df866157e57b5db915adb0b374b",
 }
 GOLDEN_SUPPORT = "b2dfbc84ae6b045ecd6ce70c88b5bc23a9694520592256db98aa279a05b4f6db"
 

@@ -71,7 +71,7 @@ def test_modulus_deterministic_and_reproducible():
     # the factory caches; a fresh search gives the same polynomial
     F1, F2 = field(5, 2), field(5, 2)
     assert F1 is F2
-    assert F1.modulus == tuple(_find_modulus(5, 2))
+    assert F1.modulus == _find_modulus(5, 2)[0]
 
 
 EXTENSIONS = [(p, e) for p in range(2, 65) if _is_prime(p)
@@ -80,7 +80,7 @@ EXTENSIONS = [(p, e) for p in range(2, 65) if _is_prime(p)
 
 @pytest.mark.parametrize("p,e", EXTENSIONS)
 def test_modulus_is_the_smallest_irreducible_by_trial_division(p, e):
-    assert _find_modulus(p, e) == smallest_irreducible(p, e)
+    assert _find_modulus(p, e)[0] == smallest_irreducible(p, e)
 
 
 def test_fmt_parse_roundtrip():

@@ -14,7 +14,8 @@ from restrep.hopf import (AxiomViolation, Comultiplication, NotAutomorphism,
                           ShapeMismatch, STRUCTURE_NAMES, custom_structure,
                           named_structure, omega, structure_from_json, twist)
 from restrep.matrices import Matrix, _INT
-from testkit import product_terms, product_vec, reference_verdict
+from testkit import (product_terms, product_vec, random_automorphism, reference_image,
+                     reference_verdict)
 
 
 # -- the dict reference: A⊗A as {(i, j): c} ---------------------------------------
@@ -511,25 +512,6 @@ def test_delta_table_matches_dict_reference(make, name, p):
     assert_matches_reference(delta, images_as_dicts(delta))
 
 
-def random_automorphism(A, draw):
-    """g ↦ unit·g + higher terms: any degree >= 2 combination on a
-    truncated polynomial algebra, c·z on x and y of H (z ↦ ab·z)."""
-    F = A.field
-    unit = st.integers(1, F.q - 1)
-    if A.kind == "heisenberg":
-        y, z, x = A.generators()
-        a, b, c, e = draw(unit), draw(unit), draw(st.integers(0, F.q - 1)), draw(st.integers(0, F.q - 1))
-        return AlgebraMorphism(A, A, [b * y + e * z, F.mul(a, b) * z, a * x + c * z])
-    higher = [i for i, e in enumerate(A.basis_exps) if sum(e) >= 2]
-    images = []
-    for g in A.generators():
-        vec = g.vec * draw(unit)
-        for i in draw(st.lists(st.sampled_from(higher), max_size=3)) if higher else []:
-            vec[i] = F.add(int(vec[i]), draw(unit))
-        images.append(A.element(vec))
-    return AlgebraMorphism(A, A, images)
-
-
 # twists at p = 5 are left out for time: a random automorphism there can
 # give images of several hundred terms and a table the reference takes seconds on
 @settings(max_examples=20, deadline=None)
@@ -550,8 +532,7 @@ def test_twisted_delta_matches_dict_reference(case, data):
             d = t2_add(F, d, {key: F.mul(int(a.vec[k]), c) for key, c in ref[k].items()})
         out = {}
         for (i, j), c in d.items():
-            pair = t2_from_pair(phi.apply(A.monomial(A.basis_exps[i])),
-                                phi.apply(A.monomial(A.basis_exps[j])))
+            pair = t2_from_pair(reference_image(phi, i), reference_image(phi, j))
             out = t2_add(F, out, {key: F.mul(c, v) for key, v in pair.items()})
         expect.append(out)
     assert images_as_dicts(tw) == expect

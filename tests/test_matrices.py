@@ -13,7 +13,7 @@ from restrep.matrices import (FieldMismatch, JordanType, Matrix, MatrixError, No
                               _exact_float, _ladder_chain, _plane_tables, _step_chain,
                               nilpotent_jordan_type, rank_chain)
 from restrep.modules import jordan_block_module, tensor
-from testkit import poly_mulmod, random_invertible, random_matrix
+from testkit import matrix_pow, poly_mulmod, random_invertible, random_matrix
 
 FIELDS = [field(2), field(3), field(7), field(2, 2), field(3, 2)]
 
@@ -274,14 +274,6 @@ def test_matrix_json_roundtrip():
                 Matrix.from_json(m.to_json() | {"field": F.to_json() | {key: bad}})
 
 
-def test_pow():
-    F = field(3)
-    n = Matrix.jordan_block(F, 4)
-    assert n.pow(0) == Matrix.identity(F, 4)
-    assert n.pow(2) == n @ n
-    assert n.pow(4).is_zero()
-
-
 # -- rank chain against the power-by-power reference ------------------------------
 
 
@@ -329,7 +321,7 @@ def test_chain_jordan_type_matches_reference(case):
 @given(conjugated_nilpotents())
 def test_chain_length_is_nilpotency_index(case):
     _, m = case
-    index = next(b for b in range(m.rows + 1) if m.pow(b).is_zero())
+    index = next(b for b in range(m.rows + 1) if matrix_pow(m, b).is_zero())
     assert len(rank_chain(m)) - 1 == index
 
 

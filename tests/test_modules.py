@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from restrep.fields import field, sampling_extension
 from restrep.algebra import (AlgebraError, AlgebraMorphism, base_change,
@@ -20,7 +21,8 @@ from restrep.modules import (HomSpace, HomTooLarge, NotAnIntertwiner, NotFreeBas
                              jordan_block_module, pbw_cosets, regular_module,
                              rep_from_json, restrict, tensor, trivial_module,
                              twist_module)
-from testkit import conjugate, dim_hom, random_invertible
+from testkit import (MORPHISM_ALGEBRAS, conjugate, dim_hom, random_automorphism, random_invertible,
+                     reference_action)
 
 
 def klein():
@@ -69,6 +71,17 @@ def test_act_basics():
     assert free_rank(M) == 1
     k = trivial_module(A)
     assert free_rank(k) == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(MORPHISM_ALGEBRAS), st.data())
+def test_act_monomial_is_the_product_of_generator_powers(make, data):
+    A = make()
+    R = regular_module(A)
+    M = restrict(R, random_automorphism(A, data.draw))
+    for i in data.draw(st.permutations(range(A.dim))):
+        assert R.act_monomial(i) == A.left_mult_matrix(A.monomial(A.basis_exps[i]))
+        assert M.act_monomial(i) == reference_action(M, i)
 
 
 def test_tensor_unit_object():

@@ -1,4 +1,5 @@
 """Helpers that only the tests use: random matrices and conjugates,
+matrix powers, the per-monomial images of algebra maps and actions,
 formatted-scalar parsing, polynomial arithmetic over GF(p) with the
 trial-division modulus, the Kronecker Hom dimension, the all-triples
 algebra check, the all-pairs comultiplication axiom check and a few
@@ -7,8 +8,10 @@ fixed constructions, kept out of the library."""
 import itertools
 
 import numpy as np
+from hypothesis import strategies as st
 
-from restrep.algebra import base_change
+from restrep.algebra import (AlgebraMorphism, base_change, build_heisenberg,
+                             build_truncated_polynomial)
 from restrep.fields import field
 from restrep.hopf import Comultiplication, _expand, _image_tensor, _normal, _products
 from restrep.matrices import _INT, Matrix
@@ -81,6 +84,69 @@ def smallest_irreducible(p, e):
     factors = [monic(enc, d) for d in range(1, e // 2 + 1) for enc in range(p ** d)]
     return next(tuple(f) for f in (monic(enc, e) for enc in range(p ** e))
                 if all(poly_rem(f, g, p) for g in factors))
+
+
+def matrix_pow(m, n):
+    """m^n by binary powers."""
+    out, base = Matrix.identity(m.field, m.rows), m
+    while n:
+        if n & 1:
+            out = out @ base
+        base = base @ base if n > 1 else base
+        n >>= 1
+    return out
+
+
+def reference_image(phi, i):
+    """φ(b_i) multiplied out one generator image at a time, in the order of
+    the exponent tuple (the per-monomial path the table replaced)."""
+    T = phi.target
+    out = T.one()
+    for g, e in enumerate(phi.source.basis_exps[i]):
+        for _ in range(e):
+            out = T.multiply(out, phi.images[g])
+    return out
+
+
+# small algebras on which random_automorphism draws automorphisms:
+# equal bounds, so Frobenius makes every power relation hold
+MORPHISM_ALGEBRAS = [
+    lambda: build_truncated_polynomial(field(3), [3, 3]),
+    lambda: build_truncated_polynomial(field(3), [9]),
+    lambda: build_truncated_polynomial(field(2), [2, 2, 2]),
+    lambda: build_truncated_polynomial(field(2), [4, 4]),
+    lambda: build_truncated_polynomial(field(2, 2), [2, 2]),
+    lambda: build_heisenberg(field(3)),
+    lambda: build_heisenberg(field(5)),
+]
+
+
+def random_automorphism(A, draw):
+    """g ↦ unit·g + higher terms: any degree >= 2 combination on a
+    truncated polynomial algebra, c·z on x and y of H (z ↦ ab·z)."""
+    F = A.field
+    unit = st.integers(1, F.q - 1)
+    if A.kind == "heisenberg":
+        y, z, x = A.generators()
+        a, b, c, e = draw(unit), draw(unit), draw(st.integers(0, F.q - 1)), draw(st.integers(0, F.q - 1))
+        return AlgebraMorphism(A, A, [b * y + e * z, F.mul(a, b) * z, a * x + c * z])
+    higher = [i for i, e in enumerate(A.basis_exps) if sum(e) >= 2]
+    images = []
+    for g in A.generators():
+        vec = g.vec * draw(unit)
+        for i in draw(st.lists(st.sampled_from(higher), max_size=3)) if higher else []:
+            vec[i] = F.add(int(vec[i]), draw(unit))
+        images.append(A.element(vec))
+    return AlgebraMorphism(A, A, images)
+
+
+def reference_action(M, i):
+    """ρ(b_i) as the product of the generator actions' powers, in the order
+    of the exponent tuple."""
+    out = Matrix.identity(M.algebra.field, M.dim)
+    for g, e in enumerate(M.algebra.basis_exps[i]):
+        out = out @ matrix_pow(M.actions[g], e)
+    return out
 
 
 def random_matrix(F, rows, cols, rng):

@@ -44,6 +44,7 @@ import warnings
 
 import numpy as np
 
+from .fields import randbelow
 from .matrices import Matrix, MatrixError, _INT
 
 GEN_NAMES = ("x", "y", "z", "u", "v", "s", "r")
@@ -448,9 +449,8 @@ class AlgebraPresentation:
         """``_check_triples`` on ASSOC_SAMPLES triples drawn from
         ASSOC_SEED.  Sampled because the exact set of triples (b_i, b_j, g)
         numbers dim²·#generators, about 48.8 M for u(heis_2) at p = 5."""
-        rng = random.Random(ASSOC_SEED)
-        self._check_triples(*np.array([rng.randrange(self.dim) for _ in range(3 * ASSOC_SAMPLES)])
-                            .reshape(-1, 3).T)
+        draws = randbelow(random.Random(ASSOC_SEED), self.dim, 3 * ASSOC_SAMPLES)
+        self._check_triples(*draws.reshape(-1, 3).T)
 
     # -- misc ------------------------------------------------------------------------
 

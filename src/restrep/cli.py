@@ -128,14 +128,22 @@ def scenario_witt(args):
         ["lie_primitive", "witt_G2", "witt_Zp2"]
     deltas = [named_structure(A, n) for n in names]
     blocks = {i: jordan_block_module(A, i) for i in range(1, p ** r + 1)}
+    # J_j⊗J_i is J_i⊗J_j conjugated by the swap (modules.swap_permutation),
+    # so row (j, i) is row (i, j) with i and j exchanged
+    computed = {}
     rows = []
     for i in range(1, p ** r + 1):
         for j in range(1, p ** r + 1):
+            if i > j:
+                rows.append(dict(computed.pop((j, i)), i=i, j=j))
+                continue
             types = [str(nilpotent_jordan_type(tensor(blocks[i], blocks[j], d).actions[0]))
                      for d in deltas]
             rows.append({"p": p, "r": r, "i": i, "j": j,
                          **{n: t for n, t in zip(names, types)},
                          "match": len(set(types)) == 1})
+            if i < j:
+                computed[i, j] = rows[-1]
     return rows, ("match",), None
 
 

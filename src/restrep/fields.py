@@ -313,3 +313,25 @@ def sampling_extension(base, dim):
     while base.p ** e <= 4 * dim:
         e += base.e
     return field(base.p, e)
+
+
+def randbelow(rng, n, count):
+    """``[rng.randrange(n) for _ in range(count)]`` as an index array, with
+    ``rng`` left in the same state; 1 <= n < 2^32.
+
+    ``randrange(n)`` keeps the top k = n.bit_length() bits of the
+    generator's next 32-bit word and draws again while that is >= n, so
+    its stream is the accepted words in order.  One ``getrandbits(32·need)``
+    call returns the next ``need`` words, little-endian; values >= n are
+    dropped and exactly the shortfall is drawn again, so no word past the
+    last accepted one is taken."""
+    k = n.bit_length()
+    if not 1 <= k <= 32:
+        raise ValueError(f"randbelow needs 1 <= n < 2^32, got {n}")
+    parts, need = [np.zeros(0, dtype=np.intp)], count
+    while need:
+        words = np.frombuffer(rng.getrandbits(32 * need).to_bytes(4 * need, "little"),
+                              dtype="<u4") >> (32 - k)
+        parts.append(words[words < n].astype(np.intp))
+        need -= len(parts[-1])
+    return np.concatenate(parts)

@@ -84,7 +84,7 @@ def paper_order_permutation(p, r):
 
 
 class HeisenbergScenario:
-    """All data for one (p, r): algebra, automorphism, module, matrices."""
+    """All data for one (p, r): algebra, module, matrices."""
 
     def __init__(self, p, r):
         if p == 2 or not (1 <= r <= p):
@@ -93,9 +93,7 @@ class HeisenbergScenario:
         self.F = field(p)
         self.algebra = build_heisenberg(self.F)
         A = self.algebra
-        y, z, x = A.generator("y"), A.generator("z"), A.generator("x")
-        self.yz_term = A.multiply(y, z).pow(p - 1)
-        self.phi = AlgebraMorphism.from_gen_map(A, {"x": x + self.yz_term})
+        self.yz_term = A.multiply(A.generator("y"), A.generator("z")).pow(p - 1)
         self.L = block_L(self.F, r)
         self.O = block_O(self.F, r)
         self.X = self.L + self.O   # L_r + O_r, its rank chain memoized once
@@ -193,15 +191,21 @@ def rank_table(p, use_scenarios=False):
     Mismatches are flagged, not hidden: the published square-rank cases
     for 3 <= r < p disagree with the matrices (both construction paths
     agree with each other), so those rows carry match=False against the
-    published value and match=True against the derived one.  rank(X) and
-    rank(X²) are read from X's rank chain (the scenario's, already formed).
+    published value and match=True against the derived one.  With the
+    scenarios, rank(X) and rank(X²) are read from X's rank chain, already
+    formed; without, rank(X²) is the rank of one product, the echelon rows
+    of X's row space times X, whose rows span the row space of X².
     """
     F = field(p)
     rows = []
     for r in range(1, p + 1):
         X = HeisenbergScenario(p, r).X if use_scenarios else block_L(F, r) + block_O(F, r)
         dim = r * p * p
-        rank, rank2 = (rank_chain(X) + (0,))[1:3]
+        if use_scenarios:
+            rank, rank2 = (rank_chain(X) + (0,))[1:3]
+        else:
+            rank = X.rank()
+            rank2 = (Matrix(F, X._echelon, copy=False) @ X).rank()
         nullity = dim - rank
         tau = dim - 2 * rank + rank2
         rows.append({

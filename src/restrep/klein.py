@@ -19,6 +19,10 @@ s2·u_1 = 0 and s2·u_i = s1·u_{i-1}, so Hom(V_2m, M) is the kernel of one
 block system in the images of the u_i (``modules.hom_from_relations``).
 One elimination of that system at the largest m gives every dimension;
 the generic intertwiner solver cross-checks the H table.
+
+Every Δ is cocommutative, so the swap V_2m⊗V_2n → V_2n⊗V_2m is an
+isomorphism, and the product rows decompose each unordered pair once
+(``check_basev_formula``).
 """
 
 import numpy as np
@@ -27,10 +31,10 @@ from .algebra import build_truncated_polynomial
 from .fields import field, sampling_extension
 from .hopf import named_structure
 from .matrices import Matrix
-from .modules import (Representation, RepresentationError, direct_sum,
+from .modules import (Representation, RepresentationError, _check_intertwiner, direct_sum,
                       free_rank, hom_from_free, hom_from_relations, hom_space,
                       hom_space_from_sum, invertible_combination, regular_module,
-                      relation_system, tensor)
+                      relation_system, swap_permutation, tensor)
 from .pipoints import PointFamily, coord_label, nobility, normalize_coords
 
 WANG_STRUCTURES = ("lie_primitive", "wang_Ga2", "wang_Ga1xZp", "wang_ZpZp")
@@ -76,7 +80,12 @@ class BasevModule:
 
 
 class MultiplicityVector:
-    """Green-ring coordinates: a_n copies of V_2n plus c free summands."""
+    """Green-ring coordinates: a_n copies of V_2n plus c free summands.
+
+    ``certificate`` is ``(R, W)`` when ``decompose`` found the vector: the
+    rebuild R and an invertible intertwiner W from R to the module."""
+
+    certificate = None
 
     def __init__(self, a, c):
         self.a = {int(n): int(m) for n, m in a.items() if m}
@@ -112,6 +121,7 @@ class KleinContext:
         self.trials = trials
         self._structures = {}
         self._basev = {}          # (point, n, basis choice) -> BasevModule
+        self._swapped = {}        # (Δ, point, n, m), n < m -> its vector, until row (m, n)
         self._hom_table = None
 
     def structure(self, name):
@@ -260,8 +270,10 @@ class KleinContext:
         rebuilt, hom_solver = self.rebuild(coords, mv)
         if rebuilt.dim != M.dim:
             raise VerificationFailed("rebuild dimension mismatch")
-        if M.dim and not self._certify(rebuilt, M, hom_solver):
+        witness = self._certify(rebuilt, M, hom_solver)
+        if witness is None:
             raise VerificationFailed("no invertible intertwiner found for rebuild")
+        mv.certificate = (rebuilt, witness)
         return mv
 
     def rebuild(self, coords, mv):
@@ -280,14 +292,13 @@ class KleinContext:
         return rep, lambda N: hom_space_from_sum(parts, N, solvers)
 
     def _certify(self, R, M, hom_solver):
-        """Find an invertible intertwiner R -> M in the solver's Hom space,
-        with the context's trials and seed."""
+        """An invertible intertwiner R -> M in the solver's Hom space, found
+        with the context's trials and seed, or None."""
         space = hom_solver(M)
         if not space:
-            return False
+            return None
         K = sampling_extension(self.K, M.dim)
-        witness, _ = invertible_combination(space, R, M, K, self.trials, self.seed)
-        return witness is not None
+        return invertible_combination(space, R, M, K, self.trials, self.seed)[0]
 
     # -- the published product checks ------------------------------------------------
 
@@ -296,7 +307,14 @@ class KleinContext:
         return MultiplicityVector({lo: 2}, n * m - lo)
 
     def check_basev_formula(self, structure_name, coords, n, m):
-        """Tensor two indecomposables, decompose, compare with the noble formula."""
+        """Tensor two indecomposables, decompose, compare with the noble formula.
+
+        Row (n, m), n > m, transports row (m, n) once that is certified on
+        this context: V_2n⊗V_2m is V_2m⊗V_2n conjugated by the swap τ
+        (``swap_permutation``), so it has the same multiplicities, with the
+        same rebuild R and the witness τ·W.  τ·W is W with its rows
+        permuted, so invertible, and is checked as an intertwiner from R to
+        the new product.  Row (m, n)'s vector is kept until then."""
         delta = self.structure(structure_name) if isinstance(structure_name, str) \
             else structure_name
         coords = normalize_coords(self.K, coords)
@@ -315,7 +333,15 @@ class KleinContext:
             "s2_annihilates_product": T.act(vn.s2).is_zero(),
         }
         try:
-            mv = self.decompose(T, coords)
+            mv = self._swapped.pop((delta, coords, m, n), None)    # found only for n > m
+            if mv is None:
+                mv = self.decompose(T, coords)
+                if n < m:
+                    self._swapped[delta, coords, n, m] = mv
+            else:
+                R, W = mv.certificate
+                tau = swap_permutation(vm.rep, vn.rep)
+                _check_intertwiner(Matrix(W.field, W.a[tau], copy=False), R, T)
             report["computed"] = repr(mv)
             report["matches_noble_formula"] = (mv == expected)
         except KleinError as exc:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import (AlgebraError, AlgebraMorphism, base_change, build_heisenberg,
                       build_truncated_polynomial)
-from .fields import field_from_json, json_get, sampling_extension
+from .fields import field_from_json, json_get, randbelow, sampling_extension
 from .matrices import Matrix, NotNilpotent, _INT, _exact_float, nilpotent_jordan_type, rank_chain
 
 HOM_BYTE_BUDGET = 1 << 30   # peak bytes the generic intertwiner solve may allocate
@@ -193,6 +193,19 @@ def tensor(M, N, delta):
                for g in range(len(M.algebra.gen_names))]
     return Representation(M.algebra, actions,
                           label=f"({M.label})⊗({N.label})")
+
+
+def swap_permutation(M, N):
+    """The swap τ: M⊗N → N⊗M, m_i⊗n_j ↦ n_j⊗m_i, as an index array: row k
+    of τ·X is row ``perm[k]`` of X, so τ·ρ·τ⁻¹ is ρ[perm][:, perm].
+
+    τ is an isomorphism tensor(M, N, Δ) → tensor(N, M, Δ) for every Δ:
+    :func:`tensor` builds the action of g from the terms of Δ(g) alone,
+    and ``Comultiplication._verify_axioms`` refuses a Δ whose generator
+    images are not cocommutative, so each term b_i⊗b_j of Δ(g) has its
+    swap b_j⊗b_i with the same coefficient, and τ·ρ_{M⊗N}(g)·τ⁻¹ =
+    ρ_{N⊗M}(g) term by term."""
+    return np.arange(M.dim * N.dim).reshape(M.dim, N.dim).T.ravel()
 
 
 def restrict(M, phi):
@@ -601,7 +614,8 @@ def invertible_combination(space, source, target, K, trials, seed):
     over the extension K, or ``(None, trials)``.
 
     Each draw takes one ``randrange(K.q)`` per basis map, in basis order,
-    from ``random.Random(seed)``, so a seed replays the same combinations.
+    from ``random.Random(seed)`` (one ``randbelow`` call), so a seed
+    replays the same combinations.
     A combination is spun from its coefficients (``space.combine``), so no
     basis map is formed (only ``space.maps()`` forms them).  An invertible combination is returned only once
     W·ρ_source(g) = ρ_target(g)·W holds over K for every generator g, so
@@ -611,7 +625,7 @@ def invertible_combination(space, source, target, K, trials, seed):
     n = space.shape[0]
     rng = random.Random(seed)
     for t in range(trials):
-        combo = space.combine([rng.randrange(K.q) for _ in range(len(space))], K)
+        combo = space.combine(randbelow(rng, K.q, len(space)), K)
         if combo.rank() == n:
             _check_intertwiner(combo, source, target)
             return combo, t + 1

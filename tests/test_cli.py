@@ -37,6 +37,30 @@ def test_witt_scenarios_agree():
                    for row in data["rows"])
 
 
+@pytest.mark.parametrize("p,r", [(3, 1), (3, 2), (5, 1)])
+def test_witt_rows_equal_the_products_computed_directly(p, r):
+    # the scenario computes the pairs i <= j and reads (j, i) off (i, j)
+    from restrep.algebra import build_truncated_polynomial
+    from restrep.fields import field
+    from restrep.hopf import named_structure
+    from restrep.matrices import nilpotent_jordan_type
+    from restrep.modules import jordan_block_module, tensor
+    code, out, _ = run_cli(["witt", "--p", str(p), "--r", str(r), "--format", "json"])
+    assert code == 0
+    A = build_truncated_polynomial(field(p), [p ** r], names=("x",))
+    names = ["lie_primitive", "oorttate_Zp"] if r == 1 else \
+        ["lie_primitive", "witt_G2", "witt_Zp2"]
+    deltas = [named_structure(A, n) for n in names]
+    J = {i: jordan_block_module(A, i) for i in range(1, p ** r + 1)}
+    expect = []
+    for i in J:
+        for j in J:
+            types = [str(nilpotent_jordan_type(tensor(J[i], J[j], d).actions[0])) for d in deltas]
+            expect.append({"p": p, "r": r, "i": i, "j": j, **dict(zip(names, types)),
+                           "match": len(set(types)) == 1})
+    assert json.loads(out)["rows"] == expect
+
+
 def test_witt_identity_blocks():
     code, out, _ = run_cli(["witt", "--p", "3", "--r", "1", "--format", "json"])
     data = json.loads(out)
@@ -377,6 +401,8 @@ GOLDEN = {
         "b043e3d88df6145f95831379c1d8362636b04a1f6041a7f5abef37a005ad034e",
     ("abelian-wild", "--p", "5", "--format", "json"):
         "f31cba99c8f729884a683089ab3ec1cd77573df866157e57b5db915adb0b374b",
+    ("klein", "--format", "csv"):
+        "b7351137f15a37d67c80e4737f1081bb4ad3714490594a26b5a501ba3e49b01f",
 }
 GOLDEN_SUPPORT = "b2dfbc84ae6b045ecd6ce70c88b5bc23a9694520592256db98aa279a05b4f6db"
 

@@ -2,12 +2,15 @@
 
 import gc
 import hashlib
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from restrep.fields import FieldError, FieldSpec, _find_modulus, _is_prime, field, sampling_extension
+from restrep.fields import (FieldError, FieldSpec, _find_modulus, _is_prime, field, randbelow,
+                            sampling_extension)
 from testkit import parse, poly_mulmod, smallest_irreducible
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 4), (5, 2)]
@@ -201,3 +204,24 @@ def test_table_build_peak_is_at_most_twice_the_kept_tables(p, e):
         tracemalloc.stop()
     kept = sum(v.nbytes for v in vars(F).values() if isinstance(v, np.ndarray))
     assert peak <= 2 * kept, (peak, kept)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.just(1), st.integers(1, 31).map(lambda k: 1 << k),
+                 st.integers(0, (1 << 31) - 1).map(lambda k: 2 * k + 1)),
+       st.integers(0, 2 ** 32), st.lists(st.integers(0, 300), min_size=1, max_size=3))
+def test_randbelow_is_the_randrange_stream(n, seed, counts):
+    # batch after batch, the draws and the generator's state after them are
+    # those of a randrange loop, and so is the next random()
+    bulk, loop = random.Random(seed), random.Random(seed)
+    for count in counts:
+        got = randbelow(bulk, n, count)
+        assert got.tolist() == [loop.randrange(n) for _ in range(count)]
+        assert bulk.getstate() == loop.getstate()
+    assert bulk.random() == loop.random()
+
+
+def test_randbelow_refuses_n_outside_one_word():
+    for n in (0, 1 << 32):
+        with pytest.raises(ValueError, match="1 <= n < 2"):
+            randbelow(random.Random(0), n, 1)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from restrep.algebra import AlgebraMorphism
 from restrep.fields import FieldError, field
 from restrep.heisenberg import (HeisenbergScenario, HypothesisNotMet,
                                 block_F, block_L, block_M, block_O, cgm_check,
@@ -56,7 +57,14 @@ def test_automorphism_inverse_shape():
     sc = HeisenbergScenario(3, 1)
     A = sc.algebra
     xi = A.gen_names.index("x")
-    assert sc.phi.invert().images[xi] == A.generator("x") - sc.yz_term
+    phi = AlgebraMorphism.from_gen_map(A, {"x": A.generator("x") + sc.yz_term})
+    assert phi.invert().images[xi] == A.generator("x") - sc.yz_term
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_rank_table_reads_the_same_ranks_on_both_paths(p):
+    # rank(X²) from one product without the scenarios, from X's chain with them
+    assert rank_table(p) == rank_table(p, use_scenarios=True)
 
 
 def test_rank_table_p3_fully_published():

@@ -10,7 +10,7 @@ from restrep.klein import (BadSupport, DegenerateBasis, KleinContext, KleinError
                            MultiplicityVector, PointNotIgnoble,
                            VerificationFailed, WANG_STRUCTURES)
 from restrep.matrices import Matrix, nilpotent_jordan_type
-from restrep.modules import (HomSpace, direct_sum, free_rank, hom_space,
+from restrep.modules import (HomSpace, NotAnIntertwiner, direct_sum, free_rank, hom_space,
                              induce_trivial, iso_test, tensor)
 from testkit import conjugate, random_invertible
 
@@ -230,6 +230,37 @@ def test_check_basev_formula_noble(ctx):
     assert rep["noble"] and rep["match"] and rep["computed"] == "2V6 + 6P"
     rep = ctx.check_basev_formula("lie_primitive", (0, 1), 2, 2)
     assert rep["computed"] == "2V4 + 2P" and rep["match"]
+
+
+def test_transported_rows_equal_rows_computed_in_full(monkeypatch):
+    # in report order each row (n, m), n > m, transports row (m, n); a fresh
+    # context that runs only those rows has nothing to transport
+    decomposed = []
+    decompose = KleinContext.decompose
+    monkeypatch.setattr(KleinContext, "decompose",
+                        lambda self, *a: decomposed.append(self) or decompose(self, *a))
+    ctx, fresh = KleinContext(ext_degree=2), KleinContext(ext_degree=2)
+    cases = [(name, pt.coords) for name in WANG_STRUCTURES for pt in ctx.family]
+    rows = {(name, coords, n, m): ctx.check_basev_formula(name, coords, n, m)
+            for name, coords in cases for n in range(1, 5) for m in range(1, 5)}
+    assert decomposed.count(ctx) == len(cases) * 10 and not ctx._swapped
+    for name, coords in cases:
+        for n, m in itertools.combinations(range(1, 5), 2):
+            assert fresh.check_basev_formula(name, coords, m, n) == rows[name, coords, m, n]
+    assert decomposed.count(fresh) == len(cases) * 6
+
+
+def test_transport_refuses_a_corrupted_witness():
+    ctx = KleinContext(ext_degree=2)
+    ctx.check_basev_formula("lie_primitive", (2, 1), 1, 2)
+    (mv,) = ctx._swapped.values()
+    R, W = mv.certificate
+    rows = np.arange(W.rows)
+    rows[[0, 1]] = rows[[1, 0]]
+    mv.certificate = (R, Matrix(W.field, W.a[rows]))
+    with pytest.raises(NotAnIntertwiner, match="witness fails"):
+        ctx.check_basev_formula("lie_primitive", (2, 1), 2, 1)
+    assert not ctx._swapped
 
 
 def test_pb_witnesses(ctx):

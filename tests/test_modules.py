@@ -19,8 +19,8 @@ from restrep.modules import (HomSpace, HomTooLarge, NotAnIntertwiner, NotFreeBas
                              hom_from_relations, hom_space, hom_space_from_sum,
                              induce, induce_trivial, iso_test,
                              jordan_block_module, pbw_cosets, regular_module,
-                             rep_from_json, restrict, tensor, trivial_module,
-                             twist_module)
+                             rep_from_json, restrict, swap_permutation, tensor,
+                             trivial_module, twist_module)
 from testkit import (MORPHISM_ALGEBRAS, conjugate, dim_hom, random_automorphism, random_invertible,
                      reference_action)
 
@@ -111,6 +111,44 @@ def test_tensor_jordan_products_over_chain():
     assert jt.parts == (3, 1)
     jt = nilpotent_jordan_type(tensor(J[1], J[2], lie).actions[0])
     assert jt.parts == (2,)
+
+
+# every named Klein structure over GF(2) and GF(4), and every Witt one at
+# r = 1 (p = 2, 3, 5) and r = 2 (p = 2, 3)
+SWAP_CASES = ([((F, [2, 2]), name) for F in (field(2), field(2, 2))
+               for name in ("lie_primitive", "wang_Ga2", "wang_Ga1xZp", "wang_ZpZp")]
+              + [((field(p), [p]), name) for p in (2, 3, 5)
+                 for name in ("lie_primitive", "oorttate_Zp")]
+              + [((field(p), [p * p]), name) for p in (2, 3)
+                 for name in ("lie_primitive", "witt_G2", "witt_Zp2")])
+
+
+def random_module(A, draw):
+    """A direct sum of up to three small modules in a random basis: Jordan
+    blocks over k[x]/x^b, and k, A and cyclic modules A/A·s over k[x,y]."""
+    if len(A.gen_names) == 1:
+        parts = [jordan_block_module(A, i)
+                 for i in draw(st.lists(st.integers(1, min(A.dim, 5)), min_size=1, max_size=3))]
+    else:
+        x, y = A.generators()
+        pool = [lambda: trivial_module(A), lambda: regular_module(A),
+                lambda: induce_trivial(A, x), lambda: induce_trivial(A, y),
+                lambda: induce_trivial(A, x + y)]
+        parts = [pool[i]() for i in draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))]
+    M = direct_sum(parts)
+    return conjugate(M, random_invertible(A.field, M.dim, random.Random(draw(st.integers(0, 99)))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SWAP_CASES), st.data())
+def test_swap_permutation_conjugates_the_tensor_onto_the_swapped_tensor(case, data):
+    (F, bounds), name = case
+    A = build_truncated_polynomial(F, bounds, names=("x", "y")[:len(bounds)])
+    delta = named_structure(A, name)
+    M, N = random_module(A, data.draw), random_module(A, data.draw)
+    tau = swap_permutation(M, N)
+    for MN, NM in zip(tensor(M, N, delta).actions, tensor(N, M, delta).actions):
+        assert np.array_equal(MN.a[np.ix_(tau, tau)], NM.a)
 
 
 def cyclic_jordan_oracle(p, i, j):

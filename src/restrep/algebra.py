@@ -113,10 +113,15 @@ class AlgebraElement:
     __rmul__ = __mul__
 
     def pow(self, n):
-        out = self.algebra.one()
-        for _ in range(n):
-            out = out @ self
-        return out
+        """self^n by repeated squaring: at most 2·log2(n) products."""
+        out, square = None, self
+        while n > 0:
+            if n & 1:
+                out = square if out is None else out @ square
+            n >>= 1
+            if n:
+                square = square @ square
+        return self.algebra.one() if out is None else out
 
     def counit(self):
         return int(self.vec[self.algebra.identity_index])

@@ -29,7 +29,7 @@ from .modules import (HomSpace, Representation, RepresentationError, direct_sum,
                       hom_from_cyclic, hom_space, hom_space_from_sum, induce,
                       induce_trivial, iso_test, jordan_block_module,
                       pbw_cosets, restrict, tensor)
-from .pipoints import PointFamily, is_isotropy
+from .pipoints import PiPoint, PointFamily, is_isotropy
 
 
 class CrossCheckFailed(RepresentationError):
@@ -294,7 +294,8 @@ def cgm_check(p):
 
 
 def heis_support_scan(p):
-    """Restriction Jordan types of V_1 along every direction over GF(p).
+    """Restriction Jordan types of V_1 over P^2(GF(p)), read from one
+    family scan.
 
     Confirms the support of V_1 is exactly the x-line: the z and y
     directions (and every other one) restrict freely.  Flatness of the
@@ -306,21 +307,12 @@ def heis_support_scan(p):
     A, V = sc.algebra, sc.V
     fam = PointFamily(A, ext_degree=1, check_flat=(p <= 3))
     if p > 3:
-        from .pipoints import PiPoint
         PiPoint(A, A.generator("x"), coords=(0, 0, 1), check_flat=True)
-    detected = []
-    z_free = y_free = None
-    for pt in fam:
-        jt = pt.restriction_jordan(V)
-        if not jt.is_free(p):
-            detected.append(pt.label)
-        if pt.coords == (0, 1, 0):
-            z_free = jt.is_free(p)
-        if pt.coords == (1, 0, 0):
-            y_free = jt.is_free(p)
-    x_label = "[0:0:1]"
-    return {"detected": detected, "support_is_x_line": detected == [x_label],
-            "z_direction_free": z_free, "y_direction_free": y_free}
+    free = {label: jt.is_free(p) for label, jt in fam.jordan_types(V).items()}
+    detected = [label for label, f in free.items() if not f]
+    return {"detected": detected, "support_is_x_line": detected == ["[0:0:1]"],
+            "z_direction_free": free[fam.point((0, 1, 0)).label],
+            "y_direction_free": free[fam.point((1, 0, 0)).label]}
 
 
 def index_scaling_check(p=3):

@@ -19,17 +19,23 @@ rows, reordered (Van Loan & Pitsianis, 1993; see :meth:`Matrix.kron`).
 Elimination runs in batched-pivot rounds (see :func:`_eliminate`): each
 unowned leading column is owned by the lowest row leading there, every
 other row is reduced by the owner of its lead in one update per round,
-and rounds end when the leads are distinct.  The reduced echelon form,
-its pivot columns and the nullspace basis derived from it are canonical.
-The echelon rows that ``rank()`` keeps span the row space with distinct
-leading columns and leading 1s, but which rows they are depends on which
-row owned each pivot.
+and rounds end when the leads are distinct.  The same rounds reduce a
+stack (b, r, c) of same-shape matrices at once, a pivot being owned per
+(member, column), and give each member what its own call would; a 2-D
+array is a stack of one.  The reduced echelon form, its pivot columns
+and the nullspace basis derived from it are canonical.  The echelon
+rows that ``rank()`` keeps span the row space with distinct leading
+columns and leading 1s, but which rows they are depends on which row
+owned each pivot.
 
 Jordan types are read off the rank chain (n, rank m, rank m^2, ..., 0).
 Short chains take one product and one elimination per power; a chain
 that must have at least ⌈n/κ⌉ >= 8 steps (κ = n - rank m, n >= 40) takes
 the kernel ladder, which grows ker m ⊂ ker m^2 ⊂ ... from one
-elimination of [m | I] (see :func:`rank_chain`).
+elimination of [m | I] (see :func:`rank_chain`).  :func:`rank_chains`
+runs the short chains of many same-shape matrices together: one stacked
+elimination and one stacked product per step, with :func:`chain_bytes`
+bounding its memory per member.
 """
 
 import functools
@@ -50,7 +56,12 @@ class FieldMismatch(MatrixError):
 
 
 class NotNilpotent(MatrixError):
-    pass
+    """A matrix is not nilpotent; ``member`` is its index in the list given
+    to :func:`rank_chains`, None for a single matrix."""
+
+    def __init__(self, member=None):
+        super().__init__("matrix is not nilpotent")
+        self.member = member
 
 
 def _exact_float(p, inner):
@@ -169,22 +180,7 @@ class Matrix:
         self._check(other)
         if self.cols != other.rows:
             raise MatrixError("inner dimensions differ")
-        F = self.field
-        p, e = F.p, F.e
-        r, k, c = self.rows, self.cols, other.cols
-        flt, intg = _exact_float(p, e * k)
-        if e == 1:
-            prod = (self.a.astype(flt) @ other.a.astype(flt)).astype(intg)
-            return Matrix(F, _mod(prod, p).astype(_INT), copy=False)
-        # a·b = Σ_i a_i (w^i b): the digits of self, r x (k·e), times the
-        # digits of w^i·b, (k·e) x (c·e), give the digits of the product;
-        # both operands are single takes in their final layout, the right
-        # one of rows i·q + b over a (k, e, c) index grid
-        digits, shifted, offsets, place = _plane_tables(F, flt)
-        da = digits[self.a].reshape(r, k * e)
-        db = np.take(shifted, other.a[:, None, :] + offsets, axis=0).reshape(k * e, c * e)
-        prod = _mod((da @ db).astype(intg), p).reshape(r, c, e)
-        return Matrix(F, (prod @ place).astype(_INT), copy=False)
+        return Matrix(self.field, _product(self.field, self.a, other.a), copy=False)
 
     def transpose(self):
         return Matrix(self.field, self.a.T)
@@ -319,6 +315,26 @@ def _mod(x, p):
     return x
 
 
+def _product(F, a, b):
+    """a @ b over F for int16 arrays: two matrices, or two stacks of them
+    multiplied member by member."""
+    p, e = F.p, F.e
+    k = a.shape[-1]
+    flt, intg = _exact_float(p, e * k)
+    if e == 1:
+        return _mod((a.astype(flt) @ b.astype(flt)).astype(intg), p).astype(_INT)
+    # a·b = Σ_i a_i (w^i b): the digits of a, r x (k·e), times the digits of
+    # w^i·b, (k·e) x (c·e), give the digits of the product; both operands
+    # are single takes in their final layout, the right one of rows i·q + b
+    # over a (k, e, c) index grid
+    c = b.shape[-1]
+    digits, shifted, offsets, place = _plane_tables(F, flt)
+    da = digits[a].reshape(a.shape[:-1] + (k * e,))
+    db = np.take(shifted, b[..., :, None, :] + offsets, axis=0)
+    prod = _mod((da @ db.reshape(b.shape[:-2] + (k * e, c * e))).astype(intg), p)
+    return (prod.reshape(a.shape[:-1] + (c, e)) @ place).astype(_INT)
+
+
 def _axpy(F, X, f, Y):
     """Rows X - f·Y over F, one factor per row of X (Y may be one row).
 
@@ -347,62 +363,86 @@ def _kernel(F, R, pcols, cols):
 def _eliminate(F, A, reduced):
     """Bring the int16 array A to row echelon form in place, by rounds.
 
-    A round gives each unowned leading column to the lowest row that leads
-    there, scaled to a leading 1; every other row is reduced by the owner
-    of its leading column, all in one update over the columns from the
-    smallest such lead on, and only those rows get their leads recomputed.
-    Rounds end when the leads are distinct.  With ``reduced`` the pivot
-    columns with entries above their pivot are then cleared, last column
-    first (a column clean after the rounds stays clean).  Returns (pivot
-    rows of A, pivot columns), by increasing column; every other row of A
-    ends zero.
+    A is one matrix (r, c) or a stack (b, r, c) of them, each member
+    eliminated on its own: rows are numbered through the stack, as rows of
+    A.reshape(b·r, c), and a pivot is owned per (member, column), under the
+    key m·c + column.  A round gives each unowned key to the lowest row
+    that leads there, scaled to a leading 1; every other row is reduced by
+    the owner of its key, all in one update over the columns from the
+    smallest lead in the stack on, and only those rows get their leads
+    recomputed.  Rounds end when the keys are distinct.  A member's rows
+    see exactly the rounds of its own 2-D call, and a stack of one keys by
+    column alone.  With ``reduced`` each member's pivot columns with entries
+    above their pivot are then cleared, last column first (a column clean
+    after the rounds stays clean).  Returns (pivot rows, pivot keys), by
+    increasing key (a 2-D A's keys are its pivot columns); every other row
+    of A ends zero.
     """
-    cols = A.shape[1]
-    owner = np.full(cols, -1, dtype=np.intp)
-    if cols:
-        keep, lead = _leads(A)
+    if A.ndim == 2:
+        b, c, X, base = 1, A.shape[1], A, None
+    else:
+        b, r, c = A.shape
+        X = A.reshape(b * r, c)
+        base = np.repeat(np.arange(0, b * c, c), r) if b > 1 else None   # m·c of each row
+    owner = np.full(b * c, -1, dtype=np.intp)
+    if c:
+        keep, lead = _leads(X)
         active = keep.nonzero()[0]
     else:
         active = lead = owner
     while len(active):
-        src = owner[lead]
+        key = lead if base is None else base[active] + lead
+        src = owner[key]
         fresh = src < 0
         if fresh.any():
-            # the lowest row at each unowned lead owns it (duplicate leads
+            # the lowest row at each unowned key owns it (duplicate keys
             # are settled by a minimum, not by the order of the writes)
             fa, fl = active[fresh], lead[fresh]
-            owner[fl] = fa
-            won = owner[fl] == fa
+            fk = fl if base is None else key[fresh]
+            owner[fk] = fa
+            won = owner[fk] == fa
             if not won.all():
-                np.minimum.at(owner, fl, fa)
-                won = owner[fl] == fa
+                np.minimum.at(owner, fk, fa)
+                won = owner[fk] == fa
             fa, fl = fa[won], fl[won]
-            head = A[fa, fl]
+            head = X[fa, fl]
             scale = (head != 1).nonzero()[0]
             if len(scale):
                 rs = fa[scale]
-                A[rs] = F.MUL[F.INV[head[scale]][:, None], A[rs]]
-            src = owner[lead]
+                X[rs] = F.MUL[F.INV[head[scale]][:, None], X[rs]]
+            src = owner[key]
             move = src != active
             active, lead, src = active[move], lead[move], src[move]
             if not len(active):
                 break
         c0 = lead.min()
-        f = A[active, lead]
-        block = _axpy(F, A[active, c0:], f, A[src, c0:])
-        A[active, c0:] = block
+        f = X[active, lead]
+        block = _axpy(F, X[active, c0:], f, X[src, c0:])
+        X[active, c0:] = block
         keep, lead = _leads(block)
         active, lead = active[keep], lead + c0
-    pcols = (owner >= 0).nonzero()[0]
-    prow = owner[pcols]
-    if reduced and len(prow) > 1:
-        U = A[prow[:, None], pcols]
+    keys = (owner >= 0).nonzero()[0]
+    prow = owner[keys]
+    if reduced and b == 1:
+        _clear_above(F, X, prow, keys)
+    elif reduced:
+        cuts = np.searchsorted(keys, np.arange(b + 1) * c)
+        for m in range(b):
+            lo, hi = cuts[m], cuts[m + 1]
+            _clear_above(F, X, prow[lo:hi], keys[lo:hi] - m * c)
+    return prow, keys
+
+
+def _clear_above(F, X, prow, pcols):
+    """Clear the entries above the pivots (rows ``prow`` of X, leading 1s
+    at ``pcols``, by increasing column), last column first."""
+    if len(prow) > 1:
+        U = X[prow[:, None], pcols]
         if np.count_nonzero(U) > len(prow):
             for j in (np.count_nonzero(U, axis=0) > 1).nonzero()[0][::-1]:
                 above = U[:j, j].nonzero()[0]
                 rs, c = prow[above], pcols[j]
-                A[rs, c:] = _axpy(F, A[rs, c:], U[above, j], A[prow[j], c:][None, :])
-    return prow, pcols
+                X[rs, c:] = _axpy(F, X[rs, c:], U[above, j], X[prow[j], c:][None, :])
 
 
 class JordanType:
@@ -412,6 +452,18 @@ class JordanType:
 
     def __init__(self, parts):
         self.parts = tuple(sorted(parts, reverse=True))
+
+    @classmethod
+    def of_chain(cls, chain):
+        """The partition with #{parts >= s} = rank(m^{s-1}) - rank(m^s), from
+        a rank chain (n, rank m, rank m^2, ..., 0)."""
+        ranks = tuple(chain) + (0,)
+        parts = []
+        for s in range(1, len(ranks) - 1):
+            ge_s = ranks[s - 1] - ranks[s]
+            ge_s1 = ranks[s] - ranks[s + 1]
+            parts.extend([s] * (ge_s - ge_s1))
+        return cls(parts)
 
     @property
     def dimension(self):
@@ -480,11 +532,15 @@ def rank_chain(m):
     if not m.is_square():
         raise MatrixError("rank chain of a non-square matrix")
     if m._rank_chain is None:
-        n = m.rows
-        kappa = n - (0 if m.is_zero() else m.rank())
-        ladder = kappa and n >= LADDER_MIN_DIM and -(-n // kappa) >= LADDER_MIN_STEPS
+        ladder = _takes_ladder(m.rows, 0 if m.is_zero() else m.rank())
         m._rank_chain = _ladder_chain(m) if ladder else _step_chain(m)
     return m._rank_chain
+
+
+def _takes_ladder(n, rank):
+    """Whether an n×n matrix of this rank takes the kernel ladder."""
+    kappa = n - rank
+    return bool(kappa) and n >= LADDER_MIN_DIM and -(-n // kappa) >= LADDER_MIN_STEPS
 
 
 def _step_chain(m):
@@ -498,11 +554,103 @@ def _step_chain(m):
     while chain[-1]:
         r = 0 if step.is_zero() else step.rank()
         if r == chain[-1]:
-            raise NotNilpotent("matrix is not nilpotent")
+            raise NotNilpotent()
         chain.append(r)
         if r:
             step = Matrix(m.field, step._echelon, copy=False) @ m
     return tuple(chain)
+
+
+def rank_chains(mats):
+    """:func:`rank_chain` of each of ``mats``, square matrices of one shape
+    over one field, as a list: the step loop run on all of them at once.
+
+    A step ranks the stack of the members' current row spaces in one
+    :func:`_eliminate` and multiplies the stack of their echelon rows,
+    padded with zero rows to the largest rank, by the stack of the members
+    in one product; a member leaves the batch when its rank reaches 0.  A
+    member whose first elimination sends it to the kernel ladder under
+    :func:`rank_chain`'s rule runs alone there.  Each chain, and the
+    echelon rows of the member's rank, is memoized on its matrix, and a
+    memoized chain is not recomputed.  NotNilpotent names the first member
+    found not nilpotent; :func:`chain_bytes` bounds the memory per member.
+    """
+    todo = [i for i, m in enumerate(mats) if m._rank_chain is None]
+    if todo:
+        F, shape = mats[todo[0]].field, mats[todo[0]].shape
+        if any(mats[i].field != F or mats[i].shape != shape for i in todo):
+            raise MatrixError("rank chains of matrices of different fields or shapes")
+        if shape[0] != shape[1]:
+            raise MatrixError("rank chain of a non-square matrix")
+        _batch_chains(F, shape[0], [mats[i] for i in todo], todo)
+    return [m._rank_chain for m in mats]
+
+
+def _batch_chains(F, n, mats, names):
+    """Memoize the rank chains of ``mats`` (n×n, none memoized yet);
+    ``names`` are their indices for NotNilpotent."""
+    if not n:
+        for m in mats:
+            m._rank_chain = (0,)
+        return
+    M = np.stack([m.a for m in mats])
+    E = _stack_echelons(F, M.copy())
+    for m, e in zip(mats, E):
+        if m._echelon is None:
+            m._echelon = e
+    step = []
+    for t, (m, e) in enumerate(zip(mats, E)):
+        if not _takes_ladder(n, len(e)):
+            step.append(t)
+            continue
+        try:
+            m._rank_chain = _ladder_chain(m)
+        except NotNilpotent:
+            raise NotNilpotent(names[t]) from None
+    chains = {t: [n] for t in step}
+    E = [E[t] for t in step]
+    if len(step) < len(mats):
+        M = M[step]
+    while True:
+        for t, e in zip(step, E):
+            if len(e) == chains[t][-1]:
+                raise NotNilpotent(names[t])
+            chains[t].append(len(e))
+            if not len(e):
+                mats[t]._rank_chain = tuple(chains[t])
+        go = [k for k, e in enumerate(E) if len(e)]
+        if not go:
+            return
+        if len(go) < len(step):
+            step, E, M = [step[k] for k in go], [E[k] for k in go], M[go]
+        P = np.zeros((len(step), max(map(len, E)), n), dtype=_INT)
+        for k, e in enumerate(E):
+            P[k, :len(e)] = e
+        E = _stack_echelons(F, _product(F, P, M))
+
+
+def _stack_echelons(F, S):
+    """The echelon rows of each member of the stack S (b, r, n), which is
+    reduced in place: a list of (rank, n) arrays."""
+    b, r, n = S.shape
+    prow, keys = _eliminate(F, S, reduced=False)
+    return np.split(S.reshape(b * r, n)[prow], np.searchsorted(keys, np.arange(n, b * n, n)))
+
+
+def chain_bytes(F, n):
+    """Peak bytes :func:`rank_chains` allocates per n×n member, counted per
+    entry.  Held throughout: the stack of the members, the product being
+    ranked, the padded echelon rows and the rows split off them, int16
+    (8).  On top, the larger of an elimination round (18: row gathers,
+    int32 temporaries and the intp indices numpy makes for table lookups)
+    and a product: over GF(p) the float factors and result (3f); over
+    GF(p^e) the float digit planes of both factors and of the result,
+    f·(e² + 2e), and their integer digits and take indices (8e); f is the
+    itemsize of the exact product's float dtype."""
+    e = F.e
+    f = np.dtype(_exact_float(F.p, e * n)[0]).itemsize
+    product = 3 * f if e == 1 else f * (e * e + 2 * e) + 8 * e
+    return (8 + max(18, product)) * n * n
 
 
 def _ladder_chain(m):
@@ -529,7 +677,7 @@ def _ladder_chain(m):
     piv = np.array([c for c in pivots if c < n], dtype=np.intp)
     r = len(piv)
     if r == n:
-        raise NotNilpotent("matrix is not nilpotent")
+        raise NotNilpotent()
     P = Matrix(F, R.a[:r, n:], copy=False)
     L = Matrix(F, R.a[r:, n:], copy=False)
     # lift = [P; L[:, piv]·P], so lift·Y holds both P·Y and L·(P·Y)
@@ -547,7 +695,7 @@ def _ladder_chain(m):
         free[cpiv] = False
         new = free[done:].nonzero()[0] + done
         if not len(new):
-            raise NotNilpotent("matrix is not nilpotent")
+            raise NotNilpotent()
         Y = K[:, new]
         if cpiv:
             comb = Matrix(F, K[:, cpiv], copy=False) @ Matrix(F, RC.a[:len(cpiv), new])
@@ -561,14 +709,6 @@ def _ladder_chain(m):
 
 
 def nilpotent_jordan_type(m):
-    """Partition with #{parts >= s} = rank(m^{s-1}) - rank(m^s).
-
-    Read off :func:`rank_chain`; raises NotNilpotent when m is not nilpotent.
-    """
-    ranks = rank_chain(m) + (0,)
-    parts = []
-    for s in range(1, len(ranks) - 1):
-        ge_s = ranks[s - 1] - ranks[s]
-        ge_s1 = ranks[s] - ranks[s + 1]
-        parts.extend([s] * (ge_s - ge_s1))
-    return JordanType(parts)
+    """The Jordan type of m read off :func:`rank_chain`; raises
+    NotNilpotent when m is not nilpotent."""
+    return JordanType.of_chain(rank_chain(m))

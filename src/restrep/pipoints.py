@@ -8,15 +8,20 @@ algebraic closure; every claim exercised here is rational over e = 2).
 Support of a module is the set of family points whose restriction is
 not free; equivalence and the automorphism action on points are decided
 through singleton-support test modules, the one-module trick that makes
-the equivalence relation computable in coordinates.
+the equivalence relation computable in coordinates.  A family reads the
+restriction Jordan types at all its points from batched rank chains
+(:func:`restrep.matrices.rank_chains`), in chunks of at most
+SCAN_BYTE_BUDGET stacked bytes.
 """
 
 import numpy as np
 
 from .algebra import (AlgebraError, base_change, morphism_to_field)
 from .fields import field
-from .matrices import nilpotent_jordan_type
+from .matrices import JordanType, chain_bytes, nilpotent_jordan_type, rank_chains
 from .modules import base_change_rep, induce_trivial
+
+SCAN_BYTE_BUDGET = 1 << 26   # peak bytes one stacked chunk of a point scan may allocate
 
 
 class PointError(AlgebraError):
@@ -24,10 +29,6 @@ class PointError(AlgebraError):
 
 
 class NotFlat(PointError):
-    pass
-
-
-class BadTestModule(PointError):
     pass
 
 
@@ -71,14 +72,6 @@ class PiPoint:
             jt = nilpotent_jordan_type(algebra_K.left_mult_matrix(image))
             if not jt.is_free(p):
                 raise NotFlat(f"free module restricts with Jordan type {jt}")
-
-    def restriction_jordan(self, M_K):
-        """Jordan type of the module pulled back along this point."""
-        return nilpotent_jordan_type(M_K.act(self.image))
-
-    def detects(self, M_K):
-        """True when the pullback of M_K is not free (the point supports M)."""
-        return not self.restriction_jordan(M_K).is_free(self.field.p)
 
     def __repr__(self):
         return f"PiPoint({self.label} on {self.algebra!r})"
@@ -152,6 +145,8 @@ class PointFamily:
         self._tests = {}
 
     def _enumerate(self):
+        """The points; with ``check_flat``, the regular module restricts
+        freely at each, checked on all of them in one scan."""
         A_K, K = self.A_K, self.K
         k = len(A_K.gen_names)
         pts = []
@@ -161,8 +156,26 @@ class PointFamily:
             for combo in np.ndindex(*([K.q] * frees)):
                 coords = tuple(int(c) for c in combo) + (1,) + (0,) * (k - last - 1)
                 pts.append(PiPoint(A_K, top_slice_image(A_K, coords), coords=coords,
-                                   check_flat=self.check_flat))
+                                   check_flat=False))
+        if self.check_flat:
+            types = self._scan(pts, lambda pt: A_K.left_mult_matrix(pt.image), A_K.dim)
+            for jt in types.values():
+                if not jt.is_free(K.p):
+                    raise NotFlat(f"free module restricts with Jordan type {jt}")
         return pts
+
+    def _scan(self, points, action, n):
+        """{label: Jordan type of the n×n matrix action(point)} for the
+        points, in order: one :func:`rank_chains` call per chunk of points,
+        each chunk as large as SCAN_BYTE_BUDGET allows (at least one
+        point), decided before any of its matrices is stacked."""
+        size = max(1, SCAN_BYTE_BUDGET // max(1, chain_bytes(self.K, n)))
+        out = {}
+        for lo in range(0, len(points), size):
+            chunk = points[lo:lo + size]
+            chains = rank_chains([action(pt) for pt in chunk])
+            out.update((pt.label, JordanType.of_chain(c)) for pt, c in zip(chunk, chains))
+        return out
 
     def __iter__(self):
         return iter(self.points)
@@ -177,10 +190,16 @@ class PointFamily:
         """Base change a module over the base algebra to the family field."""
         return M if M.algebra == self.A_K else base_change_rep(M, self.K)
 
-    def support(self, M):
+    def jordan_types(self, M):
+        """{label: Jordan type of M pulled back along the point}, for every
+        point in order, from one batched scan."""
         M_K = self.lift(M)
-        labels = [pt.label for pt in self.points if pt.detects(M_K)]
-        return SupportSet(labels, self.desc)
+        return self._scan(self.points, lambda pt: M_K.act(pt.image), M_K.dim)
+
+    def support(self, M):
+        p = self.K.p
+        return SupportSet([label for label, jt in self.jordan_types(M).items()
+                           if not jt.is_free(p)], self.desc)
 
     def test_module(self, label):
         """The induced singleton-support module detecting exactly this point."""
@@ -195,15 +214,13 @@ class PointFamily:
         """Which point class a (possibly non-flat) map detects, by test modules.
 
         The class of t ↦ image is the unique family point whose test
-        module pulls back non-freely along the image.
+        module pulls back non-freely along the image; the test modules have
+        one dimension, so their actions are scanned in one batch.
         """
-        det = []
         p = self.K.p
-        for pt in self.points:
-            T = self.test_module(pt.label)
-            jt = nilpotent_jordan_type(T.act(image_K))
-            if not jt.is_free(p):
-                det.append(pt.label)
+        n = self.test_module(self.points[0].label).dim
+        types = self._scan(self.points, lambda pt: self.test_module(pt.label).act(image_K), n)
+        det = [label for label, jt in types.items() if not jt.is_free(p)]
         if len(det) != 1:
             raise PointError(f"image detects {det!r}, not a single class")
         return det[0]
@@ -211,22 +228,6 @@ class PointFamily:
 
 def support(M, family):
     return family.support(M)
-
-
-def equivalent(alpha, beta, test_module, family):
-    """Point equivalence through a singleton-support test module.
-
-    Precondition: the test module is supported exactly at the class of
-    ``alpha`` (BadTestModule otherwise); the points are then equivalent
-    iff ``beta`` also restricts it non-freely.
-    """
-    supp = family.support(test_module)
-    if len(supp) != 1:
-        raise BadTestModule(f"test module has support {supp!r}, not a singleton")
-    T_K = family.lift(test_module)
-    if not alpha.detects(T_K):
-        raise BadTestModule("test module is not supported at the first point")
-    return beta.detects(T_K)
 
 
 def aut_action_on_point(phi, point, family):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from restrep.fields import FieldError, field
 from restrep.matrices import Matrix
 from restrep.algebra import (ASSOC_EXHAUSTIVE_DIM, ASSOC_SAMPLES, ASSOC_SEED, AlgebraError,
-                             AlgebraMorphism, AlgebraPresentation, InvalidBound,
+                             AlgebraElement, AlgebraMorphism, AlgebraPresentation, InvalidBound,
                              NotAugmented, NotInvertible,
                              base_change, build_abelian_restricted,
                              build_heisenberg, build_truncated_polynomial,
@@ -205,6 +205,20 @@ def test_kernel_matches_reference(name, raw, repeats):
     expect = [list(reference_straighten(A, A.basis_exps[i], A.basis_exps[j]).items())
               for i, j in pairs]
     assert kernel_rows(A, [i for i, _ in pairs], [j for _, j in pairs]) == expect
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(KERNEL_ALGEBRAS)), st.data())
+def test_pow_matches_the_repeated_product(name, data):
+    A = KERNEL_ALGEBRAS[name]()
+    q, p = A.field.q, A.field.p
+    a = AlgebraElement(A, data.draw(st.lists(st.integers(0, q - 1), min_size=A.dim,
+                                             max_size=A.dim)))
+    n = data.draw(st.integers(0, 2 * p))
+    expect = A.one()
+    for _ in range(n):
+        expect = expect @ a
+    assert a.pow(n) == expect
 
 
 def test_associativity_sampled_on_larger_builds():

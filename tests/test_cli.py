@@ -375,6 +375,10 @@ GOLDEN = {
         "1f70461ac5f1ab6c1c5f2967451497ace0c51e8e498518bdba04903da15a5714",
     ("cgm", "--p", "3", "--format", "json"):
         "307008a5cb4beaa42963de9118ce146198e73a915d47104f25671034025d1734",
+    ("cgm", "--p", "5", "--format", "json"):
+        "b36bae02b96443eb297fedabfa402199aac10d0de43446784c51926c4f70f9bb",
+    ("cgm", "--p", "7", "--format", "json"):
+        "0b4b6193c7e16e9876840879202227d94e2c481c3fa395ea428ec22993480214",
     ("witt", "--p", "3", "--r", "1", "--format", "json"):
         "c53c6b2c71b58ae9615a4fecfde371e24409363b241bb49920c4982442f8d927",
     ("witt", "--p", "3", "--r", "2", "--format", "json"):

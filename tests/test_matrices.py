@@ -10,8 +10,8 @@ from restrep.algebra import build_truncated_polynomial
 from restrep.fields import FieldError, field
 from restrep.hopf import named_structure
 from restrep.matrices import (FieldMismatch, JordanType, Matrix, MatrixError, NotNilpotent,
-                              _exact_float, _ladder_chain, _plane_tables, _step_chain,
-                              nilpotent_jordan_type, rank_chain)
+                              _eliminate, _exact_float, _ladder_chain, _plane_tables,
+                              _step_chain, nilpotent_jordan_type, rank_chain, rank_chains)
 from restrep.modules import jordan_block_module, tensor
 from testkit import matrix_pow, poly_mulmod, random_invertible, random_matrix
 
@@ -292,7 +292,7 @@ def reference_jordan_type(m):
     power = m
     while ranks[-1]:
         if len(ranks) > n:
-            raise NotNilpotent("matrix is not nilpotent")
+            raise NotNilpotent()
         ranks.append(power.rank())
         power = power @ m
     return jordan_type_of_chain(ranks)
@@ -389,6 +389,98 @@ def test_long_chains_take_the_ladder(monkeypatch):
     rank_chain(block_diagonal(F, [7] * 6))             # ⌈n/κ⌉ = 7: step loop
     rank_chain(Matrix.jordan_block(F, 39))             # n < 40: step loop
     assert taken == [40]
+
+
+# -- batched rank chains and stacked elimination -------------------------------------
+
+
+STACK_FIELDS = [field(2), field(2, 2), field(5), field(7), field(5, 2)]
+
+
+@st.composite
+def nilpotent_stacks(draw, fields=STACK_FIELDS):
+    """1-8 nilpotent n×n matrices over one field, each a random conjugate of
+    its own Jordan type, some of them zero."""
+    F = draw(st.sampled_from(fields))
+    n = draw(st.integers(1, 12))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    mats = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.integers(0, 5)) == 0:
+            mats.append(Matrix.zeros(F, n))
+            continue
+        parts = []
+        while sum(parts) < n:
+            parts.append(draw(st.integers(1, n - sum(parts))))
+        S = random_invertible(F, n, rng)
+        mats.append(S @ block_diagonal(F, parts) @ S.inverse())
+    return mats
+
+
+@settings(max_examples=60, deadline=None)
+@given(nilpotent_stacks())
+def test_rank_chains_match_rank_chain(mats):
+    expect = [rank_chain(Matrix(m.field, m.a)) for m in mats]
+    fresh = [Matrix(m.field, m.a) for m in mats]
+    assert rank_chains(fresh) == expect
+    # memoized on each member, echelon rows included, as rank_chain does
+    assert [m._rank_chain for m in fresh] == expect
+    assert [m.rank() for m in fresh] == [m.rank() for m in mats]
+
+
+@settings(max_examples=40, deadline=None)
+@given(nilpotent_stacks())
+def test_stacked_elimination_matches_each_member(mats):
+    F, n, b = mats[0].field, mats[0].rows, len(mats)
+    for reduced in (False, True):
+        S = np.stack([m.a for m in mats])
+        prow, keys = _eliminate(F, S, reduced=reduced)
+        rows = S.reshape(b * n, n)
+        for j, m in enumerate(mats):
+            A = m.a.copy()
+            prow1, pcols1 = _eliminate(F, A, reduced=reduced)
+            mine = keys // n == j
+            assert np.array_equal(keys[mine] - j * n, pcols1)
+            assert np.array_equal(prow[mine] - j * n, prow1)
+            assert np.array_equal(rows[prow[mine]], A[prow1])
+            assert not rows[j * n:(j + 1) * n][np.isin(np.arange(n), prow[mine] - j * n,
+                                                       invert=True)].any()
+        if reduced:
+            for j, m in enumerate(mats):
+                R, piv = m.rref()
+                assert np.array_equal(rows[prow[keys // n == j]], R.a[:len(piv)])
+
+
+def test_rank_chains_refuse_a_non_nilpotent_member():
+    F = field(5)
+    rng = random.Random(3)
+    mats = [block_diagonal(F, [3, 2]), Matrix.zeros(F, 5), random_invertible(F, 5, rng)]
+    with pytest.raises(NotNilpotent) as batch:
+        rank_chains(mats)
+    with pytest.raises(NotNilpotent) as single:
+        rank_chain(Matrix(F, mats[2].a))
+    assert str(batch.value) == str(single.value) == "matrix is not nilpotent"
+    assert batch.value.member == 2 and single.value.member is None
+    singular = np.pad(Matrix.jordan_block(F, 4).a, ((0, 1), (0, 1)))
+    singular[4, 4] = 1   # J4 + (1): the rank stops at 1
+    with pytest.raises(NotNilpotent) as late:
+        rank_chains([Matrix(F, singular), block_diagonal(F, [5])])
+    assert late.value.member == 0
+    with pytest.raises(MatrixError):
+        rank_chains([Matrix.zeros(F, 3), Matrix.zeros(F, 4)])
+
+
+def test_rank_chains_send_long_chains_to_the_ladder(monkeypatch):
+    from restrep import matrices
+    taken = []
+    ladder = matrices._ladder_chain
+    monkeypatch.setattr(matrices, "_ladder_chain", lambda m: taken.append(m) or ladder(m))
+    F = field(5)
+    long, short = Matrix.jordan_block(F, 40), block_diagonal(F, [5] * 8)
+    assert rank_chains([short, long]) == [rank_chain(block_diagonal(F, [5] * 8)),
+                                          tuple(range(40, -1, -1))]
+    assert taken == [long]
+    assert rank_chains([Matrix.zeros(F, 0)] * 2) == [(0,), (0,)]
 
 
 # -- exact products --------------------------------------------------------------------

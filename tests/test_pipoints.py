@@ -8,12 +8,12 @@ from restrep.fields import field
 from restrep.algebra import (AlgebraMorphism, build_abelian_restricted,
                              build_truncated_polynomial)
 from restrep.hopf import custom_structure, named_structure, twist
+from restrep.matrices import Matrix, nilpotent_jordan_type
 from restrep.modules import direct_sum, regular_module, tensor, trivial_module
-from restrep.pipoints import (BadTestModule, NotFlat, PiPoint, PointFamily,
-                              UnknownStructure, aut_action_on_point,
-                              coord_label, equivalent,
-                              is_isotropy, nobility, normalize_coords, support)
-from testkit import canonical_pi_point
+from restrep.pipoints import (NotFlat, PiPoint, PointFamily, UnknownStructure,
+                              aut_action_on_point, coord_label, is_isotropy, nobility,
+                              normalize_coords, support)
+from testkit import BadTestModule, canonical_pi_point, equivalent
 
 
 def klein():
@@ -95,6 +95,31 @@ def test_support_basics():
     for pt in fam:
         T = fam.test_module(pt.label)
         assert support(T, fam).labels == {pt.label}
+
+
+def test_scan_matches_each_point_and_any_chunking(monkeypatch):
+    from restrep import pipoints
+    A = build_truncated_polynomial(field(3), [3, 3])
+    fam = PointFamily(A, ext_degree=2)
+    AK = fam.A_K
+    mods = [trivial_module(AK), regular_module(AK)] + [fam.test_module(pt.label)
+                                                       for pt in list(fam)[:3]]
+    M = direct_sum(mods)
+    M_K = fam.lift(M)
+    expect = {pt.label: nilpotent_jordan_type(Matrix(fam.K, M_K.act(pt.image).a))
+              for pt in fam}
+    assert fam.jordan_types(M) == expect
+    # a budget below one point's stack: one point per chunk, same types
+    monkeypatch.setattr(pipoints, "SCAN_BYTE_BUDGET", 1)
+    chunks = []
+    chains = pipoints.rank_chains
+    monkeypatch.setattr(pipoints, "rank_chains", lambda mats: chunks.append(len(mats))
+                        or chains(mats))
+    fresh = PointFamily(A, ext_degree=2)       # its flatness scan is chunked too
+    assert chunks == [1] * len(fresh)
+    assert fresh.jordan_types(direct_sum(mods)) == expect
+    assert chunks == [1] * (2 * len(fresh))
+    assert support(direct_sum(mods), fresh) == support(M, fam)
 
 
 def test_support_union_additivity():

@@ -2,8 +2,9 @@
 matrix powers, the per-monomial images of algebra maps and actions,
 formatted-scalar parsing, polynomial arithmetic over GF(p) with the
 trial-division modulus, the Kronecker Hom dimension, the all-triples
-algebra check, the all-pairs comultiplication axiom check and a few
-fixed constructions, kept out of the library."""
+algebra check, the all-pairs comultiplication axiom check, point
+equivalence through a test module and a few fixed constructions, kept
+out of the library."""
 
 import itertools
 
@@ -14,7 +15,7 @@ from restrep.algebra import (AlgebraMorphism, base_change, build_heisenberg,
                              build_truncated_polynomial)
 from restrep.fields import field
 from restrep.hopf import Comultiplication, _expand, _image_tensor, _normal, _products
-from restrep.matrices import _INT, Matrix
+from restrep.matrices import _INT, Matrix, nilpotent_jordan_type
 from restrep.modules import Representation, hom_space
 from restrep.pipoints import PiPoint, PointError, normalize_coords, top_slice_image
 
@@ -192,6 +193,27 @@ def canonical_pi_point(A, coords, ext=None):
     A_K = A if K == A.field else base_change(A, K)
     coords = normalize_coords(K, coords)
     return PiPoint(A_K, top_slice_image(A_K, coords), coords=coords)
+
+
+class BadTestModule(PointError):
+    pass
+
+
+def equivalent(alpha, beta, test_module, family):
+    """Point equivalence through a singleton-support test module.
+
+    Precondition: the test module is supported exactly at the class of
+    ``alpha`` (BadTestModule otherwise); the points are then equivalent
+    iff ``beta`` also restricts it non-freely.
+    """
+    supp = family.support(test_module)
+    if len(supp) != 1:
+        raise BadTestModule(f"test module has support {supp!r}, not a singleton")
+    T_K = family.lift(test_module)
+    p = family.K.p
+    if nilpotent_jordan_type(T_K.act(alpha.image)).is_free(p):
+        raise BadTestModule("test module is not supported at the first point")
+    return not nilpotent_jordan_type(T_K.act(beta.image)).is_free(p)
 
 
 def product_terms(A, i, j):

@@ -17,6 +17,14 @@ satisfy A's defining relations, and then the counit laws,
 cocommutativity and coassociativity hold exactly when they hold on the
 generators.
 
+``Comultiplication.primitives_and_group_likes`` gives, over an extension
+K, the u with K[u] a Hopf subalgebra: the primitives, one kernel holding
+the counit condition u₁ = 0, and g − 1 for each group-like g.  As Δa =
+Σ_m b_m⊗R_m(a) for the commuting maps R_m = (b_m*⊗id)∘Δ, g is a joint
+eigenvector, of eigenvalue g_m for R_m: the space is split into the
+eigenspaces of one R_m after another, every λ ∈ K ranked in one stacked
+elimination, until each piece is a line, and the lines are checked.
+
 Antipodes are deliberately not stored or computed: none of the library
 structures or scenario computations ever apply one, and existence is
 automatic for the listed comultiplications.
@@ -27,7 +35,7 @@ import math
 import numpy as np
 
 from .algebra import AlgebraError
-from .matrices import _INT
+from .matrices import _INT, Matrix, _eliminate, _product
 
 STRUCTURE_NAMES = (
     "lie_primitive", "wang_Ga2", "wang_Ga1xZp", "wang_ZpZp",
@@ -136,12 +144,10 @@ class Comultiplication:
     """An axiom-verified cocommutative algebra map A -> A⊗A.  ``images``
     holds Δ of each generator as a tensor (keys, coefficients)."""
 
-    def __init__(self, algebra, name, images, nobility_rule=None, twist_chain=()):
+    def __init__(self, algebra, name, images):
         self.algebra = algebra
         self.name = name
         self.images = list(images)
-        self.nobility_rule = nobility_rule
-        self.twist_chain = tuple(twist_chain)   # morphisms applied, outermost last
         self._build_table()
         self._verify_axioms()
 
@@ -193,6 +199,38 @@ class Comultiplication:
             g = self.algebra.gen_names.index(g)
         d, (keys, coef) = self.algebra.dim, self.images[g]
         return [(c, k // d, k % d) for k, c in zip(keys.tolist(), coef.tolist())]
+
+    def primitives_and_group_likes(self, K):
+        """(a basis of the primitives, every group-like) over an extension K
+        of the base field, as rows over the basis; see the module docstring."""
+        A, d = self.algebra, self.algebra.dim
+        one, idx = A.identity_index, np.arange(d)
+        owner = np.repeat(idx, np.diff(self._start))
+        coef = A.field.embedding(K)[self._coef]
+        # Δ(b_i) - b_i⊗1 - 1⊗b_i in column i, on the keys that occur
+        keys, at = np.unique(np.concatenate([self._keys, idx * d + one, one * d + idx]),
+                             return_inverse=True)
+        M = K.sum_at(at * d + np.concatenate([owner, idx, idx]),
+                     np.concatenate([coef, np.full(2 * d, K.NEG[1], dtype=_INT)]), len(keys) * d)
+        lam, pieces = np.arange(K.q, dtype=_INT), [np.eye(d, dtype=_INT)]
+        for m in np.argsort(A._exps.sum(axis=1), kind="stable")[1:]:     # R_1 = id
+            R, on_m = np.zeros((d, d), dtype=_INT), self._keys // d == m
+            R[self._keys[on_m] % d, owner[on_m]] = coef[on_m]
+            split = [V for V in pieces if V.shape[1] == 1]
+            for V in (V for V in pieces if V.shape[1] > 1):
+                S = K.sub_arrays(_product(K, R, V)[None], K.MUL[lam[:, None, None], V])
+                rank = np.bincount(_eliminate(K, S.copy(), reduced=False)[1] // V.shape[1],
+                                   minlength=K.q)
+                split += [_product(K, V, Matrix(K, S[i], copy=False).nullspace().a)
+                          for i in (rank < V.shape[1]).nonzero()[0]]
+            if all(V.shape[1] == 1 for V in split):
+                break
+            pieces = split
+        G = np.array([K.MUL[K.INV[V[one]], V[:, 0]] for V in split if V[one]], dtype=_INT)
+        delta = K.sum_at((np.arange(len(G))[:, None] * d * d + self._keys).ravel(),
+                         K.MUL[G[:, owner], coef].ravel(), len(G) * d * d).reshape(-1, d * d)
+        group_like = (delta == K.MUL[G[:, :, None], G[:, None]].reshape(-1, d * d)).all(axis=1)
+        return Matrix(K, M.reshape(-1, d), copy=False).nullspace().a.T, G[group_like]
 
     # -- axioms ------------------------------------------------------------------------
 
@@ -288,49 +326,45 @@ def named_structure(A, name):
         if A.kind not in ("truncated_poly", "heisenberg"):
             raise ShapeMismatch("lie_primitive needs a monomial-basis algebra")
         images = [_primitive_image(A, g) for g in range(len(A.gen_names))]
-        return Comultiplication(A, name, images, nobility_rule="all")
+        return Comultiplication(A, name, images)
     if name == "heisenberg_primitive":
         _require_shape(A, "heisenberg")
         images = [_primitive_image(A, g) for g in range(len(A.gen_names))]
-        return Comultiplication(A, name, images, nobility_rule="all")
+        return Comultiplication(A, name, images)
     if name == "wang_Ga2":
         _require_shape(A, "truncated_poly", 2, (p, p))
         x = A.generator(0)
         dy = _add(A, _primitive_image(A, 1), omega(A, x))
-        return Comultiplication(A, name, [_primitive_image(A, 0), dy],
-                                nobility_rule="first_axis")
+        return Comultiplication(A, name, [_primitive_image(A, 0), dy])
     if name == "wang_Ga1xZp":
         _require_shape(A, "truncated_poly", 2, (p, p))
         return Comultiplication(A, name,
-                                [_primitive_image(A, 0), _primitive_image(A, 1, shift=True)],
-                                nobility_rule="axes")
+                                [_primitive_image(A, 0), _primitive_image(A, 1, shift=True)])
     if name == "wang_ZpZp":
         _require_shape(A, "truncated_poly", 2, (p, p))
         images = [_primitive_image(A, g, shift=True) for g in (0, 1)]
-        return Comultiplication(A, name, images, nobility_rule="prime_field")
+        return Comultiplication(A, name, images)
     if name == "oorttate_Zp":
         _require_shape(A, "truncated_poly", 1, (p,))
-        return Comultiplication(A, name, [_primitive_image(A, 0, shift=True)],
-                                nobility_rule="all")
+        return Comultiplication(A, name, [_primitive_image(A, 0, shift=True)])
     if name == "witt_G2":
         _require_shape(A, "truncated_poly", 1, (p * p,))
         x = A.generator(0)
         im = _add(A, _primitive_image(A, 0), omega(A, x.pow(p)))
-        return Comultiplication(A, name, [im], nobility_rule="all")
+        return Comultiplication(A, name, [im])
     if name == "witt_Zp2":
         _require_shape(A, "truncated_poly", 1, (p * p,))
-        return Comultiplication(A, name, [_primitive_image(A, 0, shift=True)],
-                                nobility_rule="all")
+        return Comultiplication(A, name, [_primitive_image(A, 0, shift=True)])
     raise ShapeMismatch(f"unknown structure name {name!r}")
 
 
 def custom_structure(A, images, name="custom"):
     """A user-supplied comultiplication from generator images {(i, j): c};
-    axiom-verified, nobility unknown."""
+    axiom-verified."""
     if len(images) != len(A.gen_names):
         raise ShapeMismatch("one image per generator required")
     images = [_image_tensor(A, g, im) for g, im in zip(A.gen_names, images)]
-    return Comultiplication(A, name, images, nobility_rule=None)
+    return Comultiplication(A, name, images)
 
 
 def _image_tensor(A, g, image):
@@ -373,6 +407,4 @@ def twist(delta, phi):
     images = [_outer(A, coef, phi.table[keys // A.dim], phi.table[keys % A.dim])
               for keys, coef in map(delta.delta_of, phi_inv.images)]
     label = ",".join(f"{n}↦{im!r}" for n, im in zip(A.gen_names, phi.images))
-    return Comultiplication(A, f"{delta.name}^({label})", images,
-                            nobility_rule=delta.nobility_rule,
-                            twist_chain=delta.twist_chain + (phi,))
+    return Comultiplication(A, f"{delta.name}^({label})", images)

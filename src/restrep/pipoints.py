@@ -12,13 +12,19 @@ the equivalence relation computable in coordinates.  A family reads the
 restriction Jordan types at all its points from batched rank chains
 (:func:`restrep.matrices.rank_chains`), in chunks of at most
 SCAN_BYTE_BUDGET stacked bytes.
+
+A class is noble for Δ when it holds a flat u with K[u] a Hopf subalgebra;
+a family computes its noble labels once per Δ and keeps them.  A multiple
+of a point's image is in that point's class (t may be rescaled); any other
+u is classed by ``class_of_image``, once per cyclic group of group-likes g,
+as every g^k − 1 is in the class of g − 1.
 """
 
 import numpy as np
 
 from .algebra import (AlgebraError, base_change, morphism_to_field)
 from .fields import field
-from .matrices import JordanType, chain_bytes, nilpotent_jordan_type, rank_chains
+from .matrices import JordanType, Matrix, chain_bytes, nilpotent_jordan_type, rank_chains
 from .modules import base_change_rep, induce_trivial
 
 SCAN_BYTE_BUDGET = 1 << 26   # peak bytes one stacked chunk of a point scan may allocate
@@ -32,22 +38,21 @@ class NotFlat(PointError):
     pass
 
 
-class UnknownStructure(PointError):
-    pass
-
-
 def normalize_coords(F, coords):
     """Scale so the last nonzero coordinate is 1."""
     coords = tuple(int(c) for c in coords)
-    last = None
-    for i in reversed(range(len(coords))):
-        if coords[i]:
-            last = i
-            break
-    if last is None:
-        raise PointError("coordinates must not all vanish")
-    inv = F.inv(coords[last])
+    if not any(coords) or not all(0 <= c < F.q for c in coords):
+        raise PointError(f"{coords!r} are not the coordinates of a point over GF({F.q})")
+    inv = F.inv([c for c in coords if c][-1])
     return tuple(F.mul(inv, c) for c in coords)
+
+
+def projective_coords(q, k):
+    """The normalized coordinates of P^{k-1}(GF(q)): by the position of the
+    last nonzero coordinate, a 1, then those below it in encoded order."""
+    for last in range(k):
+        for combo in np.ndindex(*([q] * last)):
+            yield tuple(int(c) for c in combo) + (1,) + (0,) * (k - last - 1)
 
 
 def coord_label(F, coords):
@@ -142,21 +147,14 @@ class PointFamily:
         self.points = self._enumerate()
         self.by_label = {pt.label: pt for pt in self.points}
         self.desc = f"P^{len(A.gen_names) - 1}(GF({base.p}^{ext_degree}))"
-        self._tests = {}
+        self._noble = {}
 
     def _enumerate(self):
         """The points; with ``check_flat``, the regular module restricts
         freely at each, checked on all of them in one scan."""
         A_K, K = self.A_K, self.K
-        k = len(A_K.gen_names)
-        pts = []
-        for last in range(k):
-            # coords: free below `last`, 1 at `last`, 0 above
-            frees = last
-            for combo in np.ndindex(*([K.q] * frees)):
-                coords = tuple(int(c) for c in combo) + (1,) + (0,) * (k - last - 1)
-                pts.append(PiPoint(A_K, top_slice_image(A_K, coords), coords=coords,
-                                   check_flat=False))
+        pts = [PiPoint(A_K, top_slice_image(A_K, coords), coords=coords, check_flat=False)
+               for coords in projective_coords(K.q, len(A_K.gen_names))]
         if self.check_flat:
             types = self._scan(pts, lambda pt: A_K.left_mult_matrix(pt.image), A_K.dim)
             for jt in types.values():
@@ -184,7 +182,10 @@ class PointFamily:
         return len(self.points)
 
     def point(self, coords):
-        return self.by_label[coord_label(self.K, normalize_coords(self.K, coords))]
+        pt = self.by_label.get(coord_label(self.K, normalize_coords(self.K, coords)))
+        if pt is None:
+            raise PointError(f"{tuple(coords)!r} are not the coordinates of a point of {self.desc}")
+        return pt
 
     def lift(self, M):
         """Base change a module over the base algebra to the family field."""
@@ -201,29 +202,44 @@ class PointFamily:
         return SupportSet([label for label, jt in self.jordan_types(M).items()
                            if not jt.is_free(p)], self.desc)
 
-    def test_module(self, label):
-        """The induced singleton-support module detecting exactly this point."""
-        hit = self._tests.get(label)
-        if hit is None:
-            pt = self.by_label[label]
-            hit = induce_trivial(self.A_K, pt.image, label=f"V({label})")
-            self._tests[label] = hit
-        return hit
-
     def class_of_image(self, image_K):
-        """Which point class a (possibly non-flat) map detects, by test modules.
-
-        The class of t ↦ image is the unique family point whose test
-        module pulls back non-freely along the image; the test modules have
-        one dimension, so their actions are scanned in one batch.
-        """
-        p = self.K.p
-        n = self.test_module(self.points[0].label).dim
-        types = self._scan(self.points, lambda pt: self.test_module(pt.label).act(image_K), n)
-        det = [label for label, jt in types.items() if not jt.is_free(p)]
+        """The class of the flat map t ↦ image: the support of its own test
+        module, induced from the trivial module along it, which is that
+        class alone."""
+        det = self.support(induce_trivial(self.A_K, image_K))
         if len(det) != 1:
             raise PointError(f"image detects {det!r}, not a single class")
-        return det[0]
+        return det.sorted()[0]
+
+    def noble_labels(self, delta):
+        """The labels of the classes noble for Δ, computed on first use and
+        kept per Δ (see the module docstring)."""
+        noble = self._noble.get(delta)
+        if noble is None:
+            A_K, K, p = self.A_K, self.K, self.K.p
+            P, G = delta.primitives_and_group_likes(K)
+            lines = np.array(list(projective_coords(K.q, len(P))), dtype=P.dtype)
+            groups = [[u] for u in (Matrix(K, lines) @ Matrix(K, P)).a] if len(P) else []
+            one, seen = A_K.one(), set()
+            for g in map(A_K.element, G):
+                if g.vec.tobytes() not in seen and g != one:
+                    powers = [g]
+                    while len(powers) < p:
+                        powers.append(powers[-1] @ g)       # g, ..., g^p
+                    seen.update(h.vec.tobytes() for h in powers[:-1])
+                    if powers[-1] == one:                   # (g - 1)^p = 0
+                        groups.append([(h - one).vec for h in powers[:-1]])
+            top = [A_K.index_of[tuple(b // p * (i == g) for i, b in enumerate(A_K.bounds))]
+                   for g in range(len(A_K.bounds))]
+            hits = [[u[top] for u in us if np.count_nonzero(u[top]) == np.count_nonzero(u)]
+                    for us in groups]
+            noble = {coord_label(K, normalize_coords(K, hit[0])) for hit in hits if hit}
+            others = [A_K.element(us[0]) for us, hit in zip(groups, hits) if not hit]
+            chains = rank_chains([A_K.left_mult_matrix(u) for u in others])
+            noble.update(self.class_of_image(u) for u, c in zip(others, chains)
+                         if JordanType.of_chain(c).is_free(p))
+            self._noble[delta] = noble
+        return noble
 
 
 def support(M, family):
@@ -231,7 +247,7 @@ def support(M, family):
 
 
 def aut_action_on_point(phi, point, family):
-    """Label of the class of φ ∘ α, by scanning the family's test modules."""
+    """Label of the class of φ ∘ α, by ``class_of_image``."""
     phi_K = morphism_to_field(phi, family.A_K) if phi.source.field != family.K else phi
     moved = phi_K.apply(point.image)
     return family.class_of_image(moved)
@@ -244,41 +260,6 @@ def is_isotropy(phi, point, family):
 # -- nobility -------------------------------------------------------------------------
 
 
-def _in_prime_field(F, c):
-    return 0 <= int(c) < F.p
-
-
-def nobility(delta, coords, family=None):
-    """"noble" or "ignoble" for the named structure, resolved through twists.
-
-    Data-driven: each library structure carries its set of subalgebra
-    directions; a twisted structure pulls the point back along the
-    twisting automorphisms.  UnknownStructure for a custom coproduct.
-    """
-    if delta.nobility_rule is None:
-        raise UnknownStructure(f"no nobility data for structure {delta.name!r}")
-    A = delta.algebra
-    F = family.K if family is not None else A.field
-    if delta.twist_chain:
-        if family is None:
-            family = PointFamily(A, ext_degree=2 if A.field.e == 1 else A.field.e)
-            F = family.K
-        label = coord_label(F, normalize_coords(F, coords))
-        for phi in reversed(delta.twist_chain):
-            pt = family.by_label[label]
-            label = aut_action_on_point(phi.invert(), pt, family)
-        coords = family.by_label[label].coords
-    else:
-        coords = normalize_coords(F, coords)
-    rule = delta.nobility_rule
-    if rule == "all":
-        return "noble"
-    axis = [tuple(1 if i == g else 0 for i in range(len(coords)))
-            for g in range(len(coords))]
-    if rule == "first_axis":
-        return "noble" if coords == axis[0] else "ignoble"
-    if rule == "axes":
-        return "noble" if coords in axis else "ignoble"
-    if rule == "prime_field":
-        return "noble" if all(_in_prime_field(F, c) for c in coords) else "ignoble"
-    raise UnknownStructure(f"unrecognized nobility rule {rule!r}")
+def nobility(delta, coords, family):
+    """"noble" or "ignoble" at the family's point ``coords`` for Δ."""
+    return "noble" if family.point(coords).label in family.noble_labels(delta) else "ignoble"

@@ -26,7 +26,7 @@ from restrep.heisenberg import (HeisenbergScenario, rank_formula, rank_table,
                                 rho_published, tau_published,
                                 wild_abelian_isotropy_check)
 from restrep.pipoints import PointFamily, nobility, support
-from testkit import conjugate, random_invertible
+from testkit import conjugate, point_test_module, random_invertible
 
 
 @pytest.fixture(scope="module")
@@ -191,7 +191,7 @@ def test_criterion_07_witt_green_rings(p, r):
 def _random_singleton_modules(fam, rng, count, max_blocks=2):
     """Random small modules built from singleton/free/trivial blocks, scrambled."""
     AK = fam.A_K
-    pool = [fam.test_module(pt.label) for pt in fam]
+    pool = [point_test_module(fam, pt.label) for pt in fam]
     pool += [regular_module(AK), trivial_module(AK)]
     out = []
     for _ in range(count):
@@ -219,7 +219,7 @@ def test_criterion_08_support_axioms(p):
         assert len(support(P, fam)) == 0
     # singleton supports, exactly
     for pt in fam:
-        assert support(fam.test_module(pt.label), fam).labels == {pt.label}
+        assert support(point_test_module(fam, pt.label), fam).labels == {pt.label}
     # S2: unions over direct sums
     for _ in range(25):
         M, N = rng.choice(mods), rng.choice(mods)

@@ -407,6 +407,16 @@ GOLDEN = {
         "f31cba99c8f729884a683089ab3ec1cd77573df866157e57b5db915adb0b374b",
     ("klein", "--format", "csv"):
         "b7351137f15a37d67c80e4737f1081bb4ad3714490594a26b5a501ba3e49b01f",
+    ("wang-table", "--p", "2", "--field-ext", "4", "--format", "json"):
+        "4e1922febfb85043279f62b4f4bcb97cd545e18b4d580b499817132da477e59e",
+    ("wang-table", "--p", "3", "--field-ext", "2", "--format", "json"):
+        "d69f5a10b5235ed4699e8a1b3aa53c870d246d0235913f6926fd58a0d501d481",
+    ("wang-table", "--p", "5", "--format", "json"):
+        "3e5613a61bf27272f6e3d8617c47b8a6b1615e9ead995efb261544c722c6bd81",
+    ("wang-table", "--p", "7", "--format", "json"):
+        "bf829c10a7d4e111379daf8557ff11df4cf5a8057e12956d0603be72171c55f9",
+    ("klein", "--n", "1", "--field-ext", "4", "--format", "csv"):
+        "ca2ef8dac9fb709de4f71d155f391e0919c4d0a12d393a1d052af994c9c0eb77",
 }
 GOLDEN_SUPPORT = "b2dfbc84ae6b045ecd6ce70c88b5bc23a9694520592256db98aa279a05b4f6db"
 

@@ -382,7 +382,6 @@ def test_twist_identity_and_roundtrip():
     tw = twist(lie, phi)
     back = twist(tw, phi.invert())
     assert images_as_dicts(back) == images_as_dicts(lie)
-    assert len(tw.twist_chain) == 1
 
 
 def test_twist_composition_law():

@@ -1,19 +1,23 @@
 """Flat points, support scans, equivalence, nobility, the twist action."""
 
 import random
+import re
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from restrep.fields import field
-from restrep.algebra import (AlgebraMorphism, build_abelian_restricted,
+from restrep.algebra import (AlgebraMorphism, build_abelian_restricted, build_heisenberg,
                              build_truncated_polynomial)
 from restrep.hopf import custom_structure, named_structure, twist
 from restrep.matrices import Matrix, nilpotent_jordan_type
 from restrep.modules import direct_sum, regular_module, tensor, trivial_module
-from restrep.pipoints import (NotFlat, PiPoint, PointFamily, UnknownStructure,
+from restrep.pipoints import (NotFlat, PiPoint, PointError, PointFamily,
                               aut_action_on_point, coord_label, is_isotropy, nobility,
                               normalize_coords, support)
-from testkit import BadTestModule, canonical_pi_point, equivalent
+from testkit import (BadTestModule, canonical_pi_point, equivalent, point_test_module,
+                     reference_nobility)
 
 
 def klein():
@@ -93,7 +97,7 @@ def test_support_basics():
     assert len(support(regular_module(A), fam)) == 0
     assert len(support(trivial_module(A), fam)) == 5
     for pt in fam:
-        T = fam.test_module(pt.label)
+        T = point_test_module(fam, pt.label)
         assert support(T, fam).labels == {pt.label}
 
 
@@ -102,7 +106,7 @@ def test_scan_matches_each_point_and_any_chunking(monkeypatch):
     A = build_truncated_polynomial(field(3), [3, 3])
     fam = PointFamily(A, ext_degree=2)
     AK = fam.A_K
-    mods = [trivial_module(AK), regular_module(AK)] + [fam.test_module(pt.label)
+    mods = [trivial_module(AK), regular_module(AK)] + [point_test_module(fam, pt.label)
                                                        for pt in list(fam)[:3]]
     M = direct_sum(mods)
     M_K = fam.lift(M)
@@ -126,7 +130,7 @@ def test_support_union_additivity():
     rng = random.Random(17)
     A = klein()
     fam = PointFamily(A, ext_degree=2)
-    mods = [fam.test_module(pt.label) for pt in fam] + [regular_module(fam.A_K)]
+    mods = [point_test_module(fam, pt.label) for pt in fam] + [regular_module(fam.A_K)]
     for _ in range(12):
         M = mods[rng.randrange(len(mods))]
         N = mods[rng.randrange(len(mods))]
@@ -139,7 +143,7 @@ def test_support_tensor_intersection():
     fam = PointFamily(A, ext_degree=2)
     K = fam.K
     AK = fam.A_K
-    mods = {pt.label: fam.test_module(pt.label) for pt in fam}
+    mods = {pt.label: point_test_module(fam, pt.label) for pt in fam}
     labels = [pt.label for pt in fam]
     for name in ("lie_primitive", "wang_Ga2", "wang_Ga1xZp", "wang_ZpZp"):
         d = named_structure(AK, name)
@@ -155,7 +159,7 @@ def test_equivalence_by_test_module():
     fam = PointFamily(A, ext_degree=2)
     AK = fam.A_K
     x, y = AK.generators()
-    tm = fam.test_module("[1:0]")
+    tm = point_test_module(fam, "[1:0]")
     alpha = PiPoint(AK, x, coords=(1, 0))
     assert equivalent(alpha, alpha, tm, fam)
     beta = PiPoint(AK, x + AK.multiply(x, y))
@@ -204,14 +208,104 @@ def test_nobility_single_point_algebras():
         assert nobility(d, (1,), fam) == "noble"
 
 
-def test_nobility_unknown_structure():
+def test_nobility_of_unlabelled_structure():
+    # u6 of the census of Δ on k[x,y]/(x², y²) over GF(2): no hand-set rule
     A = klein()
-    one = A.identity_index
-    xi, yi = A.index_of[(1, 0)], A.index_of[(0, 1)]
-    d = custom_structure(A, [{(xi, one): 1, (one, xi): 1},
-                             {(yi, one): 1, (one, yi): 1}])
-    with pytest.raises(UnknownStructure):
-        nobility(d, (1, 0))
+    o, x, y, xy = A.identity_index, A.index_of[(1, 0)], A.index_of[(0, 1)], A.index_of[(1, 1)]
+    u6 = custom_structure(A, [
+        {(x, o): 1, (o, x): 1, (x, xy): 1, (xy, x): 1, (y, y): 1, (xy, xy): 1},
+        {(y, o): 1, (o, y): 1, (x, x): 1, (x, xy): 1, (xy, x): 1, (y, y): 1,
+         (y, xy): 1, (xy, y): 1, (xy, xy): 1}])
+    noble = {1: set(), 2: set(), 3: {"[w+1:1]", "[w^2+1:1]", "[w^2+w+1:1]"}, 4: set()}
+    for e, group_likes in zip(noble, (1, 1, 4, 1)):
+        fam = PointFamily(A, ext_degree=e)
+        P, G = u6.primitives_and_group_likes(fam.K)
+        assert (len(P), len(G)) == (0, group_likes)
+        assert {pt.label for pt in fam if nobility(u6, pt.coords, fam) == "noble"} == noble[e]
+    # (primitive dimension, number of group-likes) of the library structures
+    for name, invariants in (("lie_primitive", (2, 1)), ("wang_Ga2", (1, 1)),
+                             ("wang_Ga1xZp", (1, 2)), ("wang_ZpZp", (0, 4))):
+        P, G = named_structure(A, name).primitives_and_group_likes(field(2, 2))
+        assert (len(P), len(G)) == invariants, name
+    for p in (3, 5):
+        d = named_structure(build_truncated_polynomial(field(p), [p, p]), "wang_ZpZp")
+        assert len(d.primitives_and_group_likes(field(p))[1]) == p * p
+
+
+def test_nobility_at_a_point_outside_the_family():
+    A = klein()
+    fam = PointFamily(A, ext_degree=2)
+    d = named_structure(A, "wang_Ga2")
+    for coords in ((1, 0, 0), (1,), (5, 1), (0, 0)):
+        with pytest.raises(PointError, match=re.escape(repr(coords))):
+            nobility(d, coords, fam)
+
+
+def seeded_automorphism(A, rng):
+    """An invertible linear substitution of the generators followed by
+    g ↦ g + s·m for a random generator g, scalar s and monomial m of degree
+    2, free of g where one is: the inverse stays short, which keeps
+    twisting cheap."""
+    F, k = A.field, len(A.gen_names)
+    while True:
+        lin = Matrix(F, [[rng.randrange(F.q) for _ in range(k)] for _ in range(k)])
+        if lin.rank() == k:
+            break
+    gens = [A.index_of[e] for e in A._gen_exps]
+    linear = []
+    for row in lin.a:
+        vec = np.zeros(A.dim, dtype=row.dtype)
+        vec[gens] = row
+        linear.append(A.element(vec))
+    g = rng.randrange(k)
+    quadratic = [e for e in A.basis_exps if sum(e) == 2]
+    m = rng.choice([e for e in quadratic if not e[g]] or quadratic)
+    shear = AlgebraMorphism.from_gen_map(
+        A, {A.gen_names[g]: A.generator(g) + rng.randrange(F.q) * A.monomial(m)})
+    return shear.compose(AlgebraMorphism(A, A, linear))
+
+
+def klein_automorphisms(A):
+    """The swap, x ↦ x + xy and x ↦ x + y of k[x,y]/(x², y²)."""
+    x, y = A.generators()
+    return [AlgebraMorphism(A, A, [y, x]),
+            AlgebraMorphism.from_gen_map(A, {"x": x + A.multiply(x, y)}),
+            AlgebraMorphism(A, A, [x + y, y])]
+
+
+WANG = ("lie_primitive", "wang_Ga2", "wang_Ga1xZp", "wang_ZpZp")
+# (algebra, family extension degree, structures, seeded twists of each)
+ORACLE_CASES = [pytest.param(lambda e=e: build_truncated_polynomial(field(2, e), [2, 2]), e,
+                             WANG, 6, id=f"klein-GF{2 ** e}") for e in (2, 4)]
+ORACLE_CASES += [pytest.param(lambda p=p: build_truncated_polynomial(field(p), [p, p]), ext,
+                              WANG, 3, id=f"k[x,y]-p{p}-GF{p ** ext}")
+                 for p, ext in ((3, 1), (3, 2), (5, 1), (5, 2), (7, 1))]
+ORACLE_CASES += [pytest.param(lambda b=b, p=p: build_truncated_polynomial(field(p), [b], names=("x",)),
+                              1, names, 0, id=f"k[x]/x^{b}")
+                 for p in (2, 3, 5)
+                 for b, names in ((p, ("lie_primitive", "oorttate_Zp")),
+                                  (p * p, ("lie_primitive", "witt_G2", "witt_Zp2")))]
+ORACLE_CASES += [pytest.param(lambda: build_heisenberg(field(3)), 2, ("heisenberg_primitive",), 0,
+                              id="heisenberg-p3")]
+
+
+@pytest.mark.parametrize("build,ext,names,seeded", ORACLE_CASES)
+def test_nobility_matches_the_published_rules(build, ext, names, seeded):
+    # every structure untwisted and twisted, against its hand-set rule read
+    # at the point pulled back along the twist
+    A = build()
+    fam = PointFamily(A, ext_degree=ext)
+    tests = {pt.label: point_test_module(fam, pt.label) for pt in fam}
+    rng = random.Random(f"{A!r} {ext}")
+    phis = (klein_automorphisms(A) if A.bounds == (2, 2) else []) + \
+        [seeded_automorphism(A, rng) for _ in range(seeded)]
+    for name in names:
+        base = named_structure(A, name)
+        for chain in [[]] + [[phi] for phi in phis]:
+            d = twist(base, chain[0]) if chain else base
+            got = {pt.label: nobility(d, pt.coords, fam) for pt in fam}
+            want = {pt.label: reference_nobility(name, chain, pt.coords, fam, tests) for pt in fam}
+            assert got == want, (name, chain)
 
 
 def test_aut_action_and_isotropy():
@@ -238,24 +332,23 @@ def test_klein3gen_isotropy():
     assert is_isotropy(phi, fam.point((1, 0, 0)), fam)
 
 
-def test_nobility_stable_under_twisting():
-    # nobility(Δ, p) agrees with nobility(Δ^φ, φ*(p)) on sampled automorphisms
-    A = klein()
-    fam = PointFamily(A, ext_degree=2)
-    AK = fam.A_K
-    x, y = AK.generators()
-    phis = [AlgebraMorphism(AK, AK, [y, x]),
-            AlgebraMorphism.from_gen_map(AK, {"x": x + AK.multiply(x, y)}),
-            AlgebraMorphism(AK, AK, [x + y, y])]
-    for name in ("wang_Ga2", "wang_Ga1xZp", "wang_ZpZp"):
-        base = named_structure(AK, name)
-        for phi in phis:
-            tw = twist(base, phi)
-            for pt in fam:
-                moved = aut_action_on_point(phi, pt, fam)
-                lhs = nobility(base, pt.coords, fam)
-                rhs = nobility(tw, fam.by_label[moved].coords, fam)
-                assert lhs == rhs, (name, pt.label, moved)
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((2, 4)), st.data())
+def test_nobility_stable_under_twisting(e, data):
+    # nobility(Δ, c) = nobility(Δ^φ, φ·c): nobility is read off Δ alone
+    A = build_truncated_polynomial(field(2, e), [2, 2])
+    fam = PointFamily(A, ext_degree=e)
+    x, y = A.generators()
+    xy = A.multiply(x, y)
+    entry = st.integers(0, 2 ** e - 1)
+    a, b, c, d, s, t = (data.draw(entry) for _ in range(6))
+    assume(A.field.sub(A.field.mul(a, d), A.field.mul(b, c)))
+    phi = AlgebraMorphism(A, A, [a * x + b * y + s * xy, c * x + d * y + t * xy])
+    base = named_structure(A, data.draw(st.sampled_from(WANG)))
+    tw = twist(base, phi)
+    for pt in fam:
+        moved = fam.by_label[aut_action_on_point(phi, pt, fam)]
+        assert nobility(base, pt.coords, fam) == nobility(tw, moved.coords, fam), pt.label
 
 
 def test_support_json_and_ordering():

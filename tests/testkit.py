@@ -2,9 +2,9 @@
 matrix powers, the per-monomial images of algebra maps and actions,
 formatted-scalar parsing, polynomial arithmetic over GF(p) with the
 trial-division modulus, the Kronecker Hom dimension, the all-triples
-algebra check, the all-pairs comultiplication axiom check, point
-equivalence through a test module and a few fixed constructions, kept
-out of the library."""
+algebra check, the all-pairs comultiplication axiom check, point test
+modules and equivalence through them, nobility by the published rules and
+a few fixed constructions, kept out of the library."""
 
 import itertools
 
@@ -12,11 +12,11 @@ import numpy as np
 from hypothesis import strategies as st
 
 from restrep.algebra import (AlgebraMorphism, base_change, build_heisenberg,
-                             build_truncated_polynomial)
+                             build_truncated_polynomial, element_to_field, morphism_to_field)
 from restrep.fields import field
 from restrep.hopf import Comultiplication, _expand, _image_tensor, _normal, _products
 from restrep.matrices import _INT, Matrix, nilpotent_jordan_type
-from restrep.modules import Representation, hom_space
+from restrep.modules import Representation, hom_space, induce_trivial
 from restrep.pipoints import PiPoint, PointError, normalize_coords, top_slice_image
 
 
@@ -195,6 +195,12 @@ def canonical_pi_point(A, coords, ext=None):
     return PiPoint(A_K, top_slice_image(A_K, coords), coords=coords)
 
 
+def point_test_module(family, label):
+    """The module induced from the trivial one along the image of the
+    family's point ``label``: its support is that point alone."""
+    return induce_trivial(family.A_K, family.by_label[label].image, label=f"V({label})")
+
+
 class BadTestModule(PointError):
     pass
 
@@ -214,6 +220,35 @@ def equivalent(alpha, beta, test_module, family):
     if nilpotent_jordan_type(T_K.act(alpha.image)).is_free(p):
         raise BadTestModule("test module is not supported at the first point")
     return not nilpotent_jordan_type(T_K.act(beta.image)).is_free(p)
+
+
+# each library structure's noble classes as published (Wang, J. Algebra
+# 2013, over an algebraically closed field): every class, the first axis,
+# both axes, or the classes with prime-field coordinates
+REFERENCE_RULES = {
+    "lie_primitive": "all", "heisenberg_primitive": "all", "oorttate_Zp": "all",
+    "witt_G2": "all", "witt_Zp2": "all", "wang_Ga2": "first_axis",
+    "wang_Ga1xZp": "axes", "wang_ZpZp": "prime_field",
+}
+
+
+def reference_nobility(name, phis, coords, family, tests):
+    """"noble" or "ignoble" at the point for the named structure twisted by
+    each of ``phis`` in turn: the structure's rule read at the point pulled
+    back along the inverse of each φ, the last one first.  A point's image
+    is moved by φ⁻¹ and classed by the one test module of ``tests``, the
+    points' test modules by label, that restricts non-freely along it."""
+    label, p = family.point(coords).label, family.K.p
+    for phi in reversed(phis):
+        psi = morphism_to_field(phi.invert(), family.A_K)
+        moved = psi.apply(element_to_field(family.by_label[label].image, psi.source))
+        (label,) = [lb for lb, T in tests.items()
+                    if not nilpotent_jordan_type(T.act(moved)).is_free(p)]
+    coords = family.by_label[label].coords
+    axes = [tuple(int(i == g) for i in range(len(coords))) for g in range(len(coords))]
+    noble = {"all": True, "first_axis": coords == axes[0], "axes": coords in axes,
+             "prime_field": all(c < family.K.p for c in coords)}[REFERENCE_RULES[name]]
+    return "noble" if noble else "ignoble"
 
 
 def product_terms(A, i, j):
